@@ -189,17 +189,46 @@ def _nearest_numba(points, centroids):  # pragma: no cover - numba-compiled
     return out, dist
 
 
+_NEAREST_BLOCK = 2**16  # elements per temporary in _nearest_numpy
+
+
 def _nearest_numpy(points: np.ndarray, centroids: np.ndarray):
-    n = points.shape[0]
+    # One GEMM per block ranks centroids by |c|^2 - 2 x.c, which differs
+    # from |x - c|^2 by the row constant |x|^2 up to rounding. Every
+    # centroid within the rounding bound of the row minimum is re-scored
+    # with the exact expression sum((x - c)^2), so ids and distances are
+    # those of the direct [n, k, d] computation bit for bit.
+    n, d = points.shape
+    k = centroids.shape[0]
     out = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=np.float64)
-    # Chunk to bound the [chunk, k, d] temporary.
-    chunk = max(1, int(2**22 / max(1, centroids.size)))
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    c_sq_max = c_sq.max()
+    minus_2ct = -2.0 * centroids.T
+    # The ranking plus |x|^2, and the exact expression, are each within
+    # (d + 2) eps (|x|^2 + |c|^2) of the true distance, up to second-order
+    # terms; a window of twice their sum keeps every exact minimum and tie.
+    # ``tiny`` covers underflow, where relative bounds do not hold. A NaN or
+    # infinite bound makes the whole row a candidate, as does a NaN score.
+    rel = 4 * (d + 4) * np.finfo(np.float64).eps
+    tiny = np.finfo(np.float64).tiny
+    chunk = max(1, _NEAREST_BLOCK // max(k, d))
+    pairs = max(1, _NEAREST_BLOCK // max(1, d))
     for start in range(0, n, chunk):
         block = points[start : start + chunk]
-        d2 = np.square(block[:, None, :] - centroids[None, :, :]).sum(axis=2)
-        out[start : start + chunk] = np.argmin(d2, axis=1)
-        dist[start : start + chunk] = d2[np.arange(len(block)), out[start : start + chunk]]
+        x_sq = np.einsum("ij,ij->i", block, block)
+        score = block @ minus_2ct
+        score += c_sq
+        bound = score.min(axis=1) + (rel * (x_sq + c_sq_max) + tiny)
+        rows, cols = np.divmod(np.flatnonzero(~(score > bound[:, None])), k)
+        exact = score  # same buffer: candidates' exact distances, +inf elsewhere
+        exact.fill(np.inf)
+        for s in range(0, len(rows), pairs):
+            r, c = rows[s : s + pairs], cols[s : s + pairs]
+            exact[r, c] = np.square(block[r] - centroids[c]).sum(axis=1)
+        ids = np.argmin(exact, axis=1)
+        out[start : start + chunk] = ids
+        dist[start : start + chunk] = exact[np.arange(len(block)), ids]
     return out, dist
 
 

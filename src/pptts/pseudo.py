@@ -10,14 +10,16 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import _kernels
 from .features import FrameFeatures
 
-_CHUNK = 8192  # frames per streamed assignment block
+# Inertia adds the sums of consecutive blocks of this many frames, in order.
+# The fixed summation order keeps reported inertia reproducible bit for bit.
+_INERTIA_BLOCK = 8192
 _CODEBOOK_MAGIC = "PPCB1"
 
 
@@ -54,11 +56,6 @@ class PseudoPhonemeSequence:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-
-def _iter_frame_blocks(frames: np.ndarray) -> Iterator[np.ndarray]:
-    for start in range(0, len(frames), _CHUNK):
-        yield frames[start : start + _CHUNK]
 
 
 def _collect_frames(feature_stream: Iterable[FrameFeatures]) -> tuple[np.ndarray, str]:
@@ -130,20 +127,18 @@ def train_codebook(
     prev_inertia = np.inf
     inertia = np.inf
     for iteration in range(max_iters):
-        sums = np.zeros((k, dim), dtype=np.float64)
-        counts = np.zeros(k, dtype=np.int64)
+        ids, d2 = _kernels.nearest_centroids(frames, centroids)
+        # bincount adds each cluster's frames in frame order starting from
+        # zero, so the sums are exactly those of a sequential accumulation.
+        counts = np.bincount(ids, minlength=k)
+        sums = np.stack(
+            [np.bincount(ids, weights=frames[:, j], minlength=k) for j in range(dim)],
+            axis=1,
+        )
         inertia = 0.0
-        worst_d2 = -1.0
-        worst_idx = 0
-        for block_start, block in zip(range(0, n, _CHUNK), _iter_frame_blocks(frames)):
-            ids, d2 = _kernels.nearest_centroids(block, centroids)
-            np.add.at(sums, ids, block)
-            counts += np.bincount(ids, minlength=k)
-            inertia += float(d2.sum())
-            local_worst = int(np.argmax(d2))
-            if d2[local_worst] > worst_d2:
-                worst_d2 = float(d2[local_worst])
-                worst_idx = block_start + local_worst
+        for start in range(0, n, _INERTIA_BLOCK):
+            inertia += float(d2[start : start + _INERTIA_BLOCK].sum())
+        worst_idx = int(np.argmax(d2))
         # Lloyd reassignment can only lower the objective (tiny fp slack).
         if inertia > prev_inertia * (1 + 1e-9) + 1e-9:
             raise AssertionError(
@@ -216,13 +211,37 @@ def save_codebook(path: str | Path, codebook: Codebook) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _parse_header(path: str | Path, tokens: list[str]) -> tuple[int, int, int, str]:
+    """(k, dim, seed, provider) from the ``name=value`` tokens after the magic."""
+    fields = {}
+    for token in tokens:
+        name, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(
+                f"{path}: malformed codebook header field {token!r}, expected name=value"
+            )
+        fields[name] = value
+    for name in ("k", "dim", "seed", "provider"):
+        if name not in fields:
+            raise ValueError(f"{path}: codebook header lacks the {name!r} field")
+    ints = []
+    for name in ("k", "dim", "seed"):
+        try:
+            ints.append(int(fields[name]))
+        except ValueError:
+            raise ValueError(
+                f"{path}: codebook header field {name}={fields[name]!r} is not an integer"
+            ) from None
+    k, dim, seed = ints
+    return k, dim, seed, fields["provider"]
+
+
 def load_codebook(path: str | Path) -> Codebook:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if not header or header[0] != _CODEBOOK_MAGIC:
             raise ValueError(f"{path}: not a codebook file")
-        fields = dict(part.split("=", 1) for part in header[1:])
-        k, dim, seed = int(fields["k"]), int(fields["dim"]), int(fields["seed"])
+        k, dim, seed, provider_id = _parse_header(path, header[1:])
         rows = [
             np.array(line.split(), dtype=np.float64) for line in fh if line.strip()
         ]
@@ -231,9 +250,7 @@ def load_codebook(path: str | Path) -> Codebook:
     centroids = np.vstack(rows)
     if centroids.shape[1] != dim:
         raise ValueError(f"{path}: centroid dim {centroids.shape[1]} != header {dim}")
-    return Codebook(
-        centroids=centroids, k=k, dim=dim, seed=seed, provider_id=fields["provider"]
-    )
+    return Codebook(centroids=centroids, k=k, dim=dim, seed=seed, provider_id=provider_id)
 
 
 def codebook_hash(codebook: Codebook) -> str:

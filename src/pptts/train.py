@@ -244,6 +244,15 @@ def _batch_mean(terms: list[dict[str, Tensor]]) -> dict[str, Tensor]:
     return out
 
 
+def _require_finite(loss: Tensor, step_index: int) -> None:
+    """Refuse a non-finite loss before backward, so no weight is updated."""
+    value = float(loss.item())
+    if not np.isfinite(value):
+        raise TrainError(
+            f"non-finite loss {value} at step {step_index}; model weights left unchanged"
+        )
+
+
 def _sample_eps(model: SynthesisModel, item: PreparedUtterance, rng) -> np.ndarray:
     shape = (model.config.latent_channels, item.spec.shape[0])
     return rng.standard_normal(shape).astype(model.np_dtype)
@@ -291,6 +300,7 @@ def training_step(
     total = cfg.kld_weight * mean["kld"] + cfg.duration_weight * mean["dur"]
     if include_recon:
         total = total + cfg.mel_weight * mean["recon"]
+    _require_finite(total, step_index)
 
     if adversary is not None and fakes:
         # Critic update on detached generator output, least-squares targets.
@@ -311,6 +321,7 @@ def training_step(
             g_adv = term if g_adv is None else g_adv + term
         g_adv = g_adv * (1.0 / len(fakes))
         total = total + cfg.adversarial_weight * g_adv
+        _require_finite(total, step_index)
         mean["adv"] = g_adv
 
     optimizer.zero_grad()

@@ -197,6 +197,26 @@ class TestTokenizeCommand:
                 a != b for a, b in zip(rec["tokens"], rec["tokens"][1:])
             )
 
+    @pytest.mark.parametrize(
+        "header, field",
+        [("k=6 dim=10 seed=0", "'provider'"), ("k=6 dim seed=0 provider=x", "'dim'")],
+    )
+    def test_malformed_codebook_header_exits_one(
+        self, workspace, tmp_path, capsys, header, field
+    ):
+        rows = Path(workspace["codebook"]).read_text().splitlines()[1:]
+        broken = tmp_path / "cb.txt"
+        broken.write_text("\n".join([f"PPCB1 {header}"] + rows) + "\n")
+        code = run(
+            "tokenize", "--config", workspace["config"],
+            "--manifest", workspace["manifest"],
+            "--codebook", broken, "--out", tmp_path / "tok.jsonl",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(broken) in err and field in err
+
 
 class TestTrainingCommands:
     def test_pretrain_outputs(self, workspace):

@@ -1,9 +1,12 @@
 """Numba and numpy kernel twins against brute-force oracles."""
 
 import itertools
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pptts import _kernels
 
@@ -34,6 +37,23 @@ def dp_matrix_levenshtein(a, b):
             cost = 0 if a[i - 1] == b[j - 1] else 1
             d[i, j] = min(d[i - 1, j] + 1, d[i, j - 1] + 1, d[i - 1, j - 1] + cost)
     return int(d[la, lb])
+
+
+def broadcast_nearest(points, centroids):
+    """The direct [n, k, d] form: the exact arithmetic the kernels must reproduce."""
+    d2 = np.square(points[:, None, :] - centroids[None, :, :]).sum(axis=2)
+    ids = np.argmin(d2, axis=1)
+    return ids, d2[np.arange(len(points)), ids]
+
+
+def assert_same_as_broadcast(points, centroids):
+    # The numba twin sums each distance sequentially, so only the numpy
+    # path promises the broadcast form's bits.
+    with mock.patch.dict(os.environ, {"PPTTS_DISABLE_NUMBA": "1"}):
+        ids, d2 = _kernels.nearest_centroids(points, centroids)
+    want_ids, want_d2 = broadcast_nearest(points, centroids)
+    assert np.array_equal(ids, want_ids)
+    assert d2.tobytes() == want_d2.tobytes()
 
 
 def assert_valid_alignment(assign, n, t):
@@ -162,6 +182,70 @@ class TestNearestCentroids:
     def test_dimension_mismatch(self, kernel_env):
         with pytest.raises(ValueError):
             _kernels.nearest_centroids(np.zeros((3, 2)), np.zeros((4, 3)))
+
+
+@st.composite
+def nearest_cases(draw):
+    """Points and centroids built to produce exact and near ties."""
+    d = draw(st.integers(1, 24))
+    k = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1.0, -3e3, 1e6]))
+    spread = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    centroids = offset + spread * rng.standard_normal((k, d))
+    if draw(st.booleans()):  # duplicate centroids
+        centroids = centroids[rng.integers(0, max(1, k // 2), size=k)]
+    points = offset + spread * rng.standard_normal((n, d))
+    on_centroid = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    points[on_centroid] = centroids[rng.integers(0, k, size=on_centroid.sum())]
+    if draw(st.booleans()):  # coarse grid: many exactly equal distances
+        step = spread / 2
+        points = np.round(points / step) * step
+        centroids = np.round(centroids / step) * step
+    return points, centroids
+
+
+class TestNearestCentroidsBitIdentity:
+    """The kernel must return the broadcast form's ids and distance bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nearest_cases())
+    def test_matches_broadcast(self, case):
+        assert_same_as_broadcast(*case)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_single_centroid(self, d):
+        rng = np.random.default_rng(10)
+        assert_same_as_broadcast(rng.normal(size=(50, d)), rng.normal(size=(1, d)))
+
+    def test_large_offset_small_spread(self):
+        rng = np.random.default_rng(11)
+        centroids = 1e6 + 1e-4 * rng.standard_normal((16, 4))
+        points = 1e6 + 1e-4 * rng.standard_normal((500, 4))
+        assert_same_as_broadcast(points, centroids)
+
+    def test_spans_several_blocks(self, monkeypatch):
+        # Ten copies of one centroid give each nearby point ten candidates,
+        # more per block than one re-scoring slice holds.
+        monkeypatch.setattr(_kernels, "_NEAREST_BLOCK", 64)
+        rng = np.random.default_rng(12)
+        copies = np.repeat(rng.normal(size=(1, 3)), 10, axis=0)
+        centroids = np.vstack([copies, rng.normal(size=(5, 3))])
+        points = np.vstack([rng.normal(size=(97, 3)), centroids, centroids[0] + 1e-9])
+        assert_same_as_broadcast(points, centroids)
+
+    def test_spans_several_blocks_at_default_size(self):
+        rng = np.random.default_rng(13)
+        centroids = rng.normal(size=(64, 4))
+        n = 3 * _kernels._NEAREST_BLOCK // 64 + 5
+        assert_same_as_broadcast(rng.normal(size=(n, 4)), centroids)
+
+    def test_non_finite_inputs(self):
+        points = np.array([[0.0, 1.0], [np.nan, 0.0], [np.inf, 0.0], [1e200, 0.0]])
+        centroids = np.array([[0.0, 0.0], [1.0, 1.0], [np.inf, 0.0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_same_as_broadcast(points, centroids)
 
 
 def test_flag_reported():

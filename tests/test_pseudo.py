@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pptts import _kernels
 from pptts.features import FrameFeatures
 from pptts.pseudo import (
     Codebook,
@@ -66,6 +67,26 @@ class TestTrainCodebook:
         a = train_codebook([make_features(points)], k=5, seed=7)
         b = train_codebook([make_features(points)], k=5, seed=7)
         assert np.array_equal(a.centroids, b.centroids)
+
+    def test_fit_matches_broadcast_kernel(self, monkeypatch):
+        monkeypatch.setenv("PPTTS_DISABLE_NUMBA", "1")
+        rng = np.random.default_rng(4)
+        points, _, _ = blob_features(rng, k=6, per_cluster=400, dim=7, spread=1.0, separation=2.0)
+        feats = [make_features(points)]
+        fast = train_codebook(feats, k=12, seed=3, max_iters=25, tol=0)
+        calls = []
+
+        def broadcast_nearest(frames, centroids):
+            calls.append(len(frames))
+            d2 = np.square(frames[:, None, :] - centroids[None, :, :]).sum(axis=2)
+            ids = np.argmin(d2, axis=1)
+            return ids, d2[np.arange(len(frames)), ids]
+
+        monkeypatch.setattr(_kernels, "nearest_centroids", broadcast_nearest)
+        slow = train_codebook(feats, k=12, seed=3, max_iters=25, tol=0)
+        assert calls
+        assert codebook_hash(fast) == codebook_hash(slow)
+        assert fast.inertia == slow.inertia
 
     def test_fewer_points_than_k(self):
         points = np.random.default_rng(3).normal(size=(4, 2))
@@ -171,6 +192,22 @@ class TestCodebookIO:
         path.write_text("WRONG k=1 dim=1 seed=0 provider=x\n0.0\n")
         with pytest.raises(ValueError):
             load_codebook(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("PPCB1 k=1 dim=1 seed=0", "lacks the 'provider' field"),
+            ("PPCB1 k=1 dim=1 provider=x", "lacks the 'seed' field"),
+            ("PPCB1 k=1 dim=1 seed=0 provider=x junk", "malformed codebook header field 'junk'"),
+            ("PPCB1 k=one dim=1 seed=0 provider=x", "k='one' is not an integer"),
+        ],
+    )
+    def test_malformed_header(self, tmp_path, header, message):
+        path = tmp_path / "cb.txt"
+        path.write_text(header + "\n0.0\n")
+        with pytest.raises(ValueError, match=message) as info:
+            load_codebook(path)
+        assert str(path) in str(info.value)
 
     def test_row_count_mismatch(self, tmp_path):
         cb = self._codebook()

@@ -245,6 +245,21 @@ class TestTrainingStep:
         assert "loss_recon" in metrics
         assert model.decoder.calls == 1
 
+    def test_non_finite_loss_leaves_weights_untouched(self, corpus, codebook, provider):
+        cfg = micro_run_config("pretrain")
+        items = prepare_corpus(corpus, cfg, "pretrain", codebook, provider)
+        model = SynthesisModel(cfg.model, AUDIO, "pretrain", seed=0)
+        part = partition_parameters(model, "pretrain")
+        apply_partition(model, part)
+        named = dict(model.named_parameters())
+        named["duration.proj.bias"].data[...] = np.nan
+        before = {n: p.data.tobytes() for n, p in named.items()}
+        opt = AdamW(list(named.items()), lr=1e-3)
+        with pytest.raises(TrainError, match="non-finite loss"):
+            training_step(model, opt, items[:1], cfg.train, 1, part, include_recon=True)
+        after = {n: p.data.tobytes() for n, p in model.named_parameters()}
+        assert after == before
+
 
 def _save_load_roundtrip(model, tmp=None):
     import tempfile
