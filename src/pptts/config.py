@@ -90,8 +90,6 @@ class TrainConfig:
     kld_weight: float = 1.0
     duration_weight: float = 1.0
     mel_weight: float = 5.0
-    adversarial: bool = False
-    adversarial_weight: float = 1.0
     from_scratch: bool = False
     # Fine-tuning only: learning-rate multiplier for the heads trained from
     # scratch (text encoder, duration predictor) relative to the carried-over

@@ -34,6 +34,11 @@ from .tensor import Tensor
 LOG_STD_MIN = -11.512925
 LOG_STD_MAX = 11.512925
 LOG_SCALE_CAP = 2.0  # coupling log-scales bounded to [-2, 2] via tanh
+# Longest audio one synthesis request may ask for. Under ``no_grad`` the
+# decoder's largest buffer is the im2col matrix of its last convolution,
+# channels * 7 floats per output sample: about 1.8 GB at a minute of 22.05 kHz
+# audio with the default 48 channels.
+MAX_SYNTHESIS_SECONDS = 60.0
 
 MODES = ("pretrain", "finetune")
 
@@ -423,6 +428,23 @@ class SynthesisModel(Module):
 
     # -- inference -----------------------------------------------------------
 
+    def _frame_counts(self, log_dur: np.ndarray, length_scale: float) -> np.ndarray:
+        """Frames per token from predicted log-durations, refusing a request
+        longer than ``MAX_SYNTHESIS_SECONDS`` before anything that size is
+        allocated."""
+        if not np.all(np.isfinite(log_dur)):
+            raise ModelError("duration predictor returned a non-finite log-duration")
+        with np.errstate(over="ignore"):
+            frames = np.maximum(1, np.floor(np.exp(log_dur) * length_scale + 0.5))
+        limit = int(MAX_SYNTHESIS_SECONDS * self.audio.sample_rate / self.audio.hop_length)
+        total = float(frames.sum())
+        if not total <= limit:
+            raise ModelError(
+                f"predicted length of {total:.4g} frames exceeds the limit of "
+                f"{limit} frames ({MAX_SYNTHESIS_SECONDS:g} s of audio)"
+            )
+        return frames.astype(np.int64)
+
     def synthesize(
         self,
         phonemes,
@@ -437,9 +459,7 @@ class SynthesisModel(Module):
         with T.no_grad():
             hidden, prior = self.text_encode(phonemes)
             log_dur = self.predict_durations(hidden).data
-            durations = np.maximum(
-                1, np.floor(np.exp(log_dur) * length_scale + 0.5)
-            ).astype(np.int64)
+            durations = self._frame_counts(log_dur, length_scale)
             mean_f, std_f = align.expand_prior(prior.mean_tc, prior.std_tc, durations)
             rng = seeded_rng(seed)
             eps = rng.standard_normal(mean_f.shape).astype(self.np_dtype)

@@ -75,7 +75,8 @@ def _uniform(rng: np.random.Generator, bound: float, shape, dtype) -> np.ndarray
 
 
 class Conv1d(Module):
-    """1-D convolution over [C_in, T] inputs via im2col and one matmul.
+    """1-D convolution over [C_in, T] inputs via im2col and one matmul,
+    recorded as one graph node (:func:`pptts.tensor.conv1d`).
 
     ``padding`` pads both sides of the time axis before framing; the pad is
     zeros by default or circular (wrap-around) for translation-invariant
@@ -114,10 +115,9 @@ class Conv1d(Module):
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.padding:
-            x = T.pad_cols(x, self.padding, self.padding, mode=self.pad_mode)
-        cols = T.frame_cols(x, self.kernel_size, self.stride)
-        return (self.weight @ cols) + self.bias.reshape(self.out_channels, 1)
+        return T.conv1d(
+            x, self.weight, self.bias, self.kernel_size, self.stride, self.padding, self.pad_mode
+        )
 
     def upsampled(self, x: Tensor, factor: int) -> Tensor:
         """``self(T.upsample_cols(x, factor))`` without the stuffed zeros.

@@ -6,11 +6,11 @@ products needed to backpropagate, and ``Tensor.backward`` walks the graph
 once in reverse topological order. Broadcasting follows numpy; ``matmul``
 is restricted to 2-D operands.
 
-Structured ops used by the models live here too: im2col framing for 1-D
-convolutions, zero/circular padding, zero-stuffing upsampling, row gather
-with scatter-add backward, run-length column repetition, and an STFT
-magnitude whose forward pass is bit-identical to the plain numpy spectral
-path in :mod:`pptts.features`.
+Structured ops used by the models live here too: 1-D convolution as one
+graph node, im2col framing, zero/circular padding, zero-stuffing
+upsampling, row gather with scatter-add backward, run-length column
+repetition, and an STFT magnitude whose forward pass is bit-identical to
+the plain numpy spectral path in :mod:`pptts.features`.
 """
 
 from __future__ import annotations
@@ -394,35 +394,75 @@ def repeat_cols(x: Tensor, repeats: np.ndarray) -> Tensor:
     return _make(out, [(x, vjp)], "repeat_cols")
 
 
+def _pad_data(data: np.ndarray, left: int, right: int, mode: str) -> np.ndarray:
+    """``np.pad`` of the time axis of [C, T] data, with zeros or wrapped.
+
+    Like ``np.pad``, the buffer is F-ordered when the input is F- and not
+    C-contiguous: the gradient buffers built to its layout decide the
+    summation order of later reductions, so bits depend on it.
+    """
+    if min(left, right) < 0:
+        raise ValueError("pad sizes must be >= 0")
+    if mode not in ("zeros", "circular"):
+        raise ValueError(f"unknown pad mode {mode!r}")
+    channels, width = data.shape
+    if mode == "circular" and (left > width or right > width):
+        raise ValueError("circular pad wider than the tensor")
+    order = "F" if data.flags.fnc else "C"
+    out = np.zeros((channels, left + width + right), dtype=data.dtype, order=order)
+    out[:, left : left + width] = data
+    if mode == "circular":
+        out[:, :left] = data[:, width - left :]
+        out[:, left + width :] = data[:, :right]
+    return out
+
+
+def _unpad_grad(g: np.ndarray, left: int, right: int, mode: str) -> np.ndarray:
+    """Adjoint of :func:`_pad_data`: crop, folding wrapped columns back."""
+    width = g.shape[1] - left - right
+    if mode == "zeros":
+        return g[:, left : left + width]
+    core = np.array(g[:, left : left + width], copy=True)
+    if left:
+        core[:, width - left :] += g[:, :left]
+    if right:
+        core[:, :right] += g[:, left + width :]
+    return core
+
+
 def pad_cols(x: Tensor, left: int, right: int, mode: str = "zeros") -> Tensor:
     """Pad the time axis of a [C, T] tensor with zeros or circularly."""
     if x.data.ndim != 2:
         raise ValueError("pad_cols requires a 2-D tensor")
-    if min(left, right) < 0:
-        raise ValueError("pad sizes must be >= 0")
-    width = x.data.shape[1]
-    if mode == "zeros":
-        out = np.pad(x.data, ((0, 0), (left, right)))
+    out = _pad_data(x.data, left, right, mode)
+    return _make(out, [(x, lambda g: _unpad_grad(g, left, right, mode))], "pad_cols")
 
-        def vjp(g: np.ndarray) -> np.ndarray:
-            return g[:, left : left + width]
 
-    elif mode == "circular":
-        if left > width or right > width:
-            raise ValueError("circular pad wider than the tensor")
-        out = np.pad(x.data, ((0, 0), (left, right)), mode="wrap")
+def _im2col(data: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """[C, T] -> [C * kernel, T_out]; column t is the flattened window
+    data[:, t*stride : t*stride + kernel]."""
+    channels, width = data.shape
+    count = (width - kernel) // stride + 1
+    if count < 1:
+        raise ValueError(f"input width {width} shorter than kernel {kernel}")
+    s0, s1 = data.strides
+    windows = np.lib.stride_tricks.as_strided(
+        data, shape=(channels, count, kernel), strides=(s0, s1 * stride, s1)
+    )
+    return np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(
+        channels * kernel, count
+    )
 
-        def vjp(g: np.ndarray) -> np.ndarray:
-            core = np.array(g[:, left : left + width], copy=True)
-            if left:
-                core[:, width - left :] += g[:, :left]
-            if right:
-                core[:, :right] += g[:, left + width :]
-            return core
 
-    else:
-        raise ValueError(f"unknown pad mode {mode!r}")
-    return _make(out, [(x, vjp)], "pad_cols")
+def _col2im(g: np.ndarray, like: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Adjoint of :func:`_im2col`: scatter-add each tap's row of ``g`` into
+    zeros with the shape and memory layout of ``like``."""
+    count = g.shape[1]
+    g3 = g.reshape(like.shape[0], kernel, count)
+    gx = np.zeros_like(like)
+    for j in range(kernel):
+        gx[:, j : j + stride * (count - 1) + 1 : stride] += g3[:, j, :]
+    return gx
 
 
 def frame_cols(x: Tensor, kernel: int, stride: int = 1) -> Tensor:
@@ -431,26 +471,48 @@ def frame_cols(x: Tensor, kernel: int, stride: int = 1) -> Tensor:
     Output is [C * kernel, T_out] with column t holding the flattened
     window x[:, t*stride : t*stride + kernel].
     """
-    channels, width = x.data.shape
-    count = (width - kernel) // stride + 1
-    if count < 1:
-        raise ValueError(f"input width {width} shorter than kernel {kernel}")
-    s0, s1 = x.data.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x.data, shape=(channels, count, kernel), strides=(s0, s1 * stride, s1)
-    )
-    out = np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(
-        channels * kernel, count
-    )
+    out = _im2col(x.data, kernel, stride)
+    return _make(out, [(x, lambda g: _col2im(g, x.data, kernel, stride))], "frame_cols")
 
-    def vjp(g: np.ndarray) -> np.ndarray:
-        g3 = g.reshape(channels, kernel, count)
-        gx = np.zeros_like(x.data)
-        for j in range(kernel):
-            gx[:, j : j + stride * (count - 1) + 1 : stride] += g3[:, j, :]
-        return gx
 
-    return _make(out, [(x, vjp)], "frame_cols")
+def conv1d(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    kernel: int,
+    stride: int = 1,
+    padding: int = 0,
+    pad_mode: str = "zeros",
+) -> Tensor:
+    """1-D convolution of a [C_in, T] tensor as one graph node.
+
+    ``weight`` is [C_out, C_in * kernel] and ``bias`` is [C_out]. Forward
+    and gradients compute the same expressions, in the same order, as
+    ``weight @ frame_cols(pad_cols(x, padding, padding, pad_mode), kernel,
+    stride) + bias.reshape(C_out, 1)``, so every bit matches that chain;
+    what goes away is its four intermediate nodes and the gradient copies
+    they make. The parents are listed as (weight, x, bias), the order in
+    which the chain's depth-first walk reached them, so a computed weight
+    would also get its gradient terms summed in the chain's order.
+    """
+    src = _pad_data(x.data, padding, padding, pad_mode) if padding else x.data
+    cols = _im2col(src, kernel, stride)
+    w = weight.data
+    out = w @ cols + bias.data.reshape(w.shape[0], 1)
+
+    def vjp_x(g: np.ndarray) -> np.ndarray:
+        gx = _col2im(w.T @ g, src, kernel, stride)
+        return _unpad_grad(gx, padding, padding, pad_mode) if padding else gx
+
+    return _make(
+        out,
+        [
+            (weight, lambda g: g @ cols.T),
+            (x, vjp_x),
+            (bias, lambda g: g.sum(axis=(1,), keepdims=True).reshape(bias.data.shape)),
+        ],
+        "conv1d",
+    )
 
 
 def frame_rows(x: Tensor, frame_length: int, hop: int) -> Tensor:

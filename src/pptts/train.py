@@ -27,7 +27,7 @@ from .config import AudioConfig, ModelConfig, RunConfig, _build_section
 from .data import Lexicon, ManifestEntry, text_to_phonemes
 from .features import build_provider
 from .model import Stats, SynthesisModel
-from .nn import AdamW, Conv1d, Module
+from .nn import AdamW
 from .pseudo import Codebook, codebook_hash, merge_runs, quantize
 from .seeding import seeded_rng
 from .tensor import Tensor
@@ -258,22 +258,6 @@ def _sample_eps(model: SynthesisModel, item: PreparedUtterance, rng) -> np.ndarr
     return rng.standard_normal(shape).astype(model.np_dtype)
 
 
-class ToyDiscriminator(Module):
-    """Tiny waveform critic for the optional least-squares adversarial term."""
-
-    def __init__(self, rng, dtype=np.float32):
-        super().__init__()
-        self.conv1 = Conv1d(1, 16, 15, stride=4, padding=7, rng=rng, dtype=dtype)
-        self.conv2 = Conv1d(16, 16, 15, stride=4, padding=7, rng=rng, dtype=dtype)
-        self.proj = Conv1d(16, 1, 3, padding=1, rng=rng, dtype=dtype)
-
-    def __call__(self, wave: Tensor) -> Tensor:
-        x = wave.reshape(1, wave.shape[0])
-        x = self.conv1(x).relu()
-        x = self.conv2(x).relu()
-        return self.proj(x).mean()
-
-
 def training_step(
     model: SynthesisModel,
     optimizer: AdamW,
@@ -282,47 +266,20 @@ def training_step(
     step_index: int,
     partition: ParameterPartition,
     include_recon: bool,
-    adversary: ToyDiscriminator | None = None,
-    adversary_opt: AdamW | None = None,
 ) -> dict[str, float]:
     """One optimizer update over a batch. Returns scalar loss metrics."""
     terms = []
-    fakes: list[tuple[Tensor, PreparedUtterance]] = []
     for j, item in enumerate(items):
         rng = seeded_rng(cfg.seed, step_index, j)
         eps = _sample_eps(model, item, rng)
-        losses_j, wave = utterance_losses(model, item, eps, include_recon)
+        losses_j, _ = utterance_losses(model, item, eps, include_recon)
         terms.append(losses_j)
-        if adversary is not None and wave is not None:
-            fakes.append((wave, item))
 
     mean = _batch_mean(terms)
     total = cfg.kld_weight * mean["kld"] + cfg.duration_weight * mean["dur"]
     if include_recon:
         total = total + cfg.mel_weight * mean["recon"]
     _require_finite(total, step_index)
-
-    if adversary is not None and fakes:
-        # Critic update on detached generator output, least-squares targets.
-        d_loss = None
-        for wave, item in fakes:
-            real = adversary(Tensor(item.wave.astype(model.np_dtype)))
-            fake = adversary(wave.detach())
-            term = (real - 1.0) ** 2 + fake**2
-            d_loss = term if d_loss is None else d_loss + term
-        d_loss = d_loss * (1.0 / len(fakes))
-        adversary_opt.zero_grad()
-        d_loss.backward()
-        adversary_opt.step()
-
-        g_adv = None
-        for wave, _ in fakes:
-            term = (adversary(wave) - 1.0) ** 2
-            g_adv = term if g_adv is None else g_adv + term
-        g_adv = g_adv * (1.0 / len(fakes))
-        total = total + cfg.adversarial_weight * g_adv
-        _require_finite(total, step_index)
-        mean["adv"] = g_adv
 
     optimizer.zero_grad()
     total.backward()
@@ -648,14 +605,6 @@ def run_training(
 
     # Reconstruction applies whenever the decoder participates in training.
     include_recon = stage == "pretrain" or tcfg.from_scratch
-    adversary = adversary_opt = None
-    if tcfg.adversarial and include_recon:
-        adversary = ToyDiscriminator(seeded_rng(tcfg.seed, 7), dtype=model.np_dtype)
-        adversary_opt = AdamW(
-            list(adversary.named_parameters()),
-            lr=tcfg.learning_rate,
-            weight_decay=0.0,
-        )
 
     metrics_path = out_dir / "metrics.jsonl"
     ckpt_path = out_dir / "model_final.ckpt"
@@ -675,15 +624,7 @@ def run_training(
                     epoch += 1
                 batch.append(items[order.pop()])
             last_metrics = training_step(
-                model,
-                optimizer,
-                batch,
-                tcfg,
-                it,
-                partition,
-                include_recon,
-                adversary,
-                adversary_opt,
+                model, optimizer, batch, tcfg, it, partition, include_recon
             )
             if tcfg.log_interval > 0 and it % tcfg.log_interval == 0:
                 # Metric lines carry no wall-clock values so reruns with the

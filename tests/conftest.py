@@ -2,12 +2,16 @@
 
 The acceptance tests in ``test_acceptance.py`` are named
 ``test_criterion_<n>_...``; after the run, one PASS/FAIL line per criterion
-is printed so the acceptance status is readable at a glance.
+is printed so the acceptance status is readable at a glance. The
+``conv1d_chain`` fixture is the oracle of the fused convolution tests.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
+import pytest
 
 _CRITERIA = {
     1: "monotonic alignment matches exhaustive search",
@@ -47,3 +51,45 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
         terminalreporter.write_line(
             f"criterion {number} [{_results[number]}] {_CRITERIA[number]}"
         )
+
+
+def _np_pad_cols(x, pad: int, mode: str):
+    """Time-axis padding as an op on ``np.pad``, independent of ``tensor``'s
+    padding code."""
+    from pptts import tensor as tz
+
+    width = x.data.shape[1]
+    if mode == "zeros":
+        out = np.pad(x.data, ((0, 0), (pad, pad)))
+
+        def vjp(g):
+            return g[:, pad : pad + width]
+
+    else:
+        out = np.pad(x.data, ((0, 0), (pad, pad)), mode="wrap")
+
+        def vjp(g):
+            core = np.array(g[:, pad : pad + width], copy=True)
+            core[:, width - pad :] += g[:, :pad]
+            core[:, :pad] += g[:, pad + width :]
+            return core
+
+    return tz._make(out, [(x, vjp)], "pad_cols")
+
+
+def _conv1d_chain(conv, x):
+    """``Conv1d.__call__`` as a chain of five graph nodes: pad, im2col,
+    matmul, bias reshape and add."""
+    from pptts import tensor as tz
+
+    if conv.padding:
+        x = _np_pad_cols(x, conv.padding, conv.pad_mode)
+    cols = tz.frame_cols(x, conv.kernel_size, conv.stride)
+    return (conv.weight @ cols) + conv.bias.reshape(conv.out_channels, 1)
+
+
+@pytest.fixture
+def conv1d_chain():
+    """Oracle for byte-equality tests of ``tensor.conv1d``; has the signature
+    of ``Conv1d.__call__`` so it can be patched in for it."""
+    return _conv1d_chain

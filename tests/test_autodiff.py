@@ -199,6 +199,18 @@ class TestStructuredOps:
             rand(3, 5, seed=64),
         )
 
+    @pytest.mark.parametrize("stride,padding,pad_mode", [(1, 2, "zeros"), (2, 1, "circular")])
+    def test_conv1d(self, stride, padding, pad_mode):
+        t_out = (7 + 2 * padding - 3) // stride + 1
+        check_grads(
+            lambda x, w, b: (
+                tz.conv1d(x, w, b, 3, stride, padding, pad_mode) * rand(4, t_out, seed=80)
+            ).sum(),
+            rand(2, 7, seed=81),
+            rand(4, 6, seed=82),
+            rand(4, seed=83),
+        )
+
     def test_frame_rows(self):
         check_grads(
             lambda a: (tz.frame_rows(a, 4, 2) * rand(4, 4, seed=65)).sum(),

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from pptts.cli import main
+from pptts.train import build_model_from_checkpoint, load_checkpoint, save_checkpoint
 
 
 MICRO_CONFIG = {
@@ -325,6 +326,22 @@ class TestSynthesizeCommand:
             )
             == 1
         )
+
+    @pytest.mark.parametrize(
+        "bias,message", [(float("nan"), "non-finite"), (1e4, "exceeds"), (15.0, "exceeds")]
+    )
+    def test_unbounded_duration_exits_one(self, workspace, capsys, bias, message):
+        model = build_model_from_checkpoint(load_checkpoint(workspace["fine_ckpt"]))
+        model.parameter_dict()["duration.proj.bias"].data[...] = bias
+        ckpt = workspace["root"] / "long.ckpt"
+        save_checkpoint(model, ckpt, stage="finetune")
+        out = workspace["root"] / "long.wav"
+        code = run("synthesize", "--ckpt", ckpt, "--text", "abcd", "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEvalCommand:

@@ -104,6 +104,92 @@ class TestConv1d:
             conv.upsampled(Tensor(np.zeros((2, 4), np.float32)), 3)
 
 
+def _layout(data, layout):
+    if layout == "F":
+        return np.asfortranarray(data)
+    if layout == "strided":  # every other row of a C array: neither C nor F
+        wide = np.zeros((2 * data.shape[0], data.shape[1]), data.dtype)
+        wide[::2] = data
+        return wide[::2]
+    return np.ascontiguousarray(data)
+
+
+def _conv_run(call, conv, x_data, x_grad, upstream):
+    """Forward and backward of ``call(conv, x)``; returns output and grads."""
+    conv.zero_grad()
+    x = Tensor(x_data, requires_grad=x_grad)
+    out = call(conv, x)
+    (out * Tensor(upstream)).relu().sum().backward()
+    return out.data, [t.grad for t in (conv.weight, x, conv.bias)]
+
+
+def _assert_same_bits(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+class TestConv1dFusedOp:
+    """``tensor.conv1d`` against the chain of ops ``Conv1d`` used to record."""
+
+    GEOMETRIES = [
+        # kernel, stride, padding, pad_mode
+        (3, 1, 1, "zeros"),
+        (7, 1, 3, "zeros"),
+        (5, 1, 2, "circular"),
+        (4, 1, 0, "zeros"),
+        (1, 1, 0, "zeros"),
+        (5, 2, 2, "zeros"),
+        (4, 3, 1, "circular"),
+    ]
+
+    def _case(self, geometry, dtype, layout, seed=0):
+        kernel, stride, padding, pad_mode = geometry
+        rng = np.random.default_rng(seed)
+        conv = Conv1d(3, 4, kernel, stride=stride, padding=padding,
+                      pad_mode=pad_mode, rng=rng, dtype=dtype)
+        conv.bias.data[...] = rng.normal(size=4)
+        x = _layout(rng.normal(size=(3, 23)).astype(dtype), layout)
+        t_out = (23 + 2 * padding - kernel) // stride + 1
+        upstream = _layout(rng.normal(size=(4, t_out)).astype(dtype), layout)
+        return conv, x, upstream
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bytes_match_op_chain(self, geometry, dtype, layout, conv1d_chain):
+        conv, x, upstream = self._case(geometry, dtype, layout)
+        want_out, want = _conv_run(conv1d_chain, conv, x, True, upstream)
+        got_out, got = _conv_run(Conv1d.__call__, conv, x, True, upstream)
+        _assert_same_bits(got_out, want_out)
+        for g, w in zip(got, want):
+            assert w is not None
+            _assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("frozen", ["input", "weight"])
+    def test_bytes_match_without_some_gradients(self, geometry, frozen, conv1d_chain):
+        conv, x, upstream = self._case(geometry, np.float32, "F", seed=1)
+        conv.weight.requires_grad = frozen != "weight"
+        x_grad = frozen != "input"
+        want_out, want = _conv_run(conv1d_chain, conv, x, x_grad, upstream)
+        got_out, got = _conv_run(Conv1d.__call__, conv, x, x_grad, upstream)
+        _assert_same_bits(got_out, want_out)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+        assert sum(g is None for g in got) == 1
+
+    def test_one_graph_node_per_call(self):
+        conv = Conv1d(2, 3, 3, padding=1, rng=np.random.default_rng(3))
+        x = Tensor(np.ones((2, 5), np.float32), requires_grad=True)
+        out = conv(x)
+        assert out._op == "conv1d"
+        assert [id(p) for p in out._parents] == [id(conv.weight), id(x), id(conv.bias)]
+        assert all(not p._parents for p in out._parents)
+
+
 class TestLinear:
     def test_matches_matmul(self):
         rng = np.random.default_rng(3)

@@ -10,9 +10,11 @@ import pytest
 from pptts.config import (
     AudioConfig,
     CodebookConfig,
+    ConfigError,
     ModelConfig,
     RunConfig,
     TrainConfig,
+    config_from_dict,
 )
 from pptts.data import load_manifest
 from pptts.features import build_provider
@@ -32,7 +34,7 @@ from pptts.train import (
     save_checkpoint,
     training_step,
 )
-from pptts.nn import AdamW
+from pptts.nn import AdamW, Conv1d
 
 
 AUDIO = AudioConfig(
@@ -259,6 +261,34 @@ class TestTrainingStep:
             training_step(model, opt, items[:1], cfg.train, 1, part, include_recon=True)
         after = {n: p.data.tobytes() for n, p in model.named_parameters()}
         assert after == before
+
+    def test_pretrain_step_gradients_match_op_chain(
+        self, corpus, codebook, provider, monkeypatch, conv1d_chain
+    ):
+        """Every gradient of a batched step is byte-equal to the one the
+        five-node convolution chain gives; the multi-speaker model adds the
+        circularly padded reference encoder."""
+        cfg = micro_run_config("pretrain")
+        items = prepare_corpus(corpus, cfg, "pretrain", codebook, provider)
+
+        def step():
+            model = SynthesisModel(
+                micro_model_config(multi_speaker=True), AUDIO, "pretrain", seed=0
+            )
+            opt = AdamW(list(model.named_parameters()), lr=1e-3)
+            part = partition_parameters(model, "pretrain")
+            metrics = training_step(model, opt, items[:3], cfg.train, 1, part, True)
+            return metrics, {n: p.grad for n, p in model.named_parameters()}
+
+        fused_metrics, fused = step()
+        monkeypatch.setattr(Conv1d, "__call__", conv1d_chain)
+        chain_metrics, chain = step()
+        assert fused_metrics == chain_metrics
+        assert fused.keys() == chain.keys()
+        for name, grad in chain.items():
+            assert grad is not None, name
+            assert fused[name].tobytes() == grad.tobytes(), name
+            assert fused[name].strides == grad.strides, name
 
 
 def _save_load_roundtrip(model, tmp=None):
@@ -519,3 +549,9 @@ class TestRunTraining:
         first = np.mean([r["loss_total"] for r in recs[:5]])
         last = np.mean([r["loss_total"] for r in recs[-5:]])
         assert last < first
+
+
+@pytest.mark.parametrize("key,value", [("adversarial", True), ("adversarial_weight", 1.0)])
+def test_removed_adversarial_options_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({"train": {key: value}})
