@@ -1,18 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Time the NumPy kernels of ``pptts._kernels`` on realistic problem sizes.
 
-Each hot kernel in ``pptts._kernels`` ships two implementations selected at
-call time by the ``PPTTS_DISABLE_NUMBA`` environment variable. This script
-times both paths on realistic problem sizes and prints a comparison table.
+Prints one row per kernel with the median wall time of one call.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 
@@ -21,23 +18,15 @@ import numpy as np
 from pptts import _kernels
 
 
-def _time_path(fn, args, disable_numba: bool, repeats: int = 7) -> float:
-    """Median wall time of one call, in milliseconds."""
-    old = os.environ.get("PPTTS_DISABLE_NUMBA")
-    os.environ["PPTTS_DISABLE_NUMBA"] = "1" if disable_numba else "0"
-    try:
-        fn(*args)  # warmup (includes JIT compilation on the numba path)
-        samples = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(*args)
-            samples.append((time.perf_counter() - t0) * 1e3)
-        return statistics.median(samples)
-    finally:
-        if old is None:
-            os.environ.pop("PPTTS_DISABLE_NUMBA", None)
-        else:
-            os.environ["PPTTS_DISABLE_NUMBA"] = old
+def _median_ms(fn, args, repeats: int = 7) -> float:
+    """Median wall time of one call after one warm-up call, in milliseconds."""
+    fn(*args)
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn(*args)
+        samples.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(samples)
 
 
 def main() -> None:
@@ -71,19 +60,11 @@ def main() -> None:
         ),
     ]
 
-    if not _kernels._NUMBA_AVAILABLE:
-        print("numba is not importable; only the numpy path can run")
-
-    header = f"{'kernel':<34} {'numpy (ms)':>12} {'numba (ms)':>12} {'speedup':>9}"
+    header = f"{'kernel':<34} {'median (ms)':>12}"
     print(header)
     print("-" * len(header))
     for name, fn, args in cases:
-        t_numpy = _time_path(fn, args, disable_numba=True)
-        if _kernels._NUMBA_AVAILABLE:
-            t_numba = _time_path(fn, args, disable_numba=False)
-            print(f"{name:<34} {t_numpy:>12.3f} {t_numba:>12.3f} {t_numpy / t_numba:>8.1f}x")
-        else:
-            print(f"{name:<34} {t_numpy:>12.3f} {'n/a':>12} {'n/a':>9}")
+        print(f"{name:<34} {_median_ms(fn, args):>12.3f}")
 
 
 if __name__ == "__main__":

@@ -1,74 +1,35 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy twins.
+"""Hot numeric kernels in NumPy.
 
-Each kernel has a ``_numba`` and a ``_numpy`` implementation that compute
-identical results. The numba path is used when numba imports cleanly and
-``PPTTS_DISABLE_NUMBA`` is unset; set ``PPTTS_DISABLE_NUMBA=1`` to force
-the numpy path (see ``benchmarks/bench_kernels.py`` for a comparison).
+Monotonic alignment search, Levenshtein distance and nearest-centroid
+assignment. Each is checked against a brute-force oracle in
+``tests/test_kernels.py``; ``benchmarks/bench_kernels.py`` times them.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    _NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    _NUMBA_AVAILABLE = False
+def mas_assignment(grid: np.ndarray) -> np.ndarray:
+    """Best monotonic complete alignment for a log-likelihood grid.
 
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
+    Viterbi-style dynamic programming over the [tokens x frames] grid:
+    Q[j, t] = grid[j, t] + max(Q[j, t-1], Q[j-1, t-1]), ties preferring to
+    stay on the current token, then a backtrack of the best complete path
+    from (0, 0) to (n_tokens-1, n_frames-1).
 
-        return wrap
+    Args:
+        grid: [n_tokens, n_frames] float array, n_tokens <= n_frames.
 
-
-def numba_enabled() -> bool:
-    """True when the JIT path is active for this process."""
-    if not _NUMBA_AVAILABLE:
-        return False
-    return os.environ.get("PPTTS_DISABLE_NUMBA", "0") not in ("1", "true", "yes")
-
-
-# ---------------------------------------------------------------------------
-# Monotonic alignment: Viterbi-style DP over a [tokens x frames] score grid.
-# Q[j, t] = grid[j, t] + max(Q[j, t-1], Q[j-1, t-1]); ties prefer staying on
-# the current token. Returns the per-frame token assignment of the best
-# complete monotonic path from (0, 0) to (n_tokens-1, n_frames-1).
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _mas_numba(grid):  # pragma: no cover - numba-compiled
+    Returns:
+        int64 array of length n_frames with the token index per frame.
+    """
+    grid = np.ascontiguousarray(grid, dtype=np.float64)
     n, t_len = grid.shape
-    q = np.full((n, t_len), -np.inf)
-    moved = np.zeros((n, t_len), dtype=np.uint8)
-    q[0, 0] = grid[0, 0]
-    for t in range(1, t_len):
-        jmax = min(t, n - 1)
-        for j in range(jmax + 1):
-            stay = q[j, t - 1]
-            diag = q[j - 1, t - 1] if j > 0 else -np.inf
-            if stay >= diag:
-                q[j, t] = grid[j, t] + stay
-            else:
-                q[j, t] = grid[j, t] + diag
-                moved[j, t] = 1
-    out = np.empty(t_len, dtype=np.int64)
-    j = n - 1
-    out[t_len - 1] = j
-    for t in range(t_len - 1, 0, -1):
-        if moved[j, t]:
-            j -= 1
-        out[t - 1] = j
-    return out
-
-
-def _mas_numpy(grid: np.ndarray) -> np.ndarray:
-    n, t_len = grid.shape
+    if n > t_len:
+        raise ValueError(f"alignment needs n_tokens <= n_frames, got {n} > {t_len}")
+    if n == 0:
+        raise ValueError("empty grid")
     q = np.full((n, t_len), -np.inf)
     moved = np.zeros((n, t_len), dtype=bool)
     q[0, 0] = grid[0, 0]
@@ -90,65 +51,6 @@ def _mas_numpy(grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def mas_assignment(grid: np.ndarray) -> np.ndarray:
-    """Best monotonic complete alignment for a log-likelihood grid.
-
-    Args:
-        grid: [n_tokens, n_frames] float array, n_tokens <= n_frames.
-
-    Returns:
-        int64 array of length n_frames with the token index per frame.
-    """
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
-    n, t_len = grid.shape
-    if n > t_len:
-        raise ValueError(f"alignment needs n_tokens <= n_frames, got {n} > {t_len}")
-    if n == 0:
-        raise ValueError("empty grid")
-    if numba_enabled():
-        return _mas_numba(grid)
-    return _mas_numpy(grid)
-
-
-# ---------------------------------------------------------------------------
-# Levenshtein distance between two integer token sequences.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _levenshtein_numba(a, b):  # pragma: no cover - numba-compiled
-    la, lb = len(a), len(b)
-    prev = np.arange(lb + 1, dtype=np.int64)
-    cur = np.empty(lb + 1, dtype=np.int64)
-    for i in range(1, la + 1):
-        cur[0] = i
-        for j in range(1, lb + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            best = prev[j] + 1  # deletion
-            if cur[j - 1] + 1 < best:  # insertion
-                best = cur[j - 1] + 1
-            if prev[j - 1] + cost < best:  # substitution / match
-                best = prev[j - 1] + cost
-            cur[j] = best
-        prev, cur = cur, prev
-    return prev[lb]
-
-
-def _levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    lb = len(b)
-    prev = np.arange(lb + 1, dtype=np.int64)
-    for i in range(1, len(a) + 1):
-        cost = (a[i - 1] != b).astype(np.int64)
-        cand = np.empty(lb + 1, dtype=np.int64)
-        cand[0] = i
-        cand[1:] = np.minimum(prev[1:] + 1, prev[:-1] + cost)
-        # Insertions carry left-to-right: cur[j] = min_{i<=j}(cand[i] + j - i),
-        # a running minimum of cand[i] - i shifted back by +j.
-        steps = np.arange(lb + 1, dtype=np.int64)
-        prev = np.minimum.accumulate(cand - steps) + steps
-    return int(prev[lb])
-
-
 def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
     """Edit distance (insert/delete/substitute, unit costs)."""
     a = np.ascontiguousarray(a, dtype=np.int64)
@@ -157,42 +59,37 @@ def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
         return len(b)
     if len(b) == 0:
         return len(a)
-    if numba_enabled():
-        return int(_levenshtein_numba(a, b))
-    return _levenshtein_numpy(a, b)
+    lb = len(b)
+    steps = np.arange(lb + 1, dtype=np.int64)
+    prev = steps
+    for i in range(1, len(a) + 1):
+        cost = (a[i - 1] != b).astype(np.int64)
+        cand = np.empty(lb + 1, dtype=np.int64)
+        cand[0] = i
+        cand[1:] = np.minimum(prev[1:] + 1, prev[:-1] + cost)
+        # Insertions carry left-to-right: cur[j] = min_{i<=j}(cand[i] + j - i),
+        # a running minimum of cand[i] - i shifted back by +j.
+        prev = np.minimum.accumulate(cand - steps) + steps
+    return int(prev[lb])
 
 
-# ---------------------------------------------------------------------------
-# Nearest-centroid assignment (squared Euclidean, ties -> lowest index).
-# ---------------------------------------------------------------------------
+_NEAREST_BLOCK = 2**16  # elements per temporary in nearest_centroids
 
 
-@njit(cache=True)
-def _nearest_numba(points, centroids):  # pragma: no cover - numba-compiled
-    n, d = points.shape
-    k = centroids.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        best = np.inf
-        arg = 0
-        for c in range(k):
-            acc = 0.0
-            for j in range(d):
-                diff = points[i, j] - centroids[c, j]
-                acc += diff * diff
-            if acc < best:
-                best = acc
-                arg = c
-        out[i] = arg
-        dist[i] = best
-    return out, dist
+def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
+    """Assign each point to its nearest centroid (squared Euclidean).
 
-
-_NEAREST_BLOCK = 2**16  # elements per temporary in _nearest_numpy
-
-
-def _nearest_numpy(points: np.ndarray, centroids: np.ndarray):
+    Returns:
+        (ids int64 [n], squared_distances float64 [n]); ties resolve to the
+        lowest centroid index.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
+    if points.shape[1] != centroids.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: points D={points.shape[1]}, "
+            f"centroids D={centroids.shape[1]}"
+        )
     # One GEMM per block ranks centroids by |c|^2 - 2 x.c, which differs
     # from |x - c|^2 by the row constant |x|^2 up to rounding. Every
     # centroid within the rounding bound of the row minimum is re-scored
@@ -230,22 +127,3 @@ def _nearest_numpy(points: np.ndarray, centroids: np.ndarray):
         out[start : start + chunk] = ids
         dist[start : start + chunk] = exact[np.arange(len(block)), ids]
     return out, dist
-
-
-def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
-    """Assign each point to its nearest centroid.
-
-    Returns:
-        (ids int64 [n], squared_distances float64 [n]); ties resolve to the
-        lowest centroid index.
-    """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
-    if points.shape[1] != centroids.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: points D={points.shape[1]}, "
-            f"centroids D={centroids.shape[1]}"
-        )
-    if numba_enabled():
-        return _nearest_numba(points, centroids)
-    return _nearest_numpy(points, centroids)

@@ -138,13 +138,18 @@ _SECTIONS = {
 
 
 def _build_section(cls: type, values: dict[str, Any], section: str):
+    if not isinstance(values, dict):
+        raise ConfigError(f"[{section}] must be an object, got {values!r}")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(values) - known
     if unknown:
         raise ConfigError(
             f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
         )
-    return cls(**values)
+    try:
+        return cls(**values)
+    except TypeError as exc:  # a value of the wrong type, met by a range check
+        raise ConfigError(f"[{section}]: {exc}") from None
 
 
 def config_from_dict(raw: dict[str, Any]) -> RunConfig:

@@ -8,6 +8,7 @@ self-supervised models can be plugged in without bundling them.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -196,14 +197,27 @@ def write_feature_file(
 
 
 def read_feature_file(path: str | Path) -> FrameFeatures:
+    """Read a file written by :func:`write_feature_file`.
+
+    A bad magic, a cut-short header or a body shorter than the header's
+    T x D claims raises ``ValueError`` naming the file; the body is read
+    only once the file is known to hold it.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FEATURE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        t, d, rate = struct.unpack("<IIf", fh.read(12))
+        head = fh.read(12)
+        if len(head) != 12:
+            raise ValueError(f"{path}: truncated header ({4 + len(head)} of 16 bytes)")
+        t, d, rate = struct.unpack("<IIf", head)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if t * d * 4 > left:
+            raise ValueError(
+                f"{path}: truncated body (header claims {t} x {d} float32, "
+                f"{left} bytes follow it)"
+            )
         body = fh.read(t * d * 4)
-    if len(body) != t * d * 4:
-        raise ValueError(f"{path}: truncated body")
     values = np.frombuffer(body, dtype="<f4").reshape(t, d)
     return FrameFeatures(
         values=values.copy(), provider_id="precomputed", frame_rate_hz=rate

@@ -88,7 +88,6 @@ class Conv1d(Module):
         in_channels: int,
         out_channels: int,
         kernel_size: int,
-        stride: int = 1,
         padding: int = 0,
         pad_mode: str = "zeros",
         rng: np.random.Generator | None = None,
@@ -101,7 +100,6 @@ class Conv1d(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.stride = stride
         self.padding = padding
         self.pad_mode = pad_mode
         fan_in = in_channels * kernel_size
@@ -115,24 +113,21 @@ class Conv1d(Module):
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d(
-            x, self.weight, self.bias, self.kernel_size, self.stride, self.padding, self.pad_mode
-        )
+        return T.conv1d(x, self.weight, self.bias, self.kernel_size, self.padding, self.pad_mode)
 
     def upsampled(self, x: Tensor, factor: int) -> Tensor:
-        """``self(T.upsample_cols(x, factor))`` without the stuffed zeros.
+        """This convolution of ``x`` zero-stuffed by ``factor`` (each column
+        followed by ``factor - 1`` zero columns), without the stuffed zeros.
 
-        For a stride-1, zero-padded convolution of ``2 * factor + 1`` taps
-        and padding ``factor``, output column ``factor * t + r`` reads only
+        For a zero-padded convolution of ``2 * factor + 1`` taps and
+        padding ``factor``, output column ``factor * t + r`` reads only
         the input columns ``t - 1``, ``t`` and ``t + 1`` (the first only
         when ``r == 0``). Gathering those taps into one weight per phase
         makes the work proportional to the input width rather than to the
         upsampled width.
         """
         f = factor
-        if (self.kernel_size, self.padding, self.stride) != (2 * f + 1, f, 1) or (
-            self.pad_mode != "zeros"
-        ):
+        if (self.kernel_size, self.padding, self.pad_mode) != (2 * f + 1, f, "zeros"):
             raise ValueError("upsampled() needs kernel 2*factor+1, padding factor")
         channels, width = x.shape
         # Row (c, j, r) of the gathered weight holds tap f*j - r of input

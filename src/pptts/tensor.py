@@ -7,10 +7,10 @@ once in reverse topological order. Broadcasting follows numpy; ``matmul``
 is restricted to 2-D operands.
 
 Structured ops used by the models live here too: 1-D convolution as one
-graph node, im2col framing, zero/circular padding, zero-stuffing
-upsampling, row gather with scatter-add backward, run-length column
-repetition, and an STFT magnitude whose forward pass is bit-identical to
-the plain numpy spectral path in :mod:`pptts.features`.
+graph node, im2col framing, zero/circular padding, row gather with
+scatter-add backward, run-length column repetition, and an STFT magnitude
+whose forward pass is bit-identical to the plain numpy spectral path in
+:mod:`pptts.features`.
 """
 
 from __future__ import annotations
@@ -337,13 +337,6 @@ def _make(data, parent_vjps, op: str) -> Tensor:
     return out
 
 
-def as_tensor(value, dtype=None) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    arr = np.asarray(value) if dtype is None else np.asarray(value, dtype=dtype)
-    return Tensor(arr)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along an axis; backward slices the gradient apart."""
     tensors = list(tensors)
@@ -438,41 +431,41 @@ def pad_cols(x: Tensor, left: int, right: int, mode: str = "zeros") -> Tensor:
     return _make(out, [(x, lambda g: _unpad_grad(g, left, right, mode))], "pad_cols")
 
 
-def _im2col(data: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """[C, T] -> [C * kernel, T_out]; column t is the flattened window
-    data[:, t*stride : t*stride + kernel]."""
+def _im2col(data: np.ndarray, kernel: int) -> np.ndarray:
+    """[C, T] -> [C * kernel, T - kernel + 1]; column t is the flattened
+    window data[:, t : t + kernel]."""
     channels, width = data.shape
-    count = (width - kernel) // stride + 1
+    count = width - kernel + 1
     if count < 1:
         raise ValueError(f"input width {width} shorter than kernel {kernel}")
     s0, s1 = data.strides
     windows = np.lib.stride_tricks.as_strided(
-        data, shape=(channels, count, kernel), strides=(s0, s1 * stride, s1)
+        data, shape=(channels, count, kernel), strides=(s0, s1, s1)
     )
     return np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(
         channels * kernel, count
     )
 
 
-def _col2im(g: np.ndarray, like: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+def _col2im(g: np.ndarray, like: np.ndarray, kernel: int) -> np.ndarray:
     """Adjoint of :func:`_im2col`: scatter-add each tap's row of ``g`` into
     zeros with the shape and memory layout of ``like``."""
     count = g.shape[1]
     g3 = g.reshape(like.shape[0], kernel, count)
     gx = np.zeros_like(like)
     for j in range(kernel):
-        gx[:, j : j + stride * (count - 1) + 1 : stride] += g3[:, j, :]
+        gx[:, j : j + count] += g3[:, j, :]
     return gx
 
 
-def frame_cols(x: Tensor, kernel: int, stride: int = 1) -> Tensor:
+def frame_cols(x: Tensor, kernel: int) -> Tensor:
     """im2col for 1-D convolution over a [C, T] tensor.
 
-    Output is [C * kernel, T_out] with column t holding the flattened
-    window x[:, t*stride : t*stride + kernel].
+    Output is [C * kernel, T - kernel + 1] with column t holding the
+    flattened window x[:, t : t + kernel].
     """
-    out = _im2col(x.data, kernel, stride)
-    return _make(out, [(x, lambda g: _col2im(g, x.data, kernel, stride))], "frame_cols")
+    out = _im2col(x.data, kernel)
+    return _make(out, [(x, lambda g: _col2im(g, x.data, kernel))], "frame_cols")
 
 
 def conv1d(
@@ -480,7 +473,6 @@ def conv1d(
     weight: Tensor,
     bias: Tensor,
     kernel: int,
-    stride: int = 1,
     padding: int = 0,
     pad_mode: str = "zeros",
 ) -> Tensor:
@@ -488,20 +480,20 @@ def conv1d(
 
     ``weight`` is [C_out, C_in * kernel] and ``bias`` is [C_out]. Forward
     and gradients compute the same expressions, in the same order, as
-    ``weight @ frame_cols(pad_cols(x, padding, padding, pad_mode), kernel,
-    stride) + bias.reshape(C_out, 1)``, so every bit matches that chain;
+    ``weight @ frame_cols(pad_cols(x, padding, padding, pad_mode), kernel)
+    + bias.reshape(C_out, 1)``, so every bit matches that chain;
     what goes away is its four intermediate nodes and the gradient copies
     they make. The parents are listed as (weight, x, bias), the order in
     which the chain's depth-first walk reached them, so a computed weight
     would also get its gradient terms summed in the chain's order.
     """
     src = _pad_data(x.data, padding, padding, pad_mode) if padding else x.data
-    cols = _im2col(src, kernel, stride)
+    cols = _im2col(src, kernel)
     w = weight.data
     out = w @ cols + bias.data.reshape(w.shape[0], 1)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        gx = _col2im(w.T @ g, src, kernel, stride)
+        gx = _col2im(w.T @ g, src, kernel)
         return _unpad_grad(gx, padding, padding, pad_mode) if padding else gx
 
     return _make(
@@ -535,20 +527,6 @@ def frame_rows(x: Tensor, frame_length: int, hop: int) -> Tensor:
         return gx
 
     return _make(out, [(x, vjp)], "frame_rows")
-
-
-def upsample_cols(x: Tensor, factor: int) -> Tensor:
-    """Zero-stuff the time axis of a [C, T] tensor by an integer factor."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    channels, width = x.data.shape
-    out = np.zeros((channels, width * factor), dtype=x.data.dtype)
-    out[:, ::factor] = x.data
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        return g[:, ::factor]
-
-    return _make(out, [(x, vjp)], "upsample_cols")
 
 
 def stft_mag(frames: Tensor) -> Tensor:

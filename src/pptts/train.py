@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import time
@@ -23,7 +24,7 @@ import numpy as np
 from . import align, losses
 from . import tensor as tz
 from .audio import read_wav
-from .config import AudioConfig, ModelConfig, RunConfig, _build_section
+from .config import AudioConfig, ConfigError, ModelConfig, RunConfig, _build_section
 from .data import Lexicon, ManifestEntry, text_to_phonemes
 from .features import build_provider
 from .model import Stats, SynthesisModel
@@ -42,7 +43,7 @@ _FINETUNED_PREFIXES = ("flow.",)
 _SCRATCH_PREFIXES = ("text_encoder.", "duration.")
 
 
-class TrainError(RuntimeError):
+class TrainError(ValueError):
     """Raised for invalid training setups or broken checkpoints."""
 
 
@@ -199,8 +200,9 @@ def utterance_losses(
     item: PreparedUtterance,
     eps,
     include_recon: bool,
-) -> tuple[dict[str, Tensor], Tensor | None]:
-    """Loss terms for one utterance. Returns (losses, decoded wave or None).
+) -> dict[str, Tensor]:
+    """Loss terms for one utterance: ``kld``, ``dur`` and, with
+    ``include_recon``, ``recon``.
 
     The alignment between tokens and latent frames is recomputed each call
     by monotonic search over prior likelihoods plus the static alignment
@@ -225,11 +227,10 @@ def utterance_losses(
         "kld": losses.kld_prior_loss(post, z, z_p, frame_prior, logdet),
         "dur": losses.duration_loss(model.predict_durations(hidden), durations),
     }
-    wave = None
     if include_recon:
         wave = model.decode(z, speaker)
         out["recon"] = losses.reconstruction_loss(wave, item.mel, model.audio)
-    return out, wave
+    return out
 
 
 def _batch_mean(terms: list[dict[str, Tensor]]) -> dict[str, Tensor]:
@@ -272,8 +273,7 @@ def training_step(
     for j, item in enumerate(items):
         rng = seeded_rng(cfg.seed, step_index, j)
         eps = _sample_eps(model, item, rng)
-        losses_j, _ = utterance_losses(model, item, eps, include_recon)
-        terms.append(losses_j)
+        terms.append(utterance_losses(model, item, eps, include_recon))
 
     mean = _batch_mean(terms)
     total = cfg.kld_weight * mean["kld"] + cfg.duration_weight * mean["dur"]
@@ -306,7 +306,7 @@ def evaluate_losses(model: SynthesisModel, items: list[PreparedUtterance]) -> di
     klds, durs = [], []
     with tz.no_grad():
         for item in items:
-            losses_i, _ = utterance_losses(model, item, eps=0.0, include_recon=False)
+            losses_i = utterance_losses(model, item, eps=0.0, include_recon=False)
             klds.append(float(losses_i["kld"].item()))
             durs.append(float(losses_i["dur"].item()))
     return {
@@ -400,46 +400,104 @@ def save_checkpoint(
     os.replace(tmp, path)
 
 
+def _header_error(path: Path, what: str) -> TrainError:
+    return TrainError(f"{path}: malformed checkpoint header: {what}")
+
+
+def _checkpoint_header(path: Path, raw: bytes) -> dict:
+    """The JSON header, with the type of every field the loader reads checked."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise _header_error(path, str(exc)) from None
+    if not isinstance(header, dict):
+        raise _header_error(path, "not a JSON object")
+    for key, kind in (
+        ("params", list), ("config", dict), ("audio", dict), ("mode", str), ("stage", str)
+    ):
+        if not isinstance(header.get(key), kind):
+            raise _header_error(path, f"{key!r} is missing or not a {kind.__name__}")
+    if not isinstance(header.get("seed", 0), int):
+        raise _header_error(path, "'seed' is not an int")
+    opt = header.get("optimizer")
+    if opt is not None and not (
+        isinstance(opt, dict)
+        and isinstance(opt.get("step"), int)
+        and isinstance(opt.get("slots"), list)
+    ):
+        raise _header_error(path, "'optimizer' needs an int 'step' and a 'slots' list")
+    return header
+
+
+def _blob_meta(path: Path, meta) -> tuple[str, list[int], str]:
+    """(name, shape, dtype) of one parameter or optimizer-slot entry."""
+    if not isinstance(meta, dict) or not isinstance(meta.get("name"), str):
+        raise _header_error(path, f"blob entry {meta!r} has no string 'name'")
+    name, shape, dtype_name = meta["name"], meta.get("shape"), meta.get("dtype")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise _header_error(
+            path, f"{name}: shape {shape!r} is not a list of non-negative ints"
+        )
+    if not isinstance(dtype_name, str) or dtype_name not in _DTYPE_CODES:
+        raise TrainError(f"{path}: unsupported dtype {dtype_name!r} in header")
+    return name, shape, dtype_name
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a file written by :func:`save_checkpoint`.
+
+    Any malformed content raises :class:`TrainError` naming the file. Each
+    size the header claims is checked against the bytes left in the file
+    before it is read.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(count: int, what: str) -> bytes:
+            left = size - fh.tell()
+            if count > left:
+                raise TrainError(
+                    f"{path}: truncated checkpoint ({what} needs {count} bytes, {left} left)"
+                )
+            return fh.read(count)
+
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise TrainError(f"{path}: not a model checkpoint (bad magic)")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        version, header_len = struct.unpack("<II", read(8, "version and header length"))
         if version != CHECKPOINT_VERSION:
             raise TrainError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header = _checkpoint_header(path, read(header_len, "header"))
 
-        def read_blob(shape, dtype_name):
-            code = _DTYPE_CODES.get(dtype_name)
-            if code is None:
-                raise TrainError(f"{path}: unsupported dtype {dtype_name} in header")
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * np.dtype(code).itemsize)
-            if len(raw) != count * np.dtype(code).itemsize:
-                raise TrainError(f"{path}: truncated checkpoint")
+        def read_blob(meta) -> tuple[str, np.ndarray]:
+            name, shape, dtype_name = _blob_meta(path, meta)
+            code = _DTYPE_CODES[dtype_name]
+            raw = read(math.prod(shape) * np.dtype(code).itemsize, name)
             arr = np.frombuffer(raw, dtype=code).astype(dtype_name, copy=False)
-            return arr.reshape(shape).copy()
+            return name, arr.reshape(shape).copy()
 
-        params = {}
-        for meta in header["params"]:
-            params[meta["name"]] = read_blob(meta["shape"], meta["dtype"])
+        params = dict(read_blob(meta) for meta in header["params"])
         optimizer = None
         if header.get("optimizer") is not None:
             opt = header["optimizer"]
             m, v = {}, {}
             for meta in opt["slots"]:
-                m[meta["name"]] = read_blob(meta["shape"], meta["dtype"])
-                v[meta["name"]] = read_blob(meta["shape"], meta["dtype"])
+                name, m_slot = read_blob(meta)
+                m[name], v[name] = m_slot, read_blob(meta)[1]
             optimizer = {"step": int(opt["step"]), "m": m, "v": v}
         trailing = fh.read(1)
         if trailing:
             raise TrainError(f"{path}: trailing bytes after parameter blobs")
 
+    try:
+        config = _build_section(ModelConfig, header["config"], "model")
+        audio = _build_section(AudioConfig, header["audio"], "feature")
+    except ConfigError as exc:
+        raise TrainError(f"{path}: {exc}") from None
     return Checkpoint(
-        config=_build_section(ModelConfig, header["config"], "model"),
-        audio=_build_section(AudioConfig, header["audio"], "feature"),
+        config=config,
+        audio=audio,
         mode=header["mode"],
         stage=header["stage"],
         from_scratch=bool(header.get("from_scratch", False)),

@@ -3,7 +3,8 @@
 The acceptance tests in ``test_acceptance.py`` are named
 ``test_criterion_<n>_...``; after the run, one PASS/FAIL line per criterion
 is printed so the acceptance status is readable at a glance. The
-``conv1d_chain`` fixture is the oracle of the fused convolution tests.
+``conv1d_chain`` fixture is the oracle of the fused convolution tests and
+``upsample_cols`` that of the zero-stuffing-free upsampling convolution.
 """
 
 from __future__ import annotations
@@ -84,8 +85,30 @@ def _conv1d_chain(conv, x):
 
     if conv.padding:
         x = _np_pad_cols(x, conv.padding, conv.pad_mode)
-    cols = tz.frame_cols(x, conv.kernel_size, conv.stride)
+    cols = tz.frame_cols(x, conv.kernel_size)
     return (conv.weight @ cols) + conv.bias.reshape(conv.out_channels, 1)
+
+
+def _upsample_cols(x, factor: int):
+    """Zero-stuff the time axis of a [C, T] tensor by an integer factor:
+    each column is followed by ``factor - 1`` zero columns."""
+    from pptts import tensor as tz
+
+    channels, width = x.data.shape
+    out = np.zeros((channels, width * factor), dtype=x.data.dtype)
+    out[:, ::factor] = x.data
+
+    def vjp(g):
+        return g[:, ::factor]
+
+    return tz._make(out, [(x, vjp)], "upsample_cols")
+
+
+@pytest.fixture
+def upsample_cols():
+    """Oracle of ``Conv1d.upsampled``: the zero-stuffed input that it
+    convolves without materializing."""
+    return _upsample_cols
 
 
 @pytest.fixture

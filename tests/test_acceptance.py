@@ -268,7 +268,7 @@ def test_criterion_3_pretraining_loss_gradcheck(tmp_path):
     tcfg = cfg.train
 
     def total_loss() -> Tensor:
-        losses, _ = utterance_losses(model, item, eps, include_recon=True)
+        losses = utterance_losses(model, item, eps, include_recon=True)
         return (
             tcfg.kld_weight * losses["kld"]
             + tcfg.duration_weight * losses["dur"]
@@ -477,7 +477,7 @@ def _validation_losses(model, entries, cfg) -> float:
     totals = []
     for item in items:
         with tz.no_grad():
-            losses, _ = utterance_losses(model, item, 0.0, include_recon=False)
+            losses = utterance_losses(model, item, 0.0, include_recon=False)
         totals.append(float(losses["kld"].item()) + float(losses["dur"].item()))
     return float(np.mean(totals))
 

@@ -189,22 +189,22 @@ class TestStructuredOps:
 
     def test_frame_cols(self):
         check_grads(
-            lambda a: (tz.frame_cols(a, 3, 2) * rand(6, 3, seed=61)).sum(),
+            lambda a: (tz.frame_cols(a, 3) * rand(6, 5, seed=61)).sum(),
             rand(2, 7, seed=62),
         )
 
     def test_frame_cols_stride_one(self):
         check_grads(
-            lambda a: (tz.frame_cols(a, 2, 1) * rand(6, 4, seed=63)).sum(),
+            lambda a: (tz.frame_cols(a, 2) * rand(6, 4, seed=63)).sum(),
             rand(3, 5, seed=64),
         )
 
-    @pytest.mark.parametrize("stride,padding,pad_mode", [(1, 2, "zeros"), (2, 1, "circular")])
-    def test_conv1d(self, stride, padding, pad_mode):
-        t_out = (7 + 2 * padding - 3) // stride + 1
+    @pytest.mark.parametrize("padding,pad_mode", [(2, "zeros"), (1, "circular")])
+    def test_conv1d(self, padding, pad_mode):
+        t_out = 7 + 2 * padding - 2
         check_grads(
             lambda x, w, b: (
-                tz.conv1d(x, w, b, 3, stride, padding, pad_mode) * rand(4, t_out, seed=80)
+                tz.conv1d(x, w, b, 3, padding, pad_mode) * rand(4, t_out, seed=80)
             ).sum(),
             rand(2, 7, seed=81),
             rand(4, 6, seed=82),
@@ -217,15 +217,15 @@ class TestStructuredOps:
             rand(10, seed=66),
         )
 
-    def test_upsample_cols(self):
+    def test_upsample_cols(self, upsample_cols):
         check_grads(
-            lambda a: (tz.upsample_cols(a, 3) * rand(2, 9, seed=67)).sum(),
+            lambda a: (upsample_cols(a, 3) * rand(2, 9, seed=67)).sum(),
             rand(2, 3, seed=68),
         )
 
-    def test_upsample_layout(self):
+    def test_upsample_layout(self, upsample_cols):
         x = Tensor(np.array([[1.0, 2.0]]))
-        up = tz.upsample_cols(x, 2)
+        up = upsample_cols(x, 2)
         assert up.data.tolist() == [[1.0, 0.0, 2.0, 0.0]]
 
     def test_stft_mag(self):

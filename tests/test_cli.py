@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, config plumbing, reproducible outputs."""
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,33 @@ MICRO_CONFIG = {
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _checkpoint_bytes(header: dict) -> bytes:
+    raw = json.dumps(header).encode()
+    return b"TTSCKPT1" + struct.pack("<II", 1, len(raw)) + raw
+
+
+# (kind, file bytes) of each malformed input: FTFX feature file, WAV, checkpoint.
+CORRUPT_INPUTS = {
+    "ftfx-cut-in-header": ("ftfx", b"FTFX\x03\x00\x00"),
+    "ftfx-claims-huge-body": (
+        "ftfx", b"FTFX" + struct.pack("<IIf", 0xFFFFFFFF, 0xFFFFFFFF, 25.0)
+    ),
+    "wav-empty": ("wav", b""),
+    "wav-riff-garbage": ("wav", b"RIFF" + bytes(range(40))),
+    "ckpt-cut-in-prefix": ("ckpt", b"TTSCKPT1\x01\x00"),
+    "ckpt-no-params-or-config": (
+        "ckpt", _checkpoint_bytes({"mode": "finetune", "stage": "finetune"})
+    ),
+    "ckpt-bad-shape": (
+        "ckpt",
+        _checkpoint_bytes({
+            "params": [{"name": "w", "shape": ["x"], "dtype": "float32"}],
+            "config": {}, "audio": {}, "mode": "finetune", "stage": "finetune",
+        }),
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +149,14 @@ class TestParsing:
         )
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_wrongly_typed_config_value_exits_one(self, workspace, capsys):
+        code = run(
+            "codebook", "--manifest", workspace["manifest"],
+            "--out", workspace["root"] / "cb4.txt", "--set", 'model.flow_blocks="a"',
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [model]")
 
     def test_unknown_config_key_exits_one(self, workspace, capsys):
         code = run(
@@ -403,3 +439,36 @@ class TestEvalCommand:
             )
             == 1
         )
+
+
+class TestCorruptInputs:
+    @pytest.mark.parametrize("case", sorted(CORRUPT_INPUTS))
+    def test_exits_one_naming_the_file(self, workspace, tmp_path, capsys, case):
+        kind, data = CORRUPT_INPUTS[case]
+        lines = Path(workspace["manifest"]).read_text().splitlines()
+        first = json.loads(lines[0])
+        if kind == "ckpt":
+            bad = tmp_path / "bad.ckpt"
+            argv = ["synthesize", "--ckpt", bad, "--text", "abcd", "--out", tmp_path / "o.wav"]
+        else:
+            manifest = workspace["manifest"]
+            if kind == "wav":
+                bad = tmp_path / "bad.wav"
+                first["audio_path"] = str(bad)
+                manifest = tmp_path / "manifest.jsonl"
+                manifest.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+            argv = [
+                "codebook", "--config", workspace["config"], "--manifest", manifest,
+                "--out", tmp_path / "cb.txt",
+            ]
+            if kind == "ftfx":
+                bad = tmp_path / f"{first['id']}.ftfx"
+                argv += [
+                    "--set", "codebook.provider=precomputed",
+                    "--set", f"codebook.feature_dir={tmp_path}",
+                ]
+        bad.write_bytes(data)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert "Traceback" not in err

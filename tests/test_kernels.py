@@ -1,8 +1,10 @@
-"""Numba and numpy kernel twins against brute-force oracles."""
+"""NumPy kernels against brute-force oracles."""
 
 import itertools
 import os
-from unittest import mock
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,10 +49,7 @@ def broadcast_nearest(points, centroids):
 
 
 def assert_same_as_broadcast(points, centroids):
-    # The numba twin sums each distance sequentially, so only the numpy
-    # path promises the broadcast form's bits.
-    with mock.patch.dict(os.environ, {"PPTTS_DISABLE_NUMBA": "1"}):
-        ids, d2 = _kernels.nearest_centroids(points, centroids)
+    ids, d2 = _kernels.nearest_centroids(points, centroids)
     want_ids, want_d2 = broadcast_nearest(points, centroids)
     assert np.array_equal(ids, want_ids)
     assert d2.tobytes() == want_d2.tobytes()
@@ -65,17 +64,8 @@ def assert_valid_alignment(assign, n, t):
     assert set(assign.tolist()) == set(range(n))
 
 
-@pytest.fixture(params=[False, True], ids=["numba", "numpy"])
-def kernel_env(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("PPTTS_DISABLE_NUMBA", "1")
-    else:
-        monkeypatch.delenv("PPTTS_DISABLE_NUMBA", raising=False)
-    return request.param
-
-
 class TestMas:
-    def test_matches_brute_force(self, kernel_env):
+    def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for n in range(1, 5):
             for t in range(n, 9):
@@ -87,21 +77,21 @@ class TestMas:
                     want, _ = brute_force_alignment(grid)
                     assert abs(got - want) < 1e-9
 
-    def test_single_token(self, kernel_env):
+    def test_single_token(self):
         grid = np.zeros((1, 5))
         assert _kernels.mas_assignment(grid).tolist() == [0] * 5
 
-    def test_square_grid_is_diagonal(self, kernel_env):
+    def test_square_grid_is_diagonal(self):
         grid = np.random.default_rng(1).normal(size=(3, 3))
         assert _kernels.mas_assignment(grid).tolist() == [0, 1, 2]
 
-    def test_tie_prefers_staying(self, kernel_env):
+    def test_tie_prefers_staying(self):
         # All-zero grid: every alignment scores 0; the tie rule keeps the
         # path on its current token, so advances happen as early as possible.
         assert _kernels.mas_assignment(np.zeros((2, 3))).tolist() == [0, 1, 1]
         assert _kernels.mas_assignment(np.zeros((3, 5))).tolist() == [0, 1, 2, 2, 2]
 
-    def test_constant_shift_invariance(self, kernel_env):
+    def test_constant_shift_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             grid = rng.normal(size=(3, 7))
@@ -109,32 +99,17 @@ class TestMas:
             b = _kernels.mas_assignment(grid + 17.25)
             assert np.array_equal(a, b)
 
-    def test_rejects_more_tokens_than_frames(self, kernel_env):
+    def test_rejects_more_tokens_than_frames(self):
         with pytest.raises(ValueError):
             _kernels.mas_assignment(np.zeros((4, 3)))
 
-    def test_rejects_empty(self, kernel_env):
+    def test_rejects_empty(self):
         with pytest.raises(ValueError):
             _kernels.mas_assignment(np.zeros((0, 3)))
 
-    def test_paths_agree(self):
-        rng = np.random.default_rng(3)
-        import os
-
-        for _ in range(50):
-            grid = rng.normal(size=(4, 8))
-            os.environ.pop("PPTTS_DISABLE_NUMBA", None)
-            a = _kernels.mas_assignment(grid)
-            os.environ["PPTTS_DISABLE_NUMBA"] = "1"
-            try:
-                b = _kernels.mas_assignment(grid)
-            finally:
-                os.environ.pop("PPTTS_DISABLE_NUMBA", None)
-            assert np.array_equal(a, b)
-
 
 class TestLevenshtein:
-    def test_known_cases(self, kernel_env):
+    def test_known_cases(self):
         def ids(s):
             return np.array([ord(c) for c in s], dtype=np.int64)
 
@@ -144,14 +119,14 @@ class TestLevenshtein:
         assert _kernels.levenshtein(ids("abcd"), ids("")) == 4
         assert _kernels.levenshtein(ids("flaw"), ids("lawn")) == 2
 
-    def test_matches_dp_matrix(self, kernel_env):
+    def test_matches_dp_matrix(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             a = rng.integers(0, 5, size=rng.integers(0, 12))
             b = rng.integers(0, 5, size=rng.integers(0, 12))
             assert _kernels.levenshtein(a, b) == dp_matrix_levenshtein(a, b)
 
-    def test_symmetry(self, kernel_env):
+    def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             a = rng.integers(0, 4, size=rng.integers(1, 10))
@@ -160,7 +135,7 @@ class TestLevenshtein:
 
 
 class TestNearestCentroids:
-    def test_matches_brute_force(self, kernel_env):
+    def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         points = rng.normal(size=(200, 7))
         centroids = rng.normal(size=(11, 7))
@@ -172,14 +147,14 @@ class TestNearestCentroids:
         clear = sorted_d[:, 1] - sorted_d[:, 0] > 1e-9
         assert np.array_equal(ids[clear], np.argmin(want_d2, axis=1)[clear])
 
-    def test_tie_goes_to_lowest_index(self, kernel_env):
+    def test_tie_goes_to_lowest_index(self):
         points = np.array([[0.0, 0.0]])
         centroids = np.array([[1.0, 0.0], [-1.0, 0.0]])
         ids, d2 = _kernels.nearest_centroids(points, centroids)
         assert ids[0] == 0
         assert d2[0] == 1.0
 
-    def test_dimension_mismatch(self, kernel_env):
+    def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             _kernels.nearest_centroids(np.zeros((3, 2)), np.zeros((4, 3)))
 
@@ -248,11 +223,16 @@ class TestNearestCentroidsBitIdentity:
             assert_same_as_broadcast(points, centroids)
 
 
-def test_flag_reported():
-    import os
-
-    os.environ["PPTTS_DISABLE_NUMBA"] = "1"
-    try:
-        assert not _kernels.numba_enabled()
-    finally:
-        os.environ.pop("PPTTS_DISABLE_NUMBA", None)
+def test_bench_kernels_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_kernels.py")],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [row[0] for row in rows] == [
+        "mas_assignment", "mas_assignment", "levenshtein", "nearest_centroids"
+    ]
+    assert all(float(row[-1]) > 0 for row in rows)

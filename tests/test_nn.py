@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from pptts import tensor as tz
 from pptts.nn import AdamW, Conv1d, Embedding, Linear, Module, ModuleList
 from pptts.tensor import Tensor
 
 
-def conv1d_oracle(x, weight, bias, kernel, stride, padding, pad_mode):
+def conv1d_oracle(x, weight, bias, kernel, padding, pad_mode):
     """Direct triple-loop convolution oracle. [C_in, T] -> [C_out, T_out]."""
     c_in, t = x.shape
     if padding:
@@ -18,38 +17,36 @@ def conv1d_oracle(x, weight, bias, kernel, stride, padding, pad_mode):
             x = np.concatenate([x[:, -padding:], x, x[:, :padding]], axis=1)
     t_pad = x.shape[1]
     c_out = weight.shape[0]
-    t_out = (t_pad - kernel) // stride + 1
+    t_out = t_pad - kernel + 1
     out = np.zeros((c_out, t_out), dtype=x.dtype)
     for o in range(c_out):
         for pos in range(t_out):
             acc = bias[o]
             for i in range(c_in):
                 for k in range(kernel):
-                    acc += weight[o, i * kernel + k] * x[i, pos * stride + k]
+                    acc += weight[o, i * kernel + k] * x[i, pos + k]
             out[o, pos] = acc
     return out
 
 
 class TestConv1d:
     @pytest.mark.parametrize(
-        "kernel,stride,padding,pad_mode",
+        "kernel,padding,pad_mode",
         [
-            (1, 1, 0, "zeros"),
-            (3, 1, 1, "zeros"),
-            (5, 2, 2, "zeros"),
-            (3, 1, 1, "circular"),
-            (4, 3, 0, "zeros"),
+            (1, 0, "zeros"),
+            (3, 1, "zeros"),
+            (5, 2, "zeros"),
+            (3, 1, "circular"),
+            (4, 0, "zeros"),
         ],
     )
-    def test_matches_oracle(self, kernel, stride, padding, pad_mode):
+    def test_matches_oracle(self, kernel, padding, pad_mode):
         rng = np.random.default_rng(0)
-        conv = Conv1d(3, 2, kernel, stride=stride, padding=padding,
-                      pad_mode=pad_mode, rng=rng, dtype=np.float64)
+        conv = Conv1d(3, 2, kernel, padding=padding, pad_mode=pad_mode, rng=rng,
+                      dtype=np.float64)
         x = rng.normal(size=(3, 11))
         got = conv(Tensor(x)).data
-        want = conv1d_oracle(
-            x, conv.weight.data, conv.bias.data, kernel, stride, padding, pad_mode
-        )
+        want = conv1d_oracle(x, conv.weight.data, conv.bias.data, kernel, padding, pad_mode)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_zero_init(self):
@@ -77,7 +74,9 @@ class TestConv1d:
     @pytest.mark.parametrize(
         "factor,c_in,c_out,width", [(1, 2, 3, 5), (2, 3, 4, 1), (3, 2, 2, 4), (8, 4, 5, 6)]
     )
-    def test_upsampled_matches_zero_stuffed_convolution(self, factor, c_in, c_out, width):
+    def test_upsampled_matches_zero_stuffed_convolution(
+        self, factor, c_in, c_out, width, upsample_cols
+    ):
         rng = np.random.default_rng(factor * 10 + width)
         conv = Conv1d(
             c_in, c_out, 2 * factor + 1, padding=factor, rng=rng, dtype=np.float64
@@ -90,7 +89,7 @@ class TestConv1d:
             x = Tensor(x_data.copy(), requires_grad=True)
             conv.zero_grad()
             if path == "stuffed":
-                y = conv(tz.upsample_cols(x, factor))
+                y = conv(upsample_cols(x, factor))
             else:
                 y = conv.upsampled(x, factor)
             (y * upstream).sum().backward()
@@ -135,24 +134,23 @@ class TestConv1dFusedOp:
     """``tensor.conv1d`` against the chain of ops ``Conv1d`` used to record."""
 
     GEOMETRIES = [
-        # kernel, stride, padding, pad_mode
-        (3, 1, 1, "zeros"),
-        (7, 1, 3, "zeros"),
-        (5, 1, 2, "circular"),
-        (4, 1, 0, "zeros"),
-        (1, 1, 0, "zeros"),
-        (5, 2, 2, "zeros"),
-        (4, 3, 1, "circular"),
+        # kernel, padding, pad_mode
+        (3, 1, "zeros"),
+        (7, 3, "zeros"),
+        (5, 2, "circular"),
+        (4, 0, "zeros"),
+        (1, 0, "zeros"),
+        (5, 2, "zeros"),
+        (4, 1, "circular"),
     ]
 
     def _case(self, geometry, dtype, layout, seed=0):
-        kernel, stride, padding, pad_mode = geometry
+        kernel, padding, pad_mode = geometry
         rng = np.random.default_rng(seed)
-        conv = Conv1d(3, 4, kernel, stride=stride, padding=padding,
-                      pad_mode=pad_mode, rng=rng, dtype=dtype)
+        conv = Conv1d(3, 4, kernel, padding=padding, pad_mode=pad_mode, rng=rng, dtype=dtype)
         conv.bias.data[...] = rng.normal(size=4)
         x = _layout(rng.normal(size=(3, 23)).astype(dtype), layout)
-        t_out = (23 + 2 * padding - kernel) // stride + 1
+        t_out = 23 + 2 * padding - kernel + 1
         upstream = _layout(rng.normal(size=(4, t_out)).astype(dtype), layout)
         return conv, x, upstream
 

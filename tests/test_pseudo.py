@@ -69,7 +69,6 @@ class TestTrainCodebook:
         assert np.array_equal(a.centroids, b.centroids)
 
     def test_fit_matches_broadcast_kernel(self, monkeypatch):
-        monkeypatch.setenv("PPTTS_DISABLE_NUMBA", "1")
         rng = np.random.default_rng(4)
         points, _, _ = blob_features(rng, k=6, per_cluster=400, dim=7, spread=1.0, separation=2.0)
         feats = [make_features(points)]
