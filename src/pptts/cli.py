@@ -177,7 +177,7 @@ def cmd_synthesize(args) -> int:
         wave, sr = read_wav(args.ref_wav)
         if sr != model.audio.sample_rate:
             raise ValueError(f"reference sample rate {sr} != {model.audio.sample_rate}")
-        ref_mel = mel_of_waveform(wave, model.audio).values
+        ref_mel = mel_of_waveform(wave, model.audio)
     result = model.synthesize(
         phonemes,
         noise_scale=args.noise_scale,

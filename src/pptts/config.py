@@ -42,14 +42,6 @@ class AudioConfig:
     def spec_bins(self) -> int:
         return self.n_fft // 2 + 1
 
-    def config_id(self) -> str:
-        fmax = self.sample_rate / 2 if self.fmax is None else self.fmax
-        return (
-            f"stft:sr{self.sample_rate}:fft{self.n_fft}:hop{self.hop_length}"
-            f":win{self.win_length}:c{int(self.center)}:mel{self.n_mels}"
-            f":f{self.fmin:g}-{fmax:g}"
-        )
-
 
 @dataclass(frozen=True)
 class ModelConfig:

@@ -11,7 +11,7 @@ from ._kernels import levenshtein
 from .audio import read_wav
 from .config import AudioConfig
 from .data import Lexicon, ManifestEntry, text_to_phonemes
-from .features import mel_of_waveform
+from .features import PrecomputedProvider, mel_of_waveform
 from .model import SynthesisModel
 from .pseudo import Codebook, merge_runs, quantize
 
@@ -26,8 +26,8 @@ def mel_distance(reference_wave: np.ndarray, generated_wave: np.ndarray, cfg: Au
     The two waveforms may differ in length; frames beyond the shorter mel
     matrix are ignored. Both inputs must yield at least one frame.
     """
-    ref = mel_of_waveform(np.asarray(reference_wave), cfg).values
-    gen = mel_of_waveform(np.asarray(generated_wave), cfg).values
+    ref = mel_of_waveform(np.asarray(reference_wave), cfg)
+    gen = mel_of_waveform(np.asarray(generated_wave), cfg)
     frames = min(ref.shape[0], gen.shape[0])
     if frames == 0:
         raise EvalError("no overlapping mel frames to compare")
@@ -52,8 +52,8 @@ def speaker_similarity(
     """Cosine similarity between reference-encoder embeddings of two waves."""
     if not model.config.multi_speaker:
         raise EvalError("speaker similarity requires a multi-speaker model")
-    ref_mel = mel_of_waveform(np.asarray(reference_wave), model.audio).values
-    gen_mel = mel_of_waveform(np.asarray(generated_wave), model.audio).values
+    ref_mel = mel_of_waveform(np.asarray(reference_wave), model.audio)
+    gen_mel = mel_of_waveform(np.asarray(generated_wave), model.audio)
     emb_ref = model.reference_encode(ref_mel).data.ravel()
     emb_gen = model.reference_encode(gen_mel).data.ravel()
     return cosine_similarity(emb_ref, emb_gen)
@@ -114,6 +114,11 @@ def evaluate_manifest(
     """
     if model.mode != "finetune":
         raise EvalError("evaluation synthesizes from text; model must be in finetune mode")
+    if codebook is not None and isinstance(provider, PrecomputedProvider):
+        raise EvalError(
+            "generated audio has no precomputed features; score token "
+            "accuracy with the builtin-mel provider"
+        )
     if lexicon is None:
         lexicon = Lexicon.default()
     report = EvalReport()
@@ -127,7 +132,7 @@ def evaluate_manifest(
             phonemes = text_to_phonemes(entry.text, lexicon)
             ref_mel = None
             if model.config.multi_speaker:
-                ref_mel = mel_of_waveform(ref_wave, model.audio).values
+                ref_mel = mel_of_waveform(ref_wave, model.audio)
             result = model.synthesize(
                 phonemes,
                 noise_scale=noise_scale,

@@ -1,5 +1,12 @@
 """Audio frontend: linear/mel spectrograms and frame-feature providers.
 
+The chain waveform -> magnitude STFT -> log-mel is written once, in tensor
+ops (:func:`linear_spectrogram`, :func:`log_mel`). The reconstruction loss
+runs it on a waveform that requires grad; the ndarray entry points
+(:func:`compute_linear_spectrogram`, :func:`compute_mel`,
+:func:`mel_of_waveform`) run the same chain on plain arrays and record no
+graph.
+
 The ``builtin-mel`` provider feeds log-mel features (optionally standardized
 per corpus) to the unit-discovery pipeline; the ``precomputed`` provider
 loads externally dumped feature matrices so representations from large
@@ -16,25 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
 from .audio import read_wav
 from .config import AudioConfig, ConfigError
 from .data import ManifestEntry
-
-
-@dataclass(frozen=True)
-class LinearSpectrogram:
-    """Magnitude STFT, [frames x bins], all values >= 0."""
-
-    values: np.ndarray
-    config_id: str
-
-
-@dataclass(frozen=True)
-class MelSpectrogram:
-    """Log-compressed mel spectrogram, [frames x mel bins]."""
-
-    values: np.ndarray
-    config_id: str
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -58,19 +51,9 @@ def hann_window(cfg: AudioConfig, dtype=np.float32) -> np.ndarray:
     return win.astype(dtype)
 
 
-def n_frames(num_samples: int, cfg: AudioConfig) -> int:
-    """Frame count: floor((L_eff - n_fft) / hop) + 1, where L_eff includes
-    the two n_fft//2 center pads when center=True."""
-    eff = num_samples + (2 * (cfg.n_fft // 2) if cfg.center else 0)
-    return (eff - cfg.n_fft) // cfg.hop_length + 1
-
-
 def pad_indices(num_samples: int, cfg: AudioConfig) -> np.ndarray | None:
-    """Sample indices realizing the center reflect-pad, or None if uncentered.
-
-    Shared with the differentiable spectral path so that both compute the
-    padded signal identically.
-    """
+    """Sample indices realizing the center reflect-pad (``np.pad`` mode
+    ``reflect``), or None if uncentered."""
     if not cfg.center:
         return None
     half = cfg.n_fft // 2
@@ -84,36 +67,6 @@ def pad_indices(num_samples: int, cfg: AudioConfig) -> np.ndarray | None:
     over = idx > num_samples - 1
     idx[over] = 2 * (num_samples - 1) - idx[over]
     return idx
-
-
-def frame_signal(padded: np.ndarray, cfg: AudioConfig) -> np.ndarray:
-    """Slice an already-padded signal into [frames, n_fft] (copy)."""
-    count = (len(padded) - cfg.n_fft) // cfg.hop_length + 1
-    if count < 1:
-        raise ValueError(f"waveform too short: {len(padded)} < {cfg.n_fft} samples")
-    stride = padded.strides[0]
-    frames = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(count, cfg.n_fft),
-        strides=(cfg.hop_length * stride, stride),
-    )
-    return np.ascontiguousarray(frames)
-
-
-def compute_linear_spectrogram(
-    waveform: np.ndarray, cfg: AudioConfig
-) -> LinearSpectrogram:
-    """Magnitude STFT of a mono waveform.
-
-    Frame count follows ``n_frames``; raises for waveforms shorter than the
-    padding convention supports.
-    """
-    wave = np.ascontiguousarray(waveform)
-    idx = pad_indices(len(wave), cfg)
-    padded = wave[idx] if idx is not None else wave
-    frames = frame_signal(padded, cfg) * hann_window(cfg, dtype=wave.dtype)
-    mag = np.abs(np.fft.rfft(frames, axis=-1))
-    return LinearSpectrogram(values=mag.astype(wave.dtype), config_id=cfg.config_id())
 
 
 def _hz_to_mel(f):
@@ -154,26 +107,47 @@ def mel_filterbank(cfg: AudioConfig) -> np.ndarray:
 
 
 def mel_basis_t(cfg: AudioConfig, dtype=np.float32) -> np.ndarray:
-    """Transposed filterbank [bins x n_mels], the exact matrix both the
-    numpy and the differentiable mel paths multiply by."""
+    """Transposed filterbank [bins x n_mels] in the given dtype."""
     return np.ascontiguousarray(mel_filterbank(cfg).T.astype(dtype))
 
 
-def compute_mel(spec: LinearSpectrogram, cfg: AudioConfig) -> MelSpectrogram:
-    """Log-mel of a magnitude spectrogram, floored at cfg.mel_floor."""
-    basis = mel_basis_t(cfg, dtype=spec.values.dtype)
-    if spec.values.shape[1] != basis.shape[0]:
+def linear_spectrogram(wave: Tensor, cfg: AudioConfig) -> Tensor:
+    """Magnitude STFT [frames x bins] of a 1-D waveform tensor.
+
+    Center reflect-pad, Hann-windowed frames of n_fft every hop_length
+    samples, then |rfft|; raises for waveforms shorter than the padding
+    convention supports.
+    """
+    idx = pad_indices(wave.shape[0], cfg)
+    padded = wave if idx is None else T.take_rows(wave, idx)
+    frames = T.frame_rows(padded, cfg.n_fft, cfg.hop_length)
+    return T.stft_mag(frames * hann_window(cfg, dtype=wave.dtype))
+
+
+def log_mel(spec: Tensor, cfg: AudioConfig) -> Tensor:
+    """Log-mel [frames x n_mels] of a magnitude spectrogram, floored at
+    cfg.mel_floor."""
+    basis = mel_basis_t(cfg, dtype=spec.dtype)
+    if spec.shape[1] != basis.shape[0]:
         raise ConfigError(
-            f"spectrogram bins {spec.values.shape[1]} do not match n_fft {cfg.n_fft}"
+            f"spectrogram bins {spec.shape[1]} do not match n_fft {cfg.n_fft}"
         )
-    mel = spec.values @ basis
-    floor = np.asarray(cfg.mel_floor, dtype=spec.values.dtype)
-    return MelSpectrogram(
-        values=np.log(np.maximum(mel, floor)), config_id=cfg.config_id()
-    )
+    mel = spec @ Tensor(basis)
+    return mel.clamp(min_value=np.asarray(cfg.mel_floor, dtype=spec.dtype)).log()
 
 
-def mel_of_waveform(waveform: np.ndarray, cfg: AudioConfig) -> MelSpectrogram:
+def compute_linear_spectrogram(waveform: np.ndarray, cfg: AudioConfig) -> np.ndarray:
+    """:func:`linear_spectrogram` of an ndarray, in the waveform's dtype."""
+    return linear_spectrogram(Tensor(waveform), cfg).data
+
+
+def compute_mel(spec: np.ndarray, cfg: AudioConfig) -> np.ndarray:
+    """:func:`log_mel` of an ndarray spectrogram, in its dtype."""
+    return log_mel(Tensor(spec), cfg).data
+
+
+def mel_of_waveform(waveform: np.ndarray, cfg: AudioConfig) -> np.ndarray:
+    """Log-mel [frames x n_mels] of an ndarray waveform, in its dtype."""
     return compute_mel(compute_linear_spectrogram(waveform, cfg), cfg)
 
 
@@ -199,8 +173,8 @@ def write_feature_file(
 def read_feature_file(path: str | Path) -> FrameFeatures:
     """Read a file written by :func:`write_feature_file`.
 
-    A bad magic, a cut-short header or a body shorter than the header's
-    T x D claims raises ``ValueError`` naming the file; the body is read
+    A bad magic, a cut-short header or a body whose size is not the
+    header's T x D raises ``ValueError`` naming the file; the body is read
     only once the file is known to hold it.
     """
     with open(path, "rb") as fh:
@@ -216,6 +190,11 @@ def read_feature_file(path: str | Path) -> FrameFeatures:
             raise ValueError(
                 f"{path}: truncated body (header claims {t} x {d} float32, "
                 f"{left} bytes follow it)"
+            )
+        if t * d * 4 < left:
+            raise ValueError(
+                f"{path}: {left - t * d * 4} trailing bytes after the "
+                f"{t} x {d} float32 body"
             )
         body = fh.read(t * d * 4)
     values = np.frombuffer(body, dtype="<f4").reshape(t, d)
@@ -239,17 +218,17 @@ class BuiltinMelProvider:
     def frame_rate_hz(self) -> float:
         return self.audio.sample_rate / self.audio.hop_length
 
-    def _raw(self, entry: ManifestEntry) -> np.ndarray:
+    def _read(self, entry: ManifestEntry) -> np.ndarray:
         wave, sr = read_wav(entry.audio_path)
         if sr != self.audio.sample_rate:
             raise ValueError(
                 f"{entry.id}: sample rate {sr} != configured {self.audio.sample_rate}"
             )
-        return mel_of_waveform(wave, self.audio).values
+        return wave
 
     def features_for_wave(self, wave: np.ndarray) -> FrameFeatures:
-        """Features of an in-memory waveform (same normalization path)."""
-        vals = mel_of_waveform(wave, self.audio).values
+        """Features of an in-memory waveform."""
+        vals = mel_of_waveform(wave, self.audio)
         if self.normalize:
             if self.mean is None:
                 raise RuntimeError("provider not fitted; call fit() first")
@@ -264,7 +243,7 @@ class BuiltinMelProvider:
         total_sq = np.zeros(self.audio.n_mels, dtype=np.float64)
         count = 0
         for entry in entries:
-            vals = self._raw(entry).astype(np.float64)
+            vals = mel_of_waveform(self._read(entry), self.audio).astype(np.float64)
             total += vals.sum(axis=0)
             total_sq += np.square(vals).sum(axis=0)
             count += vals.shape[0]
@@ -277,14 +256,7 @@ class BuiltinMelProvider:
         return self
 
     def features_for(self, entry: ManifestEntry) -> FrameFeatures:
-        vals = self._raw(entry)
-        if self.normalize:
-            if self.mean is None:
-                raise RuntimeError("provider not fitted; call fit() first")
-            vals = (vals - self.mean) / self.std
-        return FrameFeatures(
-            values=vals, provider_id=self.provider_id, frame_rate_hz=self.frame_rate_hz
-        )
+        return self.features_for_wave(self._read(entry))
 
 
 class PrecomputedProvider:

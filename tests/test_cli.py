@@ -429,6 +429,20 @@ class TestEvalCommand:
         assert report["aggregate"]["error_count"] == 1
         assert len(report["records"]) == 4
 
+    def test_precomputed_provider_exits_one(self, workspace, tmp_path, capsys):
+        code = run(
+            "eval", "--config", workspace["config"],
+            "--ckpt", workspace["fine_ckpt"],
+            "--manifest", workspace["manifest"],
+            "--codebook", workspace["codebook"], "--out", tmp_path / "r.json",
+            "--set", "codebook.provider=precomputed",
+            "--set", f"codebook.feature_dir={tmp_path}",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no precomputed features" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_pretrain_checkpoint_exits_one(self, workspace):
         assert (
             run(

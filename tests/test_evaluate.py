@@ -109,8 +109,8 @@ class TestMelDistance:
         from pptts.features import mel_of_waveform
 
         a, b = _wave(7, 3000), _wave(7, 3000)[:2000]
-        ref = mel_of_waveform(a, AUDIO).values.astype(np.float64)
-        gen = mel_of_waveform(b, AUDIO).values.astype(np.float64)
+        ref = mel_of_waveform(a, AUDIO).astype(np.float64)
+        gen = mel_of_waveform(b, AUDIO).astype(np.float64)
         frames = min(ref.shape[0], gen.shape[0])
         want = float(np.abs(ref[:frames] - gen[:frames]).mean())
         assert mel_distance(a, b, AUDIO) == pytest.approx(want, rel=1e-12)
@@ -231,6 +231,19 @@ class TestEvaluateManifest:
         )
         assert "token_acc" in agg
         assert "speaker_cos" not in agg  # single-speaker model
+
+    def test_precomputed_provider_refused_before_synthesis(
+        self, corpus, codebook, tmp_path, monkeypatch
+    ):
+        model = self._finetune_model()
+
+        def synthesize(*args, **kwargs):
+            raise AssertionError("synthesized before refusing the provider")
+
+        monkeypatch.setattr(model, "synthesize", synthesize)
+        provider = build_provider("precomputed", AUDIO, feature_dir=tmp_path)
+        with pytest.raises(EvalError, match="no precomputed features"):
+            evaluate_manifest(model, corpus, codebook=codebook, provider=provider)
 
     def test_multi_speaker_adds_cosine(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("multi_eval")

@@ -21,6 +21,7 @@ from pptts.features import (
     write_feature_file,
     FrameFeatures,
 )
+from pptts.tensor import is_grad_enabled
 
 
 CFG = AudioConfig(sample_rate=8000, n_fft=256, hop_length=64, win_length=256, n_mels=20)
@@ -40,11 +41,11 @@ class TestLinearSpectrogram:
             spec = compute_linear_spectrogram(wave, CFG)
             # Reflect padding adds n_fft//2 per side; frames = (padded - n_fft)//hop + 1.
             want = (n + 2 * (CFG.n_fft // 2) - CFG.n_fft) // CFG.hop_length + 1
-            assert spec.values.shape == (want, CFG.n_fft // 2 + 1)
+            assert spec.shape == (want, CFG.n_fft // 2 + 1)
 
     def test_zero_waveform(self):
         spec = compute_linear_spectrogram(np.zeros(2000, dtype=np.float32), CFG)
-        assert np.all(spec.values == 0.0)
+        assert np.all(spec == 0.0)
 
     def test_sine_peaks_at_its_bin(self):
         # 1000 Hz at sr 8000, n_fft 256 -> bin 32 exactly (bin-center frequency).
@@ -52,14 +53,14 @@ class TestLinearSpectrogram:
         wave = sine(freq, 0.5, CFG.sample_rate)
         spec = compute_linear_spectrogram(wave, CFG)
         want_bin = round(freq * CFG.n_fft / CFG.sample_rate)
-        interior = spec.values[4:-4]
+        interior = spec[4:-4]
         assert np.all(np.argmax(interior, axis=1) == want_bin)
 
     def test_deterministic(self):
         wave = sine(440, 0.3, CFG.sample_rate)
         a = compute_linear_spectrogram(wave, CFG)
         b = compute_linear_spectrogram(wave, CFG)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_matches_naive_stft(self):
         # Frame-by-frame recomputation with explicit padding and windowing.
@@ -68,10 +69,10 @@ class TestLinearSpectrogram:
         spec = compute_linear_spectrogram(wave, CFG)
         padded = np.pad(wave, CFG.n_fft // 2, mode="reflect")
         window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(CFG.n_fft) / CFG.n_fft)
-        for t in range(spec.values.shape[0]):
+        for t in range(spec.shape[0]):
             frame = padded[t * CFG.hop_length : t * CFG.hop_length + CFG.n_fft]
             mag = np.abs(np.fft.rfft(frame * window.astype(np.float32)))
-            assert np.allclose(spec.values[t], mag.astype(np.float32), atol=1e-5)
+            assert np.allclose(spec[t], mag.astype(np.float32), atol=1e-5)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="too short"):
@@ -79,7 +80,7 @@ class TestLinearSpectrogram:
 
     def test_nonnegative(self):
         wave = sine(700, 0.2, CFG.sample_rate)
-        assert np.all(compute_linear_spectrogram(wave, CFG).values >= 0)
+        assert np.all(compute_linear_spectrogram(wave, CFG) >= 0)
 
 
 class TestWindow:
@@ -95,20 +96,19 @@ class TestMel:
     def test_zero_spec_hits_floor(self):
         spec = compute_linear_spectrogram(np.zeros(2000, dtype=np.float32), CFG)
         mel = compute_mel(spec, CFG)
-        assert np.allclose(mel.values, np.log(CFG.mel_floor))
+        assert np.allclose(mel, np.log(CFG.mel_floor))
 
     def test_doubling_adds_log2(self):
         wave = sine(900, 0.3, CFG.sample_rate)
         spec = compute_linear_spectrogram(wave, CFG)
         mel1 = compute_mel(spec, CFG)
-        spec2 = type(spec)(values=spec.values * 2.0, config_id=spec.config_id)
-        mel2 = compute_mel(spec2, CFG)
+        mel2 = compute_mel(spec * 2.0, CFG)
         # Wherever neither hit the floor, the shift is exactly log 2.
-        live = (mel1.values > np.log(CFG.mel_floor) + 1e-6) & (
-            mel2.values > np.log(CFG.mel_floor) + 1e-6
+        live = (mel1 > np.log(CFG.mel_floor) + 1e-6) & (
+            mel2 > np.log(CFG.mel_floor) + 1e-6
         )
         assert live.any()
-        diff = mel2.values[live] - mel1.values[live]
+        diff = mel2[live] - mel1[live]
         assert np.allclose(diff, np.log(2.0), atol=1e-5)
 
     def test_filter_rows_positive(self):
@@ -120,13 +120,26 @@ class TestMel:
     def test_finite(self):
         wave = sine(600, 0.2, CFG.sample_rate)
         mel = mel_of_waveform(wave, CFG)
-        assert np.all(np.isfinite(mel.values))
+        assert np.all(np.isfinite(mel))
 
     def test_too_many_mels_rejected(self):
         bad = AudioConfig(sample_rate=8000, n_fft=32, hop_length=16, win_length=32, n_mels=30)
         wave = np.zeros(500, dtype=np.float32)
         with pytest.raises(ValueError):
             mel_of_waveform(wave, bad)
+
+
+class TestArrayEntryPoints:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plain_ndarray_of_input_dtype(self, dtype):
+        wave = sine(440, 0.3, CFG.sample_rate).astype(dtype)
+        assert is_grad_enabled()
+        spec = compute_linear_spectrogram(wave, CFG)
+        outputs = [spec, compute_mel(spec, CFG), mel_of_waveform(wave, CFG)]
+        for out in outputs:
+            assert type(out) is np.ndarray
+            assert out.dtype == dtype
+        assert np.array_equal(outputs[1], outputs[2])
 
 
 class TestFeatureFile:
@@ -164,6 +177,17 @@ class TestFeatureFile:
         with pytest.raises(ValueError):
             read_feature_file(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # A header whose T was lowered would otherwise load a prefix.
+        path = tmp_path / "x.ftfx"
+        write_feature_file(path, np.ones((5, 3), dtype=np.float32), frame_rate_hz=25.0)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="trailing bytes") as info:
+            read_feature_file(path)
+        assert str(path) in str(info.value)
+
 
 def _corpus(tmp_path, waves, sr=8000):
     entries = []
@@ -194,7 +218,7 @@ class TestBuiltinProvider:
         provider.fit(entries)
         feats = provider.features_for(entries[0])
         wave_q, _ = read_wav(entries[0].audio_path)  # 16-bit quantized copy
-        assert np.array_equal(feats.values, mel_of_waveform(wave_q, CFG).values)
+        assert np.array_equal(feats.values, mel_of_waveform(wave_q, CFG))
 
     def test_frame_rate(self, tmp_path):
         entries = _corpus(tmp_path, [sine(500, 0.4, 8000)])

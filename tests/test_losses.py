@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from pptts.config import AudioConfig
-from pptts.features import mel_of_waveform
+from pptts.features import linear_spectrogram, log_mel, mel_of_waveform
 from pptts.losses import (
     LossError,
     duration_loss,
     gaussian_log_density,
     kld_prior_loss,
-    mel_of_wave_tensor,
     reconstruction_loss,
 )
 from pptts.model import Stats
@@ -170,41 +169,50 @@ class TestDurationLoss:
 
 
 class TestMelPathConsistency:
+    """The loss's recorded log-mel and the ndarray entry points agree."""
+
     def _wave(self, n=400, seed=4, dtype=np.float32):
         rng = np.random.default_rng(seed)
         return (rng.uniform(-0.5, 0.5, size=n)).astype(dtype)
 
+    def _graph_mel(self, wave):
+        """Log-mel of a wave that requires grad: the loss's recorded chain."""
+        mel = log_mel(linear_spectrogram(Tensor(wave, requires_grad=True), AUDIO), AUDIO)
+        assert mel.requires_grad
+        return mel.data
+
     def test_bitwise_match_float32(self):
         wave = self._wave()
-        tensor_mel = mel_of_wave_tensor(Tensor(wave), AUDIO).data
-        numpy_mel = mel_of_waveform(wave, AUDIO).values
-        assert tensor_mel.dtype == numpy_mel.dtype
-        np.testing.assert_array_equal(tensor_mel, numpy_mel)
+        graph_mel = self._graph_mel(wave)
+        array_mel = mel_of_waveform(wave, AUDIO)
+        assert graph_mel.dtype == array_mel.dtype == np.float32
+        np.testing.assert_array_equal(graph_mel, array_mel)
 
     def test_bitwise_match_float64(self):
         wave = self._wave(dtype=np.float64)
-        tensor_mel = mel_of_wave_tensor(Tensor(wave), AUDIO).data
-        numpy_mel = mel_of_waveform(wave, AUDIO).values
-        np.testing.assert_array_equal(tensor_mel, numpy_mel)
+        graph_mel = self._graph_mel(wave)
+        array_mel = mel_of_waveform(wave, AUDIO)
+        assert array_mel.dtype == np.float64
+        np.testing.assert_array_equal(graph_mel, array_mel)
 
     def test_reconstruction_zero_on_identical_audio(self):
         wave = self._wave(seed=5)
-        target = mel_of_waveform(wave, AUDIO).values
+        target = mel_of_waveform(wave, AUDIO)
         loss = reconstruction_loss(Tensor(wave), target, AUDIO)
         assert float(loss.item()) == 0.0
 
     def test_reconstruction_positive_on_different_audio(self):
         a = self._wave(seed=6)
         b = self._wave(seed=7)
-        loss = reconstruction_loss(Tensor(a), mel_of_waveform(b, AUDIO).values, AUDIO)
+        loss = reconstruction_loss(Tensor(a), mel_of_waveform(b, AUDIO), AUDIO)
         assert loss.item() > 0.0
 
     def test_overlap_truncation(self):
         # Longer generated wave: only the target's frames are compared.
         short = self._wave(n=200, seed=8)
         long = np.concatenate([short, self._wave(n=300, seed=9)])
-        target = mel_of_waveform(short, AUDIO).values
-        gen_mel = mel_of_wave_tensor(Tensor(long), AUDIO).data
+        target = mel_of_waveform(short, AUDIO)
+        gen_mel = mel_of_waveform(long, AUDIO)
         loss = reconstruction_loss(Tensor(long), target, AUDIO)
         want = np.mean(np.abs(gen_mel[: target.shape[0]] - target))
         assert loss.item() == pytest.approx(want, rel=1e-6)
@@ -218,7 +226,7 @@ class TestMelPathConsistency:
 
     def test_gradient_flows_to_wave(self):
         wave = Tensor(self._wave(seed=10, dtype=np.float64), requires_grad=True)
-        target = mel_of_waveform(self._wave(seed=11, dtype=np.float64), AUDIO).values
+        target = mel_of_waveform(self._wave(seed=11, dtype=np.float64), AUDIO)
         reconstruction_loss(wave, target, AUDIO).backward()
         assert wave.grad is not None
         assert np.any(wave.grad != 0)
@@ -228,7 +236,7 @@ class TestMelPathConsistency:
         base = rng.uniform(-0.5, 0.5, size=96).astype(np.float64)
         target = mel_of_waveform(
             rng.uniform(-0.5, 0.5, size=96).astype(np.float64), AUDIO
-        ).values
+        )
         wave = Tensor(base.copy(), requires_grad=True)
         loss = reconstruction_loss(wave, target, AUDIO)
         loss.backward()

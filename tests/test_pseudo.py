@@ -199,11 +199,26 @@ class TestCodebookIO:
             ("PPCB1 k=1 dim=1 provider=x", "lacks the 'seed' field"),
             ("PPCB1 k=1 dim=1 seed=0 provider=x junk", "malformed codebook header field 'junk'"),
             ("PPCB1 k=one dim=1 seed=0 provider=x", "k='one' is not an integer"),
+            ("PPCB1 k=0 dim=1 seed=0 provider=x", "k=0 must be >= 1"),
         ],
     )
     def test_malformed_header(self, tmp_path, header, message):
         path = tmp_path / "cb.txt"
         path.write_text(header + "\n0.0\n")
+        with pytest.raises(ValueError, match=message) as info:
+            load_codebook(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("PPCB1 k=2 dim=2 seed=0 provider=x\n0.0 1.0\n2.0\n", "line 3 has 1 values"),
+            ("PPCB1 k=1 dim=2 seed=0 provider=x\n0.0 abc\n", "line 2 is not a row of numbers"),
+        ],
+    )
+    def test_malformed_body(self, tmp_path, text, message):
+        path = tmp_path / "cb.txt"
+        path.write_text(text)
         with pytest.raises(ValueError, match=message) as info:
             load_codebook(path)
         assert str(path) in str(info.value)
