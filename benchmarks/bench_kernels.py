@@ -43,6 +43,12 @@ def main() -> None:
             (rng.standard_normal((200, 2000)),),
         ),
         (
+            # One fine-tune batch: four utterances of 3-4 phonemes.
+            "mas_assignments 4 grids ~4x50",
+            _kernels.mas_assignments,
+            ([rng.standard_normal(shape) for shape in ((3, 45), (4, 55), (3, 40), (4, 56))],),
+        ),
+        (
             "levenshtein 2x1500",
             _kernels.levenshtein,
             (

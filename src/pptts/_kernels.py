@@ -7,48 +7,81 @@ assignment. Each is checked against a brute-force oracle in
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 
-def mas_assignment(grid: np.ndarray) -> np.ndarray:
-    """Best monotonic complete alignment for a log-likelihood grid.
+def mas_assignments(grids: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Best monotonic complete alignment of each log-likelihood grid.
 
-    Viterbi-style dynamic programming over the [tokens x frames] grid:
+    Viterbi-style dynamic programming over each [tokens x frames] grid:
     Q[j, t] = grid[j, t] + max(Q[j, t-1], Q[j-1, t-1]), ties preferring to
-    stay on the current token, then a backtrack of the best complete path
-    from (0, 0) to (n_tokens-1, n_frames-1).
+    stay on the current token and token 0 never moving, then a backtrack of
+    the best complete path from (0, 0) to (n_tokens-1, n_frames-1).
+
+    The grids run through one loop over time on a ``[frames, grids,
+    tokens]`` stack padded with ``-inf``. A padded cell lies below or right
+    of every real cell of its grid, and Q only reads the cell above-left
+    and the cell left, so padding never reaches a real cell: each path is
+    the one the grid gives alone.
 
     Args:
-        grid: [n_tokens, n_frames] float array, n_tokens <= n_frames.
+        grids: [n_tokens, n_frames] float arrays, 1 <= n_tokens <= n_frames.
 
     Returns:
-        int64 array of length n_frames with the token index per frame.
+        One int64 array of length n_frames per grid, the token index per
+        frame.
     """
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
-    n, t_len = grid.shape
-    if n > t_len:
-        raise ValueError(f"alignment needs n_tokens <= n_frames, got {n} > {t_len}")
-    if n == 0:
-        raise ValueError("empty grid")
-    q = np.full((n, t_len), -np.inf)
-    moved = np.zeros((n, t_len), dtype=bool)
-    q[0, 0] = grid[0, 0]
-    diag = np.empty(n)
-    for t in range(1, t_len):
-        prev = q[:, t - 1]
-        diag[0] = -np.inf
-        diag[1:] = prev[:-1]
-        stay = prev >= diag
-        q[:, t] = grid[:, t] + np.where(stay, prev, diag)
-        moved[:, t] = ~stay
-    out = np.empty(t_len, dtype=np.int64)
-    j = n - 1
-    out[t_len - 1] = j
-    for t in range(t_len - 1, 0, -1):
-        if moved[j, t]:
-            j -= 1
-        out[t - 1] = j
+    grids = [np.asarray(g, dtype=np.float64) for g in grids]
+    for i, g in enumerate(grids):
+        if g.ndim != 2:
+            raise ValueError(f"grid {i}: expected [n_tokens, n_frames], got shape {g.shape}")
+        n, t_len = g.shape
+        if n == 0:
+            raise ValueError(f"grid {i}: empty grid")
+        if n > t_len:
+            raise ValueError(
+                f"grid {i}: alignment needs n_tokens <= n_frames, got {n} > {t_len}"
+            )
+    if not grids:
+        return []
+    n_max = max(g.shape[0] for g in grids)
+    t_max = max(g.shape[1] for g in grids)
+    batch = len(grids)
+    stacked = np.full((t_max, batch, n_max), -np.inf)
+    for b, g in enumerate(grids):
+        stacked[: g.shape[1], b, : g.shape[0]] = g.T
+    # stay[t, b, j]: the best path into (j, t) comes from (j, t-1).
+    stay = np.empty((t_max, batch, n_max), dtype=bool)
+    stay[:, :, 0] = True
+    prev = np.full((batch, n_max), -np.inf)
+    prev[:, 0] = stacked[0, :, 0]
+    cur = np.empty_like(prev)
+    for t in range(1, t_max):
+        here = stay[t]
+        np.greater_equal(prev[:, 1:], prev[:, :-1], out=here[:, 1:])
+        cur[:, 1:] = prev[:, :-1]
+        np.putmask(cur, here, prev)
+        cur += stacked[t]
+        prev, cur = cur, prev
+    out = []
+    for b, g in enumerate(grids):
+        n, t_len = g.shape
+        path = stay[:, b, :]
+        assignment = np.empty(t_len, dtype=np.int64)
+        j = assignment[-1] = n - 1
+        for t in range(t_len - 1, 0, -1):
+            if not path[t, j]:
+                j -= 1
+            assignment[t - 1] = j
+        out.append(assignment)
     return out
+
+
+def mas_assignment(grid: np.ndarray) -> np.ndarray:
+    """:func:`mas_assignments` of one grid."""
+    return mas_assignments([grid])[0]
 
 
 def levenshtein(a: np.ndarray, b: np.ndarray) -> int:

@@ -85,13 +85,18 @@ def alignment_log_prior(n_tokens: int, n_frames: int) -> np.ndarray:
     return out
 
 
-def monotonic_alignment_search(grid: np.ndarray) -> np.ndarray:
+def monotonic_alignment_search(grid):
     """Maximum-likelihood monotonic complete alignment.
 
-    Returns a per-frame token-index array; requires n_tokens <= n_frames.
-    Ties in the DP prefer staying on the current token.
+    Given one [n_tokens, n_frames] array, returns its per-frame token-index
+    array; given a sequence of such grids (sizes may differ), returns one
+    such array per grid, all found by one search over the batch. Requires
+    n_tokens <= n_frames. Ties in the DP prefer staying on the current
+    token.
     """
-    return _kernels.mas_assignment(grid)
+    if isinstance(grid, np.ndarray):
+        return _kernels.mas_assignment(grid)
+    return _kernels.mas_assignments(grid)
 
 
 def alignment_score(grid: np.ndarray, assignment: np.ndarray) -> float:

@@ -305,7 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pretrain", cmd_pretrain, "pre-train on unlabeled audio with pseudo tokens")
     _add_train_common(p)
     p.add_argument("--codebook", type=Path, required=True, help="trained codebook file")
-    p.add_argument("--init-ckpt", type=Path, default=None, help="resume checkpoint")
+    p.add_argument(
+        "--init-ckpt",
+        type=Path,
+        default=None,
+        help="pre-training checkpoint whose weights start the run; its optimizer "
+        "state and step are not restored, so iterations count from 1 again",
+    )
 
     p = add("finetune", cmd_finetune, "fine-tune on labeled audio (or train a baseline)")
     _add_train_common(p)

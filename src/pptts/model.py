@@ -63,6 +63,10 @@ class Stats:
     def std_tc(self) -> np.ndarray:
         return self.std.data.T
 
+    def sample(self, eps: np.ndarray | float) -> Tensor:
+        """``mean + std * eps``, with ``eps`` broadcast against ``[C, frames]``."""
+        return self.mean + self.std * Tensor(np.asarray(eps, dtype=self.mean.dtype))
+
 
 def _split_stats(projected: Tensor, channels: int) -> Stats:
     mean = projected[:channels, :]
@@ -368,9 +372,7 @@ class SynthesisModel(Module):
         if spec.ndim != 2 or spec.shape[0] < 1:
             raise ModelError("spectrogram must be [frames, bins] with frames >= 1")
         stats = self.posterior(Tensor(spec.T))
-        noise = np.asarray(eps, dtype=self.np_dtype)
-        z = stats.mean + stats.std * Tensor(noise)
-        return z, stats
+        return stats.sample(eps), stats
 
     def text_encode(self, phonemes) -> tuple[Tensor, Stats]:
         if self.mode != "finetune":

@@ -140,7 +140,9 @@ class Conv1d(Module):
         ids = np.where(taps >= 0, c * self.kernel_size + taps, zero_row).ravel()
         zero = Tensor(np.zeros((1, self.out_channels), self.weight.dtype))
         weight_t = T.concat([self.weight.t(), zero])
-        phases = T.take_rows(weight_t, ids).reshape(3 * channels, -1)
+        # Every real tap is gathered once and the zero row's gradient is
+        # dropped, so the backward needs no scatter-add.
+        phases = T.take_rows(weight_t, ids, sum_repeats=False).reshape(3 * channels, -1)
         cols = T.frame_cols(T.pad_cols(x, 1, 1), 3)
         out = (cols.t() @ phases).reshape(width * f, self.out_channels).t()
         return out + self.bias.reshape(self.out_channels, 1)

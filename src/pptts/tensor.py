@@ -351,8 +351,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, parent_vjps, "concat")
 
 
-def take_rows(x: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather ``x[ids]`` along the leading axis; scatter-add backward."""
+def take_rows(x: Tensor, ids: np.ndarray, sum_repeats: bool = True) -> Tensor:
+    """Gather ``x[ids]`` along the leading axis; scatter-add backward.
+
+    With ``sum_repeats=False`` the backward is a plain scatter, several
+    times faster than ``np.add.at``: a row that ``ids`` repeats then gets
+    one of its gradients instead of their sum, so pass it only when the
+    gradient of every repeated row is discarded.
+    """
     ids = np.asarray(ids)
     if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
         raise TypeError("ids must be a 1-D integer array")
@@ -360,7 +366,11 @@ def take_rows(x: Tensor, ids: np.ndarray) -> Tensor:
 
     def vjp(g: np.ndarray) -> np.ndarray:
         gx = np.zeros_like(x.data)
-        np.add.at(gx, ids, g)
+        if sum_repeats:
+            np.add.at(gx, ids, g)
+        else:
+            # ``+ 0.0`` turns -0.0 into 0.0, as adding into zeros does.
+            gx[ids] = g + 0.0
         return gx
 
     return _make(out, [(x, vjp)], "take_rows")

@@ -4,7 +4,8 @@ The stages share one loss path. Pre-training optimizes every parameter
 against pseudo token targets plus a mel reconstruction term; fine-tuning
 swaps in real phoneme targets, freezes the posterior encoder and decoder
 (and reference encoder when present), fine-tunes the flow, and trains the
-text encoder and duration predictor from scratch.
+text encoder and duration predictor from scratch. Frozen encoders run once
+per utterance per run; every step reuses their outputs.
 """
 
 from __future__ import annotations
@@ -195,42 +196,108 @@ def prepare_corpus(
 # -- loss computation -------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class FrozenEncoding:
+    """One utterance's outputs of frozen encoders, fixed for a whole run:
+    its posterior statistics and, in a multi-speaker model, its speaker
+    embedding."""
+
+    post: Stats
+    speaker: Tensor | None
+
+
+def encoders_frozen(model: SynthesisModel, partition: ParameterPartition) -> bool:
+    """Whether the posterior encoder, and the reference encoder of a
+    multi-speaker model, are frozen, so that their outputs for an utterance
+    never change during the run."""
+    encoders = {"posterior.": model.posterior}
+    if model.config.multi_speaker:
+        encoders["reference."] = model.reference
+    return all(
+        name in partition.frozen
+        for prefix, encoder in encoders.items()
+        for name, _ in encoder.named_parameters(prefix)
+    )
+
+
+def encode_frozen(
+    model: SynthesisModel, items: list[PreparedUtterance]
+) -> list[FrozenEncoding]:
+    """Run the frozen encoders once over every item, without a graph."""
+    out = []
+    with tz.no_grad():
+        for item in items:
+            _, post = model.posterior_encode(item.spec)
+            speaker = model.reference_encode(item.mel) if model.config.multi_speaker else None
+            out.append(FrozenEncoding(post, speaker))
+    return out
+
+
+def batch_losses(
+    model: SynthesisModel,
+    items: list[PreparedUtterance],
+    eps: list,
+    include_recon: bool,
+    frozen: list[FrozenEncoding] | None = None,
+) -> list[dict[str, Tensor]]:
+    """Loss terms for each utterance of a batch: ``kld``, ``dur`` and, with
+    ``include_recon``, ``recon``.
+
+    Each item is encoded with its own posterior noise ``eps[j]``; with
+    ``frozen``, its posterior statistics and speaker come from there instead
+    of the encoders. The alignments between tokens and latent frames are
+    then recomputed by one monotonic search over the batch, on prior
+    likelihoods plus the static alignment prior; the search itself never
+    contributes gradients.
+    """
+    encoded = []
+    for j, item in enumerate(items):
+        if frozen is None:
+            z, post = model.posterior_encode(item.spec, eps[j])
+            speaker = model.reference_encode(item.mel) if model.config.multi_speaker else None
+        else:
+            post, speaker = frozen[j].post, frozen[j].speaker
+            z = post.sample(eps[j])
+        z_p, logdet = model.flow_forward(z, speaker)
+        hidden, prior = model.token_encode(item.tokens)
+        encoded.append((z, post, speaker, z_p, logdet, hidden, prior))
+
+    with tz.no_grad():
+        grids = []
+        for _, _, _, z_p, _, _, prior in encoded:
+            grid = align.likelihood_grid(prior.mean_tc, prior.std_tc, z_p.data.T)
+            grid += align.alignment_log_prior(*grid.shape)
+            grids.append(grid)
+        assignments = align.monotonic_alignment_search(grids)
+
+    out = []
+    for item, assignment, (z, post, speaker, z_p, logdet, hidden, prior) in zip(
+        items, assignments, encoded
+    ):
+        durations = align.alignment_to_durations(assignment, item.tokens.size)
+        frame_prior = Stats(
+            mean=tz.repeat_cols(prior.mean, durations),
+            std=tz.repeat_cols(prior.std, durations),
+        )
+        terms = {
+            "kld": losses.kld_prior_loss(post, z, z_p, frame_prior, logdet),
+            "dur": losses.duration_loss(model.predict_durations(hidden), durations),
+        }
+        if include_recon:
+            wave = model.decode(z, speaker)
+            terms["recon"] = losses.reconstruction_loss(wave, item.mel, model.audio)
+        out.append(terms)
+    return out
+
+
 def utterance_losses(
     model: SynthesisModel,
     item: PreparedUtterance,
     eps,
     include_recon: bool,
 ) -> dict[str, Tensor]:
-    """Loss terms for one utterance: ``kld``, ``dur`` and, with
-    ``include_recon``, ``recon``.
-
-    The alignment between tokens and latent frames is recomputed each call
-    by monotonic search over prior likelihoods plus the static alignment
-    prior; the search itself never contributes gradients.
-    """
-    z, post = model.posterior_encode(item.spec, eps)
-    speaker = model.reference_encode(item.mel) if model.config.multi_speaker else None
-    z_p, logdet = model.flow_forward(z, speaker)
-    hidden, prior = model.token_encode(item.tokens)
-
-    with tz.no_grad():
-        grid = align.likelihood_grid(prior.mean_tc, prior.std_tc, z_p.data.T)
-        grid += align.alignment_log_prior(*grid.shape)
-        assignment = align.monotonic_alignment_search(grid)
-    durations = align.alignment_to_durations(assignment, item.tokens.size)
-
-    frame_prior = Stats(
-        mean=tz.repeat_cols(prior.mean, durations),
-        std=tz.repeat_cols(prior.std, durations),
-    )
-    out = {
-        "kld": losses.kld_prior_loss(post, z, z_p, frame_prior, logdet),
-        "dur": losses.duration_loss(model.predict_durations(hidden), durations),
-    }
-    if include_recon:
-        wave = model.decode(z, speaker)
-        out["recon"] = losses.reconstruction_loss(wave, item.mel, model.audio)
-    return out
+    """:func:`batch_losses` of one utterance, encoders included."""
+    return batch_losses(model, [item], [eps], include_recon)[0]
 
 
 def _batch_mean(terms: list[dict[str, Tensor]]) -> dict[str, Tensor]:
@@ -267,13 +334,23 @@ def training_step(
     step_index: int,
     partition: ParameterPartition,
     include_recon: bool,
+    frozen: list[FrozenEncoding] | None = None,
 ) -> dict[str, float]:
-    """One optimizer update over a batch. Returns scalar loss metrics."""
-    terms = []
-    for j, item in enumerate(items):
-        rng = seeded_rng(cfg.seed, step_index, j)
-        eps = _sample_eps(model, item, rng)
-        terms.append(utterance_losses(model, item, eps, include_recon))
+    """One optimizer update over a batch. Returns scalar loss metrics.
+
+    ``frozen`` holds :func:`encode_frozen` of ``items``, for a partition
+    under which :func:`encoders_frozen` holds.
+    """
+    if frozen is not None:
+        if len(frozen) != len(items):
+            raise TrainError(f"{len(frozen)} frozen encodings for {len(items)} items")
+        if not encoders_frozen(model, partition):
+            raise TrainError("frozen encodings given for trainable encoders")
+    eps = [
+        _sample_eps(model, item, seeded_rng(cfg.seed, step_index, j))
+        for j, item in enumerate(items)
+    ]
+    terms = batch_losses(model, items, eps, include_recon, frozen)
 
     mean = _batch_mean(terms)
     total = cfg.kld_weight * mean["kld"] + cfg.duration_weight * mean["dur"]
@@ -600,7 +677,7 @@ def run_training(
         if init_ckpt is not None:
             ckpt = load_checkpoint(init_ckpt)
             if ckpt.mode != "pretrain":
-                raise TrainError("resume checkpoint is not a pre-training checkpoint")
+                raise TrainError("initial checkpoint is not a pre-training checkpoint")
             _check_ckpt_compat(cfg, ckpt)
             if codebook is not None and ckpt.codebook_hash is not None:
                 if ckpt.codebook_hash != codebook_hash(codebook):
@@ -629,6 +706,8 @@ def run_training(
 
     items = prepare_corpus(entries, cfg, stage, codebook, provider, lexicon)
     apply_partition(model, partition)
+    # Frozen encoders give each item the same outputs at every step.
+    frozen = encode_frozen(model, items) if encoders_frozen(model, partition) else None
 
     named = dict(model.named_parameters())
     trainable = [(n, named[n]) for n in sorted(partition.trainable)]
@@ -657,15 +736,17 @@ def run_training(
     last_metrics: dict[str, float] = {}
     with open(metrics_path, "w", encoding="utf-8") as log:
         for it in range(1, tcfg.iterations + 1):
-            batch = []
-            while len(batch) < min(tcfg.batch_size, len(items)):
+            picks = []
+            while len(picks) < min(tcfg.batch_size, len(items)):
                 if not order:
                     rng = seeded_rng(tcfg.seed, 1_000_003, epoch)
                     order = list(rng.permutation(len(items)))
                     epoch += 1
-                batch.append(items[order.pop()])
+                picks.append(order.pop())
+            batch = [items[i] for i in picks]
             last_metrics = training_step(
-                model, optimizer, batch, tcfg, it, partition, include_recon
+                model, optimizer, batch, tcfg, it, partition, include_recon,
+                frozen=None if frozen is None else [frozen[i] for i in picks],
             )
             if tcfg.log_interval > 0 and it % tcfg.log_interval == 0:
                 # Metric lines carry no wall-clock values so reruns with the

@@ -3,8 +3,10 @@
 The acceptance tests in ``test_acceptance.py`` are named
 ``test_criterion_<n>_...``; after the run, one PASS/FAIL line per criterion
 is printed so the acceptance status is readable at a glance. The
-``conv1d_chain`` fixture is the oracle of the fused convolution tests and
-``upsample_cols`` that of the zero-stuffing-free upsampling convolution.
+``conv1d_chain`` fixture is the oracle of the fused convolution tests,
+``upsample_cols`` that of the zero-stuffing-free upsampling convolution and
+``per_utterance_step`` that of a training step with frozen encodings and
+one alignment search per batch.
 """
 
 from __future__ import annotations
@@ -116,3 +118,70 @@ def conv1d_chain():
     """Oracle for byte-equality tests of ``tensor.conv1d``; has the signature
     of ``Conv1d.__call__`` so it can be patched in for it."""
     return _conv1d_chain
+
+
+def _per_utterance_step(
+    model, optimizer, items, cfg, step_index, partition, include_recon, frozen=None
+):
+    """``train.training_step`` as a loop that runs every encoder and one
+    alignment search per utterance; ``frozen`` is accepted and ignored."""
+    from pptts import align, losses
+    from pptts import tensor as tz
+    from pptts.model import Stats
+    from pptts.seeding import seeded_rng
+
+    terms = []
+    for j, item in enumerate(items):
+        rng = seeded_rng(cfg.seed, step_index, j)
+        eps = rng.standard_normal(
+            (model.config.latent_channels, item.spec.shape[0])
+        ).astype(model.np_dtype)
+        z, post = model.posterior_encode(item.spec, eps)
+        speaker = model.reference_encode(item.mel) if model.config.multi_speaker else None
+        z_p, logdet = model.flow_forward(z, speaker)
+        hidden, prior = model.token_encode(item.tokens)
+        with tz.no_grad():
+            grid = align.likelihood_grid(prior.mean_tc, prior.std_tc, z_p.data.T)
+            grid += align.alignment_log_prior(*grid.shape)
+            assignment = align.monotonic_alignment_search(grid)
+        durations = align.alignment_to_durations(assignment, item.tokens.size)
+        frame_prior = Stats(
+            mean=tz.repeat_cols(prior.mean, durations),
+            std=tz.repeat_cols(prior.std, durations),
+        )
+        term = {
+            "kld": losses.kld_prior_loss(post, z, z_p, frame_prior, logdet),
+            "dur": losses.duration_loss(model.predict_durations(hidden), durations),
+        }
+        if include_recon:
+            wave = model.decode(z, speaker)
+            term["recon"] = losses.reconstruction_loss(wave, item.mel, model.audio)
+        terms.append(term)
+
+    mean = {}
+    for key in terms[0]:
+        total = terms[0][key]
+        for term in terms[1:]:
+            total = total + term[key]
+        mean[key] = total * (1.0 / len(terms))
+    total = cfg.kld_weight * mean["kld"] + cfg.duration_weight * mean["dur"]
+    if include_recon:
+        total = total + cfg.mel_weight * mean["recon"]
+    optimizer.zero_grad()
+    total.backward()
+    optimizer.step()
+    out = {
+        "loss_total": float(total.item()),
+        "loss_kld": float(mean["kld"].item()),
+        "loss_dur": float(mean["dur"].item()),
+    }
+    if include_recon:
+        out["loss_recon"] = float(mean["recon"].item())
+    return out
+
+
+@pytest.fixture
+def per_utterance_step():
+    """Oracle of ``train.training_step``, with its signature so it can be
+    patched in for it."""
+    return _per_utterance_step

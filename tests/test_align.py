@@ -76,6 +76,15 @@ class TestSearch:
             a = align.monotonic_alignment_search(rng.normal(size=(n, t)))
             assert_valid_alignment(a, n, t)
 
+    def test_sequence_of_grids_gives_one_path_each(self):
+        rng = np.random.default_rng(5)
+        grids = [rng.normal(size=shape) for shape in ((2, 9), (5, 5), (1, 3))]
+        paths = align.monotonic_alignment_search(grids)
+        assert isinstance(paths, list) and len(paths) == 3
+        for grid, path in zip(grids, paths):
+            assert np.array_equal(path, align.monotonic_alignment_search(grid))
+        assert align.monotonic_alignment_search(tuple(grids))[1].tolist() == list(range(5))
+
 
 class TestDurations:
     def test_example(self):

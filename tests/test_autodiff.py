@@ -158,6 +158,20 @@ class TestStructuredOps:
         ids = np.array([0, 2, 2, 1])
         check_grads(lambda a: (tz.take_rows(a, ids) * rand(4, 3, seed=52)).sum(), rand(3, 3, seed=53))
 
+    def test_take_rows_plain_scatter_matches_scatter_add(self):
+        # Distinct ids: the plain scatter gives the scatter-add's bytes,
+        # where a -0.0 upstream gradient lands as 0.0.
+        ids = np.array([4, 0, 2])
+        upstream = rand(3, 2, seed=56)
+        upstream[1, 0] = -0.0
+        grads = []
+        for sum_repeats in (True, False):
+            x = Tensor(rand(5, 2, seed=57), requires_grad=True)
+            tz.take_rows(x, ids, sum_repeats=sum_repeats).backward(upstream)
+            grads.append(x.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert not np.signbit(grads[1][0, 0])
+
     def test_repeat_cols(self):
         reps = np.array([2, 1, 3])
         check_grads(

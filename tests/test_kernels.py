@@ -28,6 +28,30 @@ def brute_force_alignment(grid):
     return best_score, best_assign
 
 
+def cellwise_mas(grid):
+    """The alignment DP written cell by cell in plain Python floats: Q[j, t]
+    takes Q[j, t-1] when it is >= Q[j-1, t-1] (so a NaN comparison moves),
+    token 0 never moves, and the backtrack starts at the last cell."""
+    n, t_len = grid.shape
+    q = [[-np.inf] * t_len for _ in range(n)]
+    stay = [[True] * t_len for _ in range(n)]
+    q[0][0] = float(grid[0, 0])
+    for t in range(1, t_len):
+        for j in range(n):
+            if j == 0 or q[j][t - 1] >= q[j - 1][t - 1]:
+                best = q[j][t - 1]
+            else:
+                best, stay[j][t] = q[j - 1][t - 1], False
+            q[j][t] = float(grid[j, t]) + best
+    out = [0] * t_len
+    j = out[-1] = n - 1
+    for t in range(t_len - 1, 0, -1):
+        if not stay[j][t]:
+            j -= 1
+        out[t - 1] = j
+    return np.array(out, dtype=np.int64)
+
+
 def dp_matrix_levenshtein(a, b):
     """Classic full-matrix edit distance, kept deliberately naive."""
     la, lb = len(a), len(b)
@@ -106,6 +130,70 @@ class TestMas:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             _kernels.mas_assignment(np.zeros((0, 3)))
+
+
+@st.composite
+def mas_batches(draw):
+    """1-6 ragged grids: Gaussian, tie-heavy integer, or Gaussian with -inf
+    and NaN cells; n == t and 1-frame grids are drawn often."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 8))
+        t = draw(st.one_of(st.just(n), st.integers(n, 40)))
+        kind = draw(st.sampled_from(["normal", "ties", "non-finite"]))
+        if kind == "ties":
+            grid = rng.integers(-2, 2, size=(n, t)).astype(np.float64)
+        else:
+            grid = rng.normal(size=(n, t))
+        if kind == "non-finite":
+            cells = rng.random((n, t))
+            grid[cells < 0.15] = -np.inf
+            grid[cells > 0.95] = np.nan
+        grids.append(grid)
+    return grids
+
+
+class TestMasBatch:
+    """One search over a padded batch must give each grid's own path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mas_batches())
+    def test_matches_single_grids(self, grids):
+        batch = _kernels.mas_assignments(grids)
+        assert len(batch) == len(grids)
+        for grid, got in zip(grids, batch):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _kernels.mas_assignment(grid))
+            assert np.array_equal(got, cellwise_mas(grid))
+
+    def test_finite_paths_are_valid(self):
+        rng = np.random.default_rng(20)
+        shapes = [(1, 1), (3, 3), (1, 7), (8, 40), (5, 12)]
+        grids = [rng.normal(size=shape) for shape in shapes]
+        for (n, t), assign in zip(shapes, _kernels.mas_assignments(grids)):
+            assert_valid_alignment(assign, n, t)
+
+    def test_nan_grid_stays_in_range(self):
+        grid = np.full((3, 6), np.nan)
+        assign = _kernels.mas_assignment(grid)
+        assert assign.min() >= 0 and assign.max() <= 2
+
+    def test_empty_batch(self):
+        assert _kernels.mas_assignments([]) == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.zeros((4, 3)), r"grid 2: .*4 > 3"),
+            (np.zeros((0, 3)), r"grid 2: empty grid"),
+            (np.zeros(3), r"grid 2: expected \[n_tokens, n_frames\]"),
+        ],
+    )
+    def test_shape_error_names_the_grid(self, bad, message):
+        grids = [np.zeros((2, 5)), np.zeros((1, 1)), bad, np.zeros((3, 4))]
+        with pytest.raises(ValueError, match=message):
+            _kernels.mas_assignments(grids)
 
 
 class TestLevenshtein:
@@ -233,6 +321,7 @@ def test_bench_kernels_script_runs():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == [
-        "mas_assignment", "mas_assignment", "levenshtein", "nearest_centroids"
+        "mas_assignment", "mas_assignment", "mas_assignments", "levenshtein",
+        "nearest_centroids",
     ]
     assert all(float(row[-1]) > 0 for row in rows)

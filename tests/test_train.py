@@ -26,6 +26,7 @@ from pptts.train import (
     TrainError,
     apply_partition,
     build_model_from_checkpoint,
+    encode_frozen,
     init_finetune_from_pretrained,
     load_checkpoint,
     partition_parameters,
@@ -34,6 +35,7 @@ from pptts.train import (
     save_checkpoint,
     training_step,
 )
+from pptts import train as train_module
 from pptts.nn import AdamW, Conv1d
 
 
@@ -289,6 +291,115 @@ class TestTrainingStep:
             assert grad is not None, name
             assert fused[name].tobytes() == grad.tobytes(), name
             assert fused[name].strides == grad.strides, name
+
+
+def _multi_speaker_finetune():
+    """A multi-speaker fine-tune model, partitioned, with its optimizer."""
+    pre = SynthesisModel(micro_model_config(multi_speaker=True), AUDIO, "pretrain", seed=1)
+    model = init_finetune_from_pretrained(_save_load_roundtrip(pre), seed=2)
+    part = partition_parameters(model, "finetune")
+    apply_partition(model, part)
+    named = dict(model.named_parameters())
+    opt = AdamW(
+        [(n, named[n]) for n in sorted(part.trainable)],
+        lr=1e-2,
+        lr_scales={n: 5.0 for n in part.scratch},
+    )
+    return model, opt, part
+
+
+def _snapshot(model, opt) -> dict[str, bytes | None]:
+    """Bytes of every gradient, parameter and AdamW moment."""
+    out = {}
+    for name, p in model.named_parameters():
+        out[f"grad {name}"] = None if p.grad is None else p.grad.tobytes()
+        out[f"data {name}"] = p.data.tobytes()
+    state = opt.state_dict()
+    for slot in ("m", "v"):
+        out.update({f"{slot} {n}": a.tobytes() for n, a in state[slot].items()})
+    return out
+
+
+class TestFrozenEncodings:
+    def test_step_matches_per_utterance_oracle(self, corpus, per_utterance_step):
+        """Three multi-speaker fine-tune steps at batch 4 that reuse frozen
+        encodings and align each batch in one search give the bytes of steps
+        that encode and align every utterance on their own."""
+        cfg = micro_run_config("finetune")
+        items = prepare_corpus(corpus, cfg, "finetune")
+        runs = []
+        for step_fn in (training_step, per_utterance_step):
+            model, opt, part = _multi_speaker_finetune()
+            frozen = encode_frozen(model, items)
+            history = []
+            for step in range(1, 4):
+                picks = [(step + k) % len(items) for k in range(4)]
+                metrics = step_fn(
+                    model, opt, [items[i] for i in picks], cfg.train, step, part, False,
+                    frozen=[frozen[i] for i in picks],
+                )
+                history.append((metrics, _snapshot(model, opt)))
+            runs.append(history)
+        for (metrics, got), (want_metrics, want) in zip(*runs):
+            assert metrics == want_metrics
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key] == want[key], key
+            assert got["grad flow.blocks.0.conv1.weight"] is not None
+
+    def test_finetune_run_encodes_each_item_once(
+        self, tmp_path, corpus, monkeypatch, per_utterance_step
+    ):
+        model_cfg = micro_model_config(multi_speaker=True)
+        ckpt = tmp_path / "pre.ckpt"
+        save_checkpoint(SynthesisModel(model_cfg, AUDIO, "pretrain", seed=1), ckpt, "pretrain")
+        cfg = dataclasses.replace(
+            micro_run_config("finetune", iterations=3, batch_size=4), model=model_cfg
+        )
+        calls = {"posterior_encode": 0, "reference_encode": 0}
+        for name in calls:
+            real = getattr(SynthesisModel, name)
+
+            def counted(self, *args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(SynthesisModel, name, counted)
+        fast = run_training(corpus, cfg, tmp_path / "fast", init_ckpt=ckpt)
+        labeled = len(prepare_corpus(corpus, cfg, "finetune"))
+        assert calls == {"posterior_encode": labeled, "reference_encode": labeled}
+
+        monkeypatch.setattr(train_module, "training_step", per_utterance_step)
+        slow = run_training(corpus, cfg, tmp_path / "slow", init_ckpt=ckpt)
+        assert fast.checkpoint_path.read_bytes() == slow.checkpoint_path.read_bytes()
+        assert fast.metrics_path.read_bytes() == slow.metrics_path.read_bytes()
+
+    def test_from_scratch_trains_posterior_and_reference(self, tmp_path, corpus):
+        """From scratch every encoder is trainable, so none may be cached."""
+        cfg = dataclasses.replace(
+            micro_run_config("finetune", from_scratch=True, iterations=1),
+            model=micro_model_config(multi_speaker=True),
+        )
+        result = run_training(corpus, cfg, tmp_path / "scratch")
+        encoders = [
+            (n, p) for n, p in result.model.named_parameters()
+            if n.startswith(("posterior.", "reference."))
+        ]
+        assert encoders
+        for name, p in encoders:
+            assert p.grad is not None and np.any(p.grad != 0), name
+
+    def test_step_refuses_frozen_encodings_of_trainable_encoders(self, corpus):
+        cfg = micro_run_config("finetune")
+        items = prepare_corpus(corpus, cfg, "finetune")[:2]
+        model = SynthesisModel(micro_model_config(), AUDIO, "finetune", seed=0)
+        part = partition_parameters(model, "pretrain")
+        opt = AdamW(list(model.named_parameters()), lr=1e-3)
+        frozen = encode_frozen(model, items)
+        with pytest.raises(TrainError, match="trainable encoders"):
+            training_step(model, opt, items, cfg.train, 1, part, True, frozen=frozen)
+        with pytest.raises(TrainError, match="1 frozen encodings for 2 items"):
+            training_step(model, opt, items, cfg.train, 1, part, True, frozen=frozen[:1])
 
 
 def _save_load_roundtrip(model, tmp=None):
