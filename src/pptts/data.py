@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +44,8 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Load a JSON-lines manifest, preserving file order.
 
     Raises ManifestError naming the offending line for malformed JSON,
-    missing required fields, or duplicate ids.
+    missing required fields, duplicate ids, a non-string ``text`` or a
+    ``duration_s`` that is not a finite positive number.
     """
     path = Path(path)
     if not path.exists():
@@ -65,21 +67,25 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
                 raise ManifestError(
                     f"{path}:{lineno}: missing field(s) {', '.join(missing)}"
                 )
-            if record["id"] in seen:
-                raise ManifestError(f"{path}:{lineno}: duplicate id {record['id']!r}")
-            seen.add(record["id"])
-            try:
-                entries.append(
-                    ManifestEntry(
-                        id=str(record["id"]),
-                        audio_path=str(record["audio_path"]),
-                        speaker_id=str(record["speaker_id"]),
-                        duration_s=float(record["duration_s"]),
-                        text=record.get("text"),
-                    )
+            entry_id = str(record["id"])
+            if entry_id in seen:
+                raise ManifestError(f"{path}:{lineno}: duplicate id {entry_id!r}")
+            seen.add(entry_id)
+            seconds, text = record["duration_s"], record.get("text")
+            # A JSON number (no bool, string or null), finite and positive.
+            if type(seconds) not in (int, float) or not 0 < seconds <= sys.float_info.max:
+                raise ManifestError(f"{path}:{lineno}: duration_s must be a finite number > 0")
+            if not isinstance(text, (str, type(None))):
+                raise ManifestError(f"{path}:{lineno}: text must be a string or null")
+            entries.append(
+                ManifestEntry(
+                    id=entry_id,
+                    audio_path=str(record["audio_path"]),
+                    speaker_id=str(record["speaker_id"]),
+                    duration_s=float(seconds),
+                    text=text,
                 )
-            except ManifestError as exc:
-                raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+            )
     return entries
 
 

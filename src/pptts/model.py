@@ -24,7 +24,7 @@ from . import align
 from . import tensor as T
 from .config import AudioConfig, ModelConfig
 from .data import PhonemeSequence
-from .nn import Conv1d, Embedding, Linear, Module, ModuleList
+from .nn import Conv1d, Embedding, Module, ModuleList
 from .pseudo import PseudoPhonemeSequence
 from .seeding import seeded_rng
 from .tensor import Tensor
@@ -110,7 +110,7 @@ class CouplingBlock(Module):
         self.conv2 = Conv1d(hidden, hidden, 3, padding=1, rng=rng, dtype=dtype)
         self.proj = Conv1d(hidden, channels, 1, zero_init=True, dtype=dtype)
         if speaker_dim:
-            self.speaker_proj = Linear(speaker_dim, hidden, rng=rng, dtype=dtype)
+            self.speaker_proj = Conv1d(speaker_dim, hidden, 1, rng=rng, dtype=dtype)
 
     def _halves(self, x: Tensor) -> tuple[Tensor, Tensor]:
         if self.parity == 0:
@@ -242,7 +242,9 @@ class WaveDecoder(Module):
     """Latent frames -> waveform via upsampling convolution stages.
 
     Each stage is a ``2f + 1``-tap convolution over the input zero-stuffed
-    by ``f``, computed by :meth:`Conv1d.upsampled` from the real columns.
+    by ``f``, computed by :meth:`Conv1d.upsampled` from the real columns
+    and recorded as one graph node, as are the pre and post convolutions
+    and the speaker projection.
 
     Output length is exactly ``frames * hop``; ``calls`` counts forward
     evaluations so training stages can prove the decoder was never run.
@@ -267,7 +269,7 @@ class WaveDecoder(Module):
         )
         self.post = Conv1d(channels, 1, 7, padding=3, rng=rng, dtype=dtype)
         if speaker_dim:
-            self.speaker_proj = Linear(speaker_dim, channels, rng=rng, dtype=dtype)
+            self.speaker_proj = Conv1d(speaker_dim, channels, 1, rng=rng, dtype=dtype)
 
     def __call__(self, z: Tensor, speaker: Tensor | None = None) -> Tensor:
         self.calls += 1
@@ -298,7 +300,7 @@ class ReferenceEncoder(Module):
         self.conv2 = Conv1d(
             hidden, hidden, 3, padding=1, pad_mode="circular", rng=rng, dtype=dtype
         )
-        self.proj = Linear(hidden, embed_dim, rng=rng, dtype=dtype)
+        self.proj = Conv1d(hidden, embed_dim, 1, rng=rng, dtype=dtype)
 
     def __call__(self, mel: Tensor) -> Tensor:
         h = self.conv2(self.conv1(mel).relu()).relu()

@@ -4,6 +4,10 @@ Modules register parameters and submodules on attribute assignment, so
 ``named_parameters`` yields dotted names like ``flow.blocks.0.conv.weight``.
 Every layer takes an explicit ``numpy.random.Generator`` for initialization,
 which keeps model construction reproducible without global RNG state.
+
+The layers are ``Conv1d``, whose every call (upsampling stages and 1-tap
+projections included) records one graph node, and ``Embedding``; ``AdamW``
+is the optimizer.
 """
 
 from __future__ import annotations
@@ -121,55 +125,14 @@ class Conv1d(Module):
 
         For a zero-padded convolution of ``2 * factor + 1`` taps and
         padding ``factor``, output column ``factor * t + r`` reads only
-        the input columns ``t - 1``, ``t`` and ``t + 1`` (the first only
-        when ``r == 0``). Gathering those taps into one weight per phase
-        makes the work proportional to the input width rather than to the
-        upsampled width.
+        the input columns ``t - 1``, ``t`` and ``t + 1``, so the work of
+        :func:`pptts.tensor.conv1d_upsampled` is proportional to the input
+        width rather than to the upsampled width.
         """
         f = factor
         if (self.kernel_size, self.padding, self.pad_mode) != (2 * f + 1, f, "zeros"):
             raise ValueError("upsampled() needs kernel 2*factor+1, padding factor")
-        channels, width = x.shape
-        # Row (c, j, r) of the gathered weight holds tap f*j - r of input
-        # channel c, or the appended zero row where that tap does not exist.
-        c, j, r = np.meshgrid(
-            np.arange(channels), np.arange(3), np.arange(f), indexing="ij"
-        )
-        taps = f * j - r
-        zero_row = channels * self.kernel_size
-        ids = np.where(taps >= 0, c * self.kernel_size + taps, zero_row).ravel()
-        zero = Tensor(np.zeros((1, self.out_channels), self.weight.dtype))
-        weight_t = T.concat([self.weight.t(), zero])
-        # Every real tap is gathered once and the zero row's gradient is
-        # dropped, so the backward needs no scatter-add.
-        phases = T.take_rows(weight_t, ids, sum_repeats=False).reshape(3 * channels, -1)
-        cols = T.frame_cols(T.pad_cols(x, 1, 1), 3)
-        out = (cols.t() @ phases).reshape(width * f, self.out_channels).t()
-        return out + self.bias.reshape(self.out_channels, 1)
-
-
-class Linear(Module):
-    """Affine map applied columnwise to [in_features, T] tensors."""
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        rng: np.random.Generator,
-        dtype=np.float32,
-    ) -> None:
-        super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
-        bound = 1.0 / np.sqrt(in_features)
-        self.weight = Tensor(
-            _uniform(rng, bound, (out_features, in_features), dtype),
-            requires_grad=True,
-        )
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return (self.weight @ x) + self.bias.reshape(self.out_features, 1)
+        return T.conv1d_upsampled(x, self.weight, self.bias, f)
 
 
 class Embedding(Module):

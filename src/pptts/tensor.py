@@ -6,9 +6,9 @@ products needed to backpropagate, and ``Tensor.backward`` walks the graph
 once in reverse topological order. Broadcasting follows numpy; ``matmul``
 is restricted to 2-D operands.
 
-Structured ops used by the models live here too: 1-D convolution as one
-graph node, im2col framing, zero/circular padding, row gather with
-scatter-add backward, run-length column repetition, and the STFT magnitude
+Structured ops used by the models live here too: 1-D convolution and the
+decoder's upsampling convolution, each one graph node; row gather with
+scatter-add backward; run-length column repetition; and the STFT magnitude
 that the log-mel chain of :mod:`pptts.features` is built on.
 """
 
@@ -351,14 +351,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, parent_vjps, "concat")
 
 
-def take_rows(x: Tensor, ids: np.ndarray, sum_repeats: bool = True) -> Tensor:
-    """Gather ``x[ids]`` along the leading axis; scatter-add backward.
-
-    With ``sum_repeats=False`` the backward is a plain scatter, several
-    times faster than ``np.add.at``: a row that ``ids`` repeats then gets
-    one of its gradients instead of their sum, so pass it only when the
-    gradient of every repeated row is discarded.
-    """
+def take_rows(x: Tensor, ids: np.ndarray) -> Tensor:
+    """Gather ``x[ids]`` along the leading axis; scatter-add backward."""
     ids = np.asarray(ids)
     if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
         raise TypeError("ids must be a 1-D integer array")
@@ -366,11 +360,7 @@ def take_rows(x: Tensor, ids: np.ndarray, sum_repeats: bool = True) -> Tensor:
 
     def vjp(g: np.ndarray) -> np.ndarray:
         gx = np.zeros_like(x.data)
-        if sum_repeats:
-            np.add.at(gx, ids, g)
-        else:
-            # ``+ 0.0`` turns -0.0 into 0.0, as adding into zeros does.
-            gx[ids] = g + 0.0
+        np.add.at(gx, ids, g)
         return gx
 
     return _make(out, [(x, vjp)], "take_rows")
@@ -428,14 +418,6 @@ def _unpad_grad(g: np.ndarray, left: int, right: int, mode: str) -> np.ndarray:
     return core
 
 
-def pad_cols(x: Tensor, left: int, right: int, mode: str = "zeros") -> Tensor:
-    """Pad the time axis of a [C, T] tensor with zeros or circularly."""
-    if x.data.ndim != 2:
-        raise ValueError("pad_cols requires a 2-D tensor")
-    out = _pad_data(x.data, left, right, mode)
-    return _make(out, [(x, lambda g: _unpad_grad(g, left, right, mode))], "pad_cols")
-
-
 def _im2col(data: np.ndarray, kernel: int) -> np.ndarray:
     """[C, T] -> [C * kernel, T - kernel + 1]; column t is the flattened
     window data[:, t : t + kernel]."""
@@ -463,16 +445,6 @@ def _col2im(g: np.ndarray, like: np.ndarray, kernel: int) -> np.ndarray:
     return gx
 
 
-def frame_cols(x: Tensor, kernel: int) -> Tensor:
-    """im2col for 1-D convolution over a [C, T] tensor.
-
-    Output is [C * kernel, T - kernel + 1] with column t holding the
-    flattened window x[:, t : t + kernel].
-    """
-    out = _im2col(x.data, kernel)
-    return _make(out, [(x, lambda g: _col2im(g, x.data, kernel))], "frame_cols")
-
-
 def conv1d(
     x: Tensor,
     weight: Tensor,
@@ -484,11 +456,10 @@ def conv1d(
     """1-D convolution of a [C_in, T] tensor as one graph node.
 
     ``weight`` is [C_out, C_in * kernel] and ``bias`` is [C_out]. Forward
-    and gradients compute the same expressions, in the same order, as
-    ``weight @ frame_cols(pad_cols(x, padding, padding, pad_mode), kernel)
-    + bias.reshape(C_out, 1)``, so every bit matches that chain;
-    what goes away is its four intermediate nodes and the gradient copies
-    they make. The parents are listed as (weight, x, bias), the order in
+    and gradients compute the expressions of the chain pad -> im2col ->
+    ``weight @ cols`` -> bias add (a test oracle), in its order, so every
+    bit matches it; its four intermediate nodes and their gradient copies
+    go away. The parents are listed as (weight, x, bias), the order in
     which the chain's depth-first walk reached them, so a computed weight
     would also get its gradient terms summed in the chain's order.
     """
@@ -509,6 +480,55 @@ def conv1d(
             (bias, lambda g: g.sum(axis=(1,), keepdims=True).reshape(bias.data.shape)),
         ],
         "conv1d",
+    )
+
+
+def conv1d_upsampled(x: Tensor, weight: Tensor, bias: Tensor, factor: int) -> Tensor:
+    """``conv1d`` with ``2 * factor + 1`` taps and zero padding ``factor``
+    of ``x`` zero-stuffed by ``factor``, as one node that never builds the
+    stuffed zeros: output column ``factor * t + r`` reads only input columns
+    ``t - 1 .. t + 1``, so one GEMM of their windows with the weight's taps
+    regathered per phase (zeros where a tap does not exist) gives all of
+    them. The expressions and their order, F-ordered [C_out, W * factor]
+    output included, are those of the twelve-node chain of a test oracle,
+    so every bit matches it.
+    """
+    channels, width = x.shape
+    kernel, w = 2 * factor + 1, weight.data
+    out_channels = w.shape[0]
+    # Row (c, j, r) of the phases holds tap ``factor * j - r`` of input
+    # channel c, or the appended zero row where that tap does not exist.
+    taps = factor * np.arange(3)[:, None] - np.arange(factor)
+    ids = np.arange(channels)[:, None, None] * kernel + taps
+    ids = np.where(taps >= 0, ids, channels * kernel).ravel()
+    weight_t = np.concatenate([w.T, np.zeros((1, out_channels), w.dtype)])
+    phases = weight_t[ids].reshape(3 * channels, -1)
+    src = _pad_data(x.data, 1, 1, "zeros")
+    cols = _im2col(src, 3)
+    out = (cols.T @ phases).reshape(width * factor, out_channels).T
+    out = out + bias.data.reshape(out_channels, 1)
+
+    def vjp_weight(g: np.ndarray) -> np.ndarray:
+        gp = (cols @ g.T.reshape(width, -1)).reshape(len(ids), out_channels)
+        gwt = np.zeros_like(weight_t)
+        # Every real tap is gathered once and the zero row is dropped, so a
+        # plain scatter does; ``+ 0.0`` turns -0.0 into 0.0, as adding into
+        # zeros does.
+        gwt[ids] = gp + 0.0
+        return gwt[:-1].T
+
+    def vjp_x(g: np.ndarray) -> np.ndarray:
+        gc = (g.T.reshape(width, -1) @ phases.T).T
+        return _unpad_grad(_col2im(gc, src, 3), 1, 1, "zeros")
+
+    return _make(
+        out,
+        [
+            (weight, vjp_weight),
+            (x, vjp_x),
+            (bias, lambda g: g.sum(axis=(1,), keepdims=True).reshape(bias.data.shape)),
+        ],
+        "conv1d_upsampled",
     )
 
 

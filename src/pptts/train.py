@@ -403,7 +403,7 @@ def save_checkpoint(
     stage: str,
     seed: int = 0,
     codebook_hash: str | None = None,
-    optimizer=None,
+    optimizer: AdamW | None = None,
     from_scratch: bool = False,
 ) -> None:
     """Serialize model weights and metadata atomically.
@@ -429,7 +429,7 @@ def save_checkpoint(
     }
     blobs = [np.ascontiguousarray(p.data) for _, p in named]
     if optimizer is not None:
-        state = optimizer if isinstance(optimizer, dict) else optimizer.state_dict()
+        state = optimizer.state_dict()
         names = sorted(state["m"])
         header["optimizer"] = {
             "step": int(state["step"]),
@@ -614,7 +614,7 @@ def init_finetune_from_pretrained(
     if text_vocab_size is not None and text_vocab_size != config.text_vocab_size:
         config = dataclasses.replace(config, text_vocab_size=text_vocab_size)
     model = SynthesisModel(config, ckpt.audio, "finetune", seed=seed)
-    keep = ("posterior.", "flow.", "decoder.", "reference.")
+    keep = _FROZEN_PREFIXES + _FINETUNED_PREFIXES
     carried = {k: v for k, v in ckpt.params.items() if k.startswith(keep)}
     _load_params(model, carried, require_all=False)
     # Every carried-over prefix must be fully covered by the new model.

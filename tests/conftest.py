@@ -4,9 +4,11 @@ The acceptance tests in ``test_acceptance.py`` are named
 ``test_criterion_<n>_...``; after the run, one PASS/FAIL line per criterion
 is printed so the acceptance status is readable at a glance. The
 ``conv1d_chain`` fixture is the oracle of the fused convolution tests,
-``upsample_cols`` that of the zero-stuffing-free upsampling convolution and
-``per_utterance_step`` that of a training step with frozen encodings and
-one alignment search per batch.
+``upsampled_chain`` that of the fused upsampling convolution,
+``upsample_cols`` the zero-stuffed input that the upsampling convolution
+never builds, and ``per_utterance_step`` the oracle of a training step with
+frozen encodings and one alignment search per batch. ``pad_cols`` and
+``frame_cols`` are single ops those chains are made of.
 """
 
 from __future__ import annotations
@@ -56,39 +58,85 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
         )
 
 
-def _np_pad_cols(x, pad: int, mode: str):
+def _pad_cols(x, left: int, right: int, mode: str = "zeros"):
     """Time-axis padding as an op on ``np.pad``, independent of ``tensor``'s
     padding code."""
     from pptts import tensor as tz
 
     width = x.data.shape[1]
     if mode == "zeros":
-        out = np.pad(x.data, ((0, 0), (pad, pad)))
+        out = np.pad(x.data, ((0, 0), (left, right)))
 
         def vjp(g):
-            return g[:, pad : pad + width]
+            return g[:, left : left + width]
 
     else:
-        out = np.pad(x.data, ((0, 0), (pad, pad)), mode="wrap")
+        out = np.pad(x.data, ((0, 0), (left, right)), mode="wrap")
 
         def vjp(g):
-            core = np.array(g[:, pad : pad + width], copy=True)
-            core[:, width - pad :] += g[:, :pad]
-            core[:, :pad] += g[:, pad + width :]
+            core = np.array(g[:, left : left + width], copy=True)
+            if left:
+                core[:, width - left :] += g[:, :left]
+            if right:
+                core[:, :right] += g[:, left + width :]
             return core
 
     return tz._make(out, [(x, vjp)], "pad_cols")
 
 
+def _frame_cols(x, kernel: int):
+    """im2col of a [C, T] tensor: [C * kernel, T - kernel + 1], column t
+    holding the flattened window x[:, t : t + kernel]."""
+    from pptts import tensor as tz
+
+    out = tz._im2col(x.data, kernel)
+    return tz._make(out, [(x, lambda g: tz._col2im(g, x.data, kernel))], "frame_cols")
+
+
+def _take_rows_scatter(x, ids):
+    """``x[ids]`` along the leading axis with a plain-scatter backward: a
+    row that ``ids`` repeats gets one of its gradients, not their sum."""
+    from pptts import tensor as tz
+
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        # ``+ 0.0`` turns -0.0 into 0.0, as adding into zeros does.
+        gx[ids] = g + 0.0
+        return gx
+
+    return tz._make(x.data[ids], [(x, vjp)], "take_rows")
+
+
 def _conv1d_chain(conv, x):
     """``Conv1d.__call__`` as a chain of five graph nodes: pad, im2col,
     matmul, bias reshape and add."""
+    if conv.padding:
+        x = _pad_cols(x, conv.padding, conv.padding, conv.pad_mode)
+    cols = _frame_cols(x, conv.kernel_size)
+    return (conv.weight @ cols) + conv.bias.reshape(conv.out_channels, 1)
+
+
+def _upsampled_chain(conv, x, factor: int, take_rows=_take_rows_scatter):
+    """``Conv1d.upsampled`` as a chain of twelve graph nodes: weight
+    transpose, concat with a zero row, gather of the phase weights,
+    reshape, pad, im2col, transpose, matmul, reshape, transpose, bias
+    reshape and add."""
     from pptts import tensor as tz
 
-    if conv.padding:
-        x = _np_pad_cols(x, conv.padding, conv.pad_mode)
-    cols = tz.frame_cols(x, conv.kernel_size)
-    return (conv.weight @ cols) + conv.bias.reshape(conv.out_channels, 1)
+    f = factor
+    channels, width = x.shape
+    # Row (c, j, r) of the gathered weight holds tap f*j - r of input
+    # channel c, or the appended zero row where that tap does not exist.
+    c, j, r = np.meshgrid(np.arange(channels), np.arange(3), np.arange(f), indexing="ij")
+    taps = f * j - r
+    zero_row = channels * conv.kernel_size
+    ids = np.where(taps >= 0, c * conv.kernel_size + taps, zero_row).ravel()
+    zero = tz.Tensor(np.zeros((1, conv.out_channels), conv.weight.dtype))
+    weight_t = tz.concat([conv.weight.t(), zero])
+    phases = take_rows(weight_t, ids).reshape(3 * channels, -1)
+    cols = _frame_cols(_pad_cols(x, 1, 1), 3)
+    out = (cols.t() @ phases).reshape(width * f, conv.out_channels).t()
+    return out + conv.bias.reshape(conv.out_channels, 1)
 
 
 def _upsample_cols(x, factor: int):
@@ -111,6 +159,23 @@ def upsample_cols():
     """Oracle of ``Conv1d.upsampled``: the zero-stuffed input that it
     convolves without materializing."""
     return _upsample_cols
+
+
+@pytest.fixture
+def pad_cols():
+    return _pad_cols
+
+
+@pytest.fixture
+def frame_cols():
+    return _frame_cols
+
+
+@pytest.fixture
+def upsampled_chain():
+    """Oracle for byte-equality tests of ``tensor.conv1d_upsampled``; has
+    the signature of ``Conv1d.upsampled`` so it can be patched in for it."""
+    return _upsampled_chain
 
 
 @pytest.fixture

@@ -158,20 +158,6 @@ class TestStructuredOps:
         ids = np.array([0, 2, 2, 1])
         check_grads(lambda a: (tz.take_rows(a, ids) * rand(4, 3, seed=52)).sum(), rand(3, 3, seed=53))
 
-    def test_take_rows_plain_scatter_matches_scatter_add(self):
-        # Distinct ids: the plain scatter gives the scatter-add's bytes,
-        # where a -0.0 upstream gradient lands as 0.0.
-        ids = np.array([4, 0, 2])
-        upstream = rand(3, 2, seed=56)
-        upstream[1, 0] = -0.0
-        grads = []
-        for sum_repeats in (True, False):
-            x = Tensor(rand(5, 2, seed=57), requires_grad=True)
-            tz.take_rows(x, ids, sum_repeats=sum_repeats).backward(upstream)
-            grads.append(x.grad)
-        assert grads[0].tobytes() == grads[1].tobytes()
-        assert not np.signbit(grads[1][0, 0])
-
     def test_repeat_cols(self):
         reps = np.array([2, 1, 3])
         check_grads(
@@ -179,31 +165,35 @@ class TestStructuredOps:
             rand(2, 3, seed=55),
         )
 
-    def test_pad_cols_zeros(self):
+    # The pad and im2col ops below are the test oracles' own (conftest);
+    # tensor.conv1d fuses the same arithmetic into one node.
+    def test_pad_cols_zeros(self, pad_cols):
         check_grads(
-            lambda a: (tz.pad_cols(a, 2, 1) * rand(3, 7, seed=56)).sum(),
+            lambda a: (pad_cols(a, 2, 1) * rand(3, 7, seed=56)).sum(),
             rand(3, 4, seed=57),
         )
 
-    def test_pad_cols_circular(self):
+    def test_pad_cols_circular(self, pad_cols):
         check_grads(
-            lambda a: (tz.pad_cols(a, 2, 2, mode="circular") * rand(2, 9, seed=58)).sum(),
+            lambda a: (pad_cols(a, 2, 2, mode="circular") * rand(2, 9, seed=58)).sum(),
             rand(2, 5, seed=59),
         )
 
-    def test_pad_cols_circular_rejects_wide_pad(self):
-        with pytest.raises(ValueError):
-            tz.pad_cols(Tensor(rand(2, 3, seed=60)), 4, 0, mode="circular")
+    def test_conv1d_circular_rejects_wide_pad(self):
+        x = Tensor(rand(2, 3, seed=60))
+        w, b = Tensor(rand(2, 2, seed=61)), Tensor(np.zeros(2))
+        with pytest.raises(ValueError, match="circular pad wider"):
+            tz.conv1d(x, w, b, 1, 4, "circular")
 
-    def test_frame_cols(self):
+    def test_frame_cols(self, frame_cols):
         check_grads(
-            lambda a: (tz.frame_cols(a, 3) * rand(6, 5, seed=61)).sum(),
+            lambda a: (frame_cols(a, 3) * rand(6, 5, seed=61)).sum(),
             rand(2, 7, seed=62),
         )
 
-    def test_frame_cols_stride_one(self):
+    def test_frame_cols_stride_one(self, frame_cols):
         check_grads(
-            lambda a: (tz.frame_cols(a, 2) * rand(6, 4, seed=63)).sum(),
+            lambda a: (frame_cols(a, 2) * rand(6, 4, seed=63)).sum(),
             rand(3, 5, seed=64),
         )
 
@@ -217,6 +207,18 @@ class TestStructuredOps:
             rand(2, 7, seed=81),
             rand(4, 6, seed=82),
             rand(4, seed=83),
+        )
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_conv1d_upsampled(self, factor):
+        taps = 2 * factor + 1
+        check_grads(
+            lambda x, w, b: (
+                tz.conv1d_upsampled(x, w, b, factor) * rand(3, 4 * factor, seed=84)
+            ).sum(),
+            rand(2, 4, seed=85),
+            rand(3, 2 * taps, seed=86),
+            rand(3, seed=87),
         )
 
     def test_frame_rows(self):

@@ -210,6 +210,22 @@ class TestCodebookCommand:
         )
 
 
+    def test_wrongly_typed_manifest_text_exits_one(self, workspace, tmp_path, capsys):
+        lines = Path(workspace["manifest"]).read_text().splitlines()
+        first = dict(json.loads(lines[0]), text=5)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        code = run(
+            "finetune", "--config", workspace["config"], "--manifest", manifest,
+            "--init-ckpt", workspace["pre_ckpt"], "--out-dir", tmp_path / "out",
+            "--iterations", 1,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{manifest}:1: text" in err
+        assert "Traceback" not in err
+
+
 class TestTokenizeCommand:
     def test_jsonl_output_and_determinism(self, workspace):
         out1 = workspace["root"] / "tok1.jsonl"

@@ -17,6 +17,7 @@ from pptts.audio import read_wav, write_wav
 from pptts.config import AudioConfig, ModelConfig
 from pptts.features import read_feature_file, write_feature_file
 from pptts.model import SynthesisModel
+from pptts.nn import AdamW
 from pptts.pseudo import Codebook, load_codebook, save_codebook
 from pptts.train import load_checkpoint, save_checkpoint
 
@@ -43,7 +44,8 @@ def _write_checkpoint(path):
     model = SynthesisModel(config, audio, "finetune", seed=0)
     name, param = next(iter(model.named_parameters()))
     slot = np.ones_like(param.data)
-    optimizer = {"step": 3, "m": {name: slot}, "v": {name: 2 * slot}}
+    optimizer = AdamW([(name, param)])
+    optimizer.load_state_dict({"step": 3, "m": {name: slot}, "v": {name: 2 * slot}})
     save_checkpoint(model, path, stage="finetune", optimizer=optimizer)
 
 

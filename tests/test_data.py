@@ -70,6 +70,54 @@ class TestManifest:
         with pytest.raises(ManifestError, match="duplicate"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("text", 5),
+            ("text", ["a"]),
+            ("duration_s", None),
+            ("duration_s", "nan"),
+            ("duration_s", "abc"),
+            ("duration_s", "1.5"),
+            ("duration_s", True),
+            ("duration_s", 0),
+            ("duration_s", -1.0),
+            ("duration_s", 10**400),
+        ],
+    )
+    def test_wrongly_typed_field_names_line(self, tmp_path, field, value):
+        good = {"id": "a", "audio_path": "x", "speaker_id": "s", "duration_s": 1}
+        bad = dict(good, id="b", **{field: value})
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ManifestError, match=f"m.jsonl:2: {field}"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_duration_names_line(self, tmp_path, raw):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"id": "a", "audio_path": "x", "speaker_id": "s", "duration_s": %s}\n' % raw
+        )
+        with pytest.raises(ManifestError, match="m.jsonl:1: duration_s"):
+            load_manifest(path)
+
+    def test_null_text_and_integer_duration_accepted(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"id": "a", "audio_path": "x", "speaker_id": "s", "duration_s": 2, "text": null}\n'
+        )
+        (entry,) = load_manifest(path)
+        assert entry.text is None
+        assert entry.duration_s == 2.0 and type(entry.duration_s) is float
+
+    def test_ids_compared_as_loaded(self, tmp_path):
+        rows = [{"id": i, "audio_path": "x", "speaker_id": "s", "duration_s": 1} for i in (1, "1")]
+        path = tmp_path / "m.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(ManifestError, match="m.jsonl:2: duplicate id '1'"):
+            load_manifest(path)
+
     def test_nonpositive_duration(self):
         with pytest.raises(ManifestError):
             ManifestEntry("a", "x", "s", 0.0)

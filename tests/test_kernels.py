@@ -325,3 +325,19 @@ def test_bench_kernels_script_runs():
         "nearest_centroids",
     ]
     assert all(float(row[-1]) > 0 for row in rows)
+
+
+def test_graph_census_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "graph_census.py")],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = {row[0]: [int(n) for n in row[1:]] for row in map(str.split, proc.stdout.splitlines()[2:])}
+    # Two upsampling stages (hop 64 = 8 * 8) per utterance, batch 4; the
+    # frozen decoder never runs in a fine-tune step.
+    assert rows["conv1d_upsampled"] == [8, 0]
+    assert not {"pad_cols", "frame_cols"} & set(rows)
+    assert rows["total"] == [sum(col) for col in zip(*(v for k, v in rows.items() if k != "total"))]

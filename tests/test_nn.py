@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pptts.nn import AdamW, Conv1d, Embedding, Linear, Module, ModuleList
+from pptts import tensor as tz
+from pptts.nn import AdamW, Conv1d, Embedding, Module, ModuleList
 from pptts.tensor import Tensor
 
 
@@ -188,13 +189,105 @@ class TestConv1dFusedOp:
         assert all(not p._parents for p in out._parents)
 
 
+def _upsampled_run(call, conv, x_data, x_grad, upstream, factor):
+    """Forward and backward of ``call(conv, x, factor)``; returns output and
+    grads."""
+    return _conv_run(lambda c, x: call(c, x, factor), conv, x_data, x_grad, upstream)
+
+
+class TestConv1dUpsampledOp:
+    """``tensor.conv1d_upsampled`` against the chain of ops
+    ``Conv1d.upsampled`` used to record."""
+
+    def _case(self, factor, dtype, layout, seed=0):
+        rng = np.random.default_rng(seed)
+        conv = Conv1d(3, 4, 2 * factor + 1, padding=factor, rng=rng, dtype=dtype)
+        conv.bias.data[...] = rng.normal(size=4)
+        x = _layout(rng.normal(size=(3, 7)).astype(dtype), layout)
+        upstream = _layout(rng.normal(size=(4, 7 * factor)).astype(dtype), layout)
+        return conv, x, upstream
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bytes_match_op_chain(self, factor, dtype, layout, upsampled_chain):
+        conv, x, upstream = self._case(factor, dtype, layout)
+        want_out, want = _upsampled_run(upsampled_chain, conv, x, True, upstream, factor)
+        got_out, got = _upsampled_run(Conv1d.upsampled, conv, x, True, upstream, factor)
+        assert got_out.flags.f_contiguous
+        _assert_same_bits(got_out, want_out)
+        for g, w in zip(got, want):
+            assert w is not None
+            _assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("factor", [1, 3])
+    @pytest.mark.parametrize("frozen", ["input", "weight"])
+    def test_bytes_match_without_some_gradients(self, factor, frozen, upsampled_chain):
+        conv, x, upstream = self._case(factor, np.float32, "F", seed=1)
+        conv.weight.requires_grad = frozen != "weight"
+        x_grad = frozen != "input"
+        want_out, want = _upsampled_run(upsampled_chain, conv, x, x_grad, upstream, factor)
+        got_out, got = _upsampled_run(Conv1d.upsampled, conv, x, x_grad, upstream, factor)
+        _assert_same_bits(got_out, want_out)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+        assert sum(g is None for g in got) == 1
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_negative_zero_upstream_matches_scatter_add(self, factor, upsampled_chain):
+        """An upstream gradient of signed zeros: the plain scatter of the
+        phase gradients gives the bytes of a scatter-add into zeros, so no
+        gradient holds a -0.0."""
+        conv, x, upstream = self._case(factor, np.float64, "C", seed=2)
+        upstream[:, ::2] = -0.0
+        upstream[1] = -0.0
+        x[0] = 0.0
+        runs = [
+            _upsampled_run(Conv1d.upsampled, conv, x, True, upstream, factor),
+            _upsampled_run(upsampled_chain, conv, x, True, upstream, factor),
+            _upsampled_run(
+                lambda c, t, f: upsampled_chain(c, t, f, take_rows=tz.take_rows),
+                conv, x, True, upstream, factor,
+            ),
+        ]
+        (got_out, got), *oracles = runs
+        for want_out, want in oracles:
+            _assert_same_bits(got_out, want_out)
+            for g, w in zip(got, want):
+                _assert_same_bits(g, w)
+        assert not any(np.signbit(g[g == 0]).any() for g in got)
+
+    def test_one_graph_node_per_call(self):
+        conv = Conv1d(2, 3, 5, padding=2, rng=np.random.default_rng(3))
+        x = Tensor(np.ones((2, 5), np.float32), requires_grad=True)
+        out = conv.upsampled(x, 2)
+        assert out.shape == (3, 10)
+        assert out._op == "conv1d_upsampled"
+        assert [id(p) for p in out._parents] == [id(conv.weight), id(x), id(conv.bias)]
+        assert all(not p._parents for p in out._parents)
+
+
 class TestLinear:
+    """A 1-tap ``Conv1d`` is the columnwise affine map of the model's
+    speaker and reference projections."""
+
     def test_matches_matmul(self):
         rng = np.random.default_rng(3)
-        lin = Linear(4, 3, rng=rng, dtype=np.float64)
+        lin = Conv1d(4, 3, 1, rng=rng, dtype=np.float64)
         x = rng.normal(size=(4, 7))
         want = lin.weight.data @ x + lin.bias.data[:, None]
         np.testing.assert_allclose(lin(Tensor(x)).data, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_initial_weights_match_linear_draw(self, dtype):
+        """The draw of the dense layer these projections used to be, so
+        checkpoints written before keep their meaning."""
+        lin = Conv1d(6, 5, 1, rng=np.random.default_rng(12), dtype=dtype)
+        bound = 1.0 / np.sqrt(6)
+        want = np.random.default_rng(12).uniform(-bound, bound, size=(5, 6)).astype(dtype)
+        assert lin.weight.data.tobytes() == want.tobytes()
+        assert lin.weight.shape == (5, 6) and lin.bias.shape == (5,)
+        assert not lin.bias.data.any()
 
 
 class TestEmbedding:
@@ -225,8 +318,8 @@ class TestModule:
             def __init__(self):
                 super().__init__()
                 rng = np.random.default_rng(7)
-                self.first = Linear(2, 2, rng=rng)
-                self.blocks = ModuleList([Linear(2, 2, rng=rng) for _ in range(2)])
+                self.first = Conv1d(2, 2, 1, rng=rng)
+                self.blocks = ModuleList([Conv1d(2, 2, 1, rng=rng) for _ in range(2)])
 
         names = [n for n, _ in Net().named_parameters()]
         assert names == [
@@ -239,14 +332,14 @@ class TestModule:
         ]
 
     def test_zero_grad(self):
-        lin = Linear(2, 2, rng=np.random.default_rng(8), dtype=np.float64)
+        lin = Conv1d(2, 2, 1, rng=np.random.default_rng(8), dtype=np.float64)
         lin(Tensor(np.ones((2, 3)))).sum().backward()
         assert lin.weight.grad is not None
         lin.zero_grad()
         assert lin.weight.grad is None and lin.bias.grad is None
 
     def test_parameter_dict(self):
-        lin = Linear(2, 3, rng=np.random.default_rng(9))
+        lin = Conv1d(2, 3, 1, rng=np.random.default_rng(9))
         d = lin.parameter_dict()
         assert set(d) == {"weight", "bias"}
 

@@ -265,11 +265,12 @@ class TestTrainingStep:
         assert after == before
 
     def test_pretrain_step_gradients_match_op_chain(
-        self, corpus, codebook, provider, monkeypatch, conv1d_chain
+        self, corpus, codebook, provider, monkeypatch, conv1d_chain, upsampled_chain
     ):
         """Every gradient of a batched step is byte-equal to the one the
-        five-node convolution chain gives; the multi-speaker model adds the
-        circularly padded reference encoder."""
+        five-node convolution chain and the twelve-node upsampling chain
+        give; the multi-speaker model adds the circularly padded reference
+        encoder and the 1-tap speaker projections."""
         cfg = micro_run_config("pretrain")
         items = prepare_corpus(corpus, cfg, "pretrain", codebook, provider)
 
@@ -284,6 +285,7 @@ class TestTrainingStep:
 
         fused_metrics, fused = step()
         monkeypatch.setattr(Conv1d, "__call__", conv1d_chain)
+        monkeypatch.setattr(Conv1d, "upsampled", upsampled_chain)
         chain_metrics, chain = step()
         assert fused_metrics == chain_metrics
         assert fused.keys() == chain.keys()
