@@ -18,6 +18,12 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
+def _require_sizes(section, *names: str) -> None:
+    for name in names:
+        if getattr(section, name) < 1:
+            raise ConfigError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class AudioConfig:
     """STFT / mel frontend settings shared across the pipeline."""
@@ -33,10 +39,9 @@ class AudioConfig:
     mel_floor: float = 1e-5
 
     def __post_init__(self) -> None:
+        _require_sizes(self, "sample_rate", "n_fft", "hop_length", "win_length", "n_mels")
         if self.win_length > self.n_fft:
             raise ConfigError("win_length must be <= n_fft")
-        if self.hop_length <= 0 or self.n_fft <= 0:
-            raise ConfigError("hop_length and n_fft must be positive")
 
     @property
     def spec_bins(self) -> int:
@@ -61,10 +66,13 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
+        _require_sizes(
+            self, "latent_channels", "hidden_channels", "flow_blocks", "flow_hidden",
+            "duration_hidden", "decoder_channels", "text_vocab_size", "pseudo_vocab_size",
+            "speaker_embed_dim",
+        )
         if self.latent_channels % 2 != 0:
             raise ConfigError("latent_channels must be even")
-        if self.flow_blocks < 1:
-            raise ConfigError("flow_blocks must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError("dtype must be float32 or float64")
 

@@ -104,9 +104,8 @@ def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Text frontend: character tokens by default, overridable by a lexicon file
-# with one single-character token per line (an optional "<unk>" line maps
-# uncovered symbols).
+# Text frontend: character tokens by default, overridable by a Lexicon of
+# single-character symbols (an optional "<unk>" symbol maps uncovered ones).
 # ---------------------------------------------------------------------------
 
 UNKNOWN_TOKEN = "<unk>"
@@ -157,16 +156,6 @@ class Lexicon:
     @classmethod
     def default(cls) -> "Lexicon":
         return cls(list(DEFAULT_CHARACTERS), vocab_id="char-lower-v1")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Lexicon":
-        symbols = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if line:
-                    symbols.append(line)
-        return cls(symbols, vocab_id=f"lexicon:{Path(path).name}")
 
 
 def normalize_text(text: str) -> str:

@@ -5,7 +5,8 @@ against pseudo token targets plus a mel reconstruction term; fine-tuning
 swaps in real phoneme targets, freezes the posterior encoder and decoder
 (and reference encoder when present), fine-tunes the flow, and trains the
 text encoder and duration predictor from scratch. Frozen encoders run once
-per utterance per run; every step reuses their outputs.
+per utterance per run, before the first step; their outputs are stored on
+the prepared utterance and every step reads them from there.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import tensor as tz
 from .audio import read_wav
 from .config import AudioConfig, ConfigError, ModelConfig, RunConfig, _build_section
 from .data import Lexicon, ManifestEntry, text_to_phonemes
-from .features import build_provider
+from .features import build_provider, compute_linear_spectrogram, compute_mel
 from .model import Stats, SynthesisModel
 from .nn import AdamW
 from .pseudo import Codebook, codebook_hash, merge_runs, quantize
@@ -110,14 +111,19 @@ def apply_partition(model: SynthesisModel, partition: ParameterPartition) -> Non
 
 @dataclass
 class PreparedUtterance:
-    """One training item with everything precomputed that never changes."""
+    """One training item with everything precomputed that never changes.
 
-    entry_id: str
-    wave: np.ndarray  # [samples] float32
+    ``post`` and ``speaker`` hold the outputs of frozen encoders, the
+    posterior statistics and (multi-speaker only) the speaker embedding,
+    once :func:`encode_frozen` has filled them in; a step then reads them
+    instead of running those encoders.
+    """
+
     spec: np.ndarray  # [frames, bins] linear magnitudes
     mel: np.ndarray  # [frames, n_mels] log mels
     tokens: np.ndarray  # [n_tokens] int64 token ids
-    speaker: str = ""
+    post: Stats | None = None
+    speaker: Tensor | None = None
 
 
 def prepare_corpus(
@@ -160,8 +166,6 @@ def prepare_corpus(
             lexicon = Lexicon.default()
 
     prepared = []
-    from .features import compute_linear_spectrogram, compute_mel
-
     for entry in entries:
         wave, sr = read_wav(entry.audio_path)
         if sr != cfg.feature.sample_rate:
@@ -180,30 +184,11 @@ def prepare_corpus(
                 f"{entry.id}: {tokens.size} tokens exceed {spec.shape[0]} "
                 "frames; alignment is impossible"
             )
-        prepared.append(
-            PreparedUtterance(
-                entry_id=entry.id,
-                wave=wave,
-                spec=spec,
-                mel=mel,
-                tokens=tokens,
-                speaker=entry.speaker_id,
-            )
-        )
+        prepared.append(PreparedUtterance(spec=spec, mel=mel, tokens=tokens))
     return prepared
 
 
 # -- loss computation -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrozenEncoding:
-    """One utterance's outputs of frozen encoders, fixed for a whole run:
-    its posterior statistics and, in a multi-speaker model, its speaker
-    embedding."""
-
-    post: Stats
-    speaker: Tensor | None
 
 
 def encoders_frozen(model: SynthesisModel, partition: ParameterPartition) -> bool:
@@ -222,14 +207,15 @@ def encoders_frozen(model: SynthesisModel, partition: ParameterPartition) -> boo
 
 def encode_frozen(
     model: SynthesisModel, items: list[PreparedUtterance]
-) -> list[FrozenEncoding]:
-    """Run the frozen encoders once over every item, without a graph."""
+) -> list[PreparedUtterance]:
+    """The items with ``post`` and ``speaker`` filled in by one run of the
+    frozen encoders over each, without a graph."""
     out = []
     with tz.no_grad():
         for item in items:
             _, post = model.posterior_encode(item.spec)
             speaker = model.reference_encode(item.mel) if model.config.multi_speaker else None
-            out.append(FrozenEncoding(post, speaker))
+            out.append(dataclasses.replace(item, post=post, speaker=speaker))
     return out
 
 
@@ -238,25 +224,24 @@ def batch_losses(
     items: list[PreparedUtterance],
     eps: list,
     include_recon: bool,
-    frozen: list[FrozenEncoding] | None = None,
 ) -> list[dict[str, Tensor]]:
     """Loss terms for each utterance of a batch: ``kld``, ``dur`` and, with
     ``include_recon``, ``recon``.
 
-    Each item is encoded with its own posterior noise ``eps[j]``; with
-    ``frozen``, its posterior statistics and speaker come from there instead
-    of the encoders. The alignments between tokens and latent frames are
-    then recomputed by one monotonic search over the batch, on prior
-    likelihoods plus the static alignment prior; the search itself never
-    contributes gradients.
+    Each item is encoded with its own posterior noise ``eps[j]``; an item
+    that carries ``post`` takes its posterior statistics and speaker from
+    there instead of the encoders. The alignments between tokens and latent
+    frames are then recomputed by one monotonic search over the batch, on
+    prior likelihoods plus the static alignment prior; the search itself
+    never contributes gradients.
     """
     encoded = []
     for j, item in enumerate(items):
-        if frozen is None:
+        if item.post is None:
             z, post = model.posterior_encode(item.spec, eps[j])
             speaker = model.reference_encode(item.mel) if model.config.multi_speaker else None
         else:
-            post, speaker = frozen[j].post, frozen[j].speaker
+            post, speaker = item.post, item.speaker
             z = post.sample(eps[j])
         z_p, logdet = model.flow_forward(z, speaker)
         hidden, prior = model.token_encode(item.tokens)
@@ -334,23 +319,20 @@ def training_step(
     step_index: int,
     partition: ParameterPartition,
     include_recon: bool,
-    frozen: list[FrozenEncoding] | None = None,
 ) -> dict[str, float]:
     """One optimizer update over a batch. Returns scalar loss metrics.
 
-    ``frozen`` holds :func:`encode_frozen` of ``items``, for a partition
-    under which :func:`encoders_frozen` holds.
+    Items may carry the outputs of :func:`encode_frozen` only under a
+    partition for which :func:`encoders_frozen` holds.
     """
-    if frozen is not None:
-        if len(frozen) != len(items):
-            raise TrainError(f"{len(frozen)} frozen encodings for {len(items)} items")
-        if not encoders_frozen(model, partition):
-            raise TrainError("frozen encodings given for trainable encoders")
+    encoded = any(item.post is not None for item in items)
+    if encoded and not encoders_frozen(model, partition):
+        raise TrainError("frozen encodings given for trainable encoders")
     eps = [
         _sample_eps(model, item, seeded_rng(cfg.seed, step_index, j))
         for j, item in enumerate(items)
     ]
-    terms = batch_losses(model, items, eps, include_recon, frozen)
+    terms = batch_losses(model, items, eps, include_recon)
 
     mean = _batch_mean(terms)
     total = cfg.kld_weight * mean["kld"] + cfg.duration_weight * mean["dur"]
@@ -596,9 +578,7 @@ def _load_params(model: SynthesisModel, params: dict[str, np.ndarray], require_a
         param.data = arr.astype(param.data.dtype, copy=True)
 
 
-def init_finetune_from_pretrained(
-    ckpt: Checkpoint, seed: int, text_vocab_size: int | None = None
-) -> SynthesisModel:
+def init_finetune_from_pretrained(ckpt: Checkpoint, seed: int) -> SynthesisModel:
     """Convert a pre-trained checkpoint into a fine-tuning model.
 
     Posterior encoder, flow, decoder, and reference encoder keep their
@@ -610,10 +590,7 @@ def init_finetune_from_pretrained(
             f"fine-tuning must start from a pre-training checkpoint, got mode "
             f"{ckpt.mode!r}"
         )
-    config = ckpt.config
-    if text_vocab_size is not None and text_vocab_size != config.text_vocab_size:
-        config = dataclasses.replace(config, text_vocab_size=text_vocab_size)
-    model = SynthesisModel(config, ckpt.audio, "finetune", seed=seed)
+    model = SynthesisModel(ckpt.config, ckpt.audio, "finetune", seed=seed)
     keep = _FROZEN_PREFIXES + _FINETUNED_PREFIXES
     carried = {k: v for k, v in ckpt.params.items() if k.startswith(keep)}
     _load_params(model, carried, require_all=False)
@@ -707,7 +684,8 @@ def run_training(
     items = prepare_corpus(entries, cfg, stage, codebook, provider, lexicon)
     apply_partition(model, partition)
     # Frozen encoders give each item the same outputs at every step.
-    frozen = encode_frozen(model, items) if encoders_frozen(model, partition) else None
+    if encoders_frozen(model, partition):
+        items = encode_frozen(model, items)
 
     named = dict(model.named_parameters())
     trainable = [(n, named[n]) for n in sorted(partition.trainable)]
@@ -730,6 +708,12 @@ def run_training(
     ckpt_path = out_dir / "model_final.ckpt"
     cb_hash = codebook_hash(codebook) if codebook is not None else None
 
+    def save(path: Path) -> None:
+        save_checkpoint(
+            model, path, stage=stage, seed=tcfg.seed, codebook_hash=cb_hash,
+            optimizer=optimizer, from_scratch=tcfg.from_scratch,
+        )
+
     order: list[int] = []
     epoch = 0
     t0 = time.perf_counter()
@@ -745,10 +729,9 @@ def run_training(
                 picks.append(order.pop())
             batch = [items[i] for i in picks]
             last_metrics = training_step(
-                model, optimizer, batch, tcfg, it, partition, include_recon,
-                frozen=None if frozen is None else [frozen[i] for i in picks],
+                model, optimizer, batch, tcfg, it, partition, include_recon
             )
-            if tcfg.log_interval > 0 and it % tcfg.log_interval == 0:
+            if it % tcfg.log_interval == 0:
                 # Metric lines carry no wall-clock values so reruns with the
                 # same seed produce byte-identical logs.
                 record = {"iter": it, **last_metrics, "lr": tcfg.learning_rate}
@@ -758,25 +741,9 @@ def run_training(
                 and it % tcfg.checkpoint_interval == 0
                 and it < tcfg.iterations
             ):
-                save_checkpoint(
-                    model,
-                    out_dir / f"model_{it:06d}.ckpt",
-                    stage=stage,
-                    seed=tcfg.seed,
-                    codebook_hash=cb_hash,
-                    optimizer=optimizer,
-                    from_scratch=tcfg.from_scratch,
-                )
+                save(out_dir / f"model_{it:06d}.ckpt")
 
-    save_checkpoint(
-        model,
-        ckpt_path,
-        stage=stage,
-        seed=tcfg.seed,
-        codebook_hash=cb_hash,
-        optimizer=optimizer,
-        from_scratch=tcfg.from_scratch,
-    )
+    save(ckpt_path)
     return TrainResult(
         model=model,
         checkpoint_path=ckpt_path,

@@ -185,11 +185,10 @@ def conv1d_chain():
     return _conv1d_chain
 
 
-def _per_utterance_step(
-    model, optimizer, items, cfg, step_index, partition, include_recon, frozen=None
-):
+def _per_utterance_step(model, optimizer, items, cfg, step_index, partition, include_recon):
     """``train.training_step`` as a loop that runs every encoder and one
-    alignment search per utterance; ``frozen`` is accepted and ignored."""
+    alignment search per utterance; encodings stored on the items are
+    ignored."""
     from pptts import align, losses
     from pptts import tensor as tz
     from pptts.model import Stats

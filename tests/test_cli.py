@@ -54,6 +54,13 @@ CORRUPT_INPUTS = {
     "ckpt-no-params-or-config": (
         "ckpt", _checkpoint_bytes({"mode": "finetune", "stage": "finetune"})
     ),
+    "ckpt-zero-size": (
+        "ckpt",
+        _checkpoint_bytes({
+            "params": [], "config": {"hidden_channels": 0}, "audio": {},
+            "mode": "finetune", "stage": "finetune",
+        }),
+    ),
     "ckpt-bad-shape": (
         "ckpt",
         _checkpoint_bytes({
@@ -272,6 +279,29 @@ class TestTokenizeCommand:
 
 
 class TestTrainingCommands:
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "model.hidden_channels",
+            "model.latent_channels",
+            "model.flow_hidden",
+            "model.decoder_channels",
+            "feature.win_length",
+        ],
+    )
+    def test_zero_size_exits_one(self, workspace, tmp_path, capsys, key):
+        out_dir = tmp_path / "pre"
+        code = run(
+            "pretrain", "--config", workspace["config"],
+            "--manifest", workspace["manifest"], "--codebook", workspace["codebook"],
+            "--out-dir", out_dir, "--iterations", 1, "--set", f"{key}=0",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key.split(".")[1] in err
+        assert "Traceback" not in err
+        assert not (out_dir / "model_final.ckpt").exists()
+
     def test_pretrain_outputs(self, workspace):
         pre_dir = workspace["pre_ckpt"].parent
         assert (pre_dir / "config.json").exists()

@@ -165,12 +165,6 @@ class TestTextFrontend:
         seq = text_to_phonemes("abq", lex)
         assert seq.tokens == (0, 1, 2)
 
-    def test_lexicon_file(self, tmp_path):
-        path = tmp_path / "lex.txt"
-        path.write_text("a\nb\nc\n<unk>\n")
-        lex = Lexicon.from_file(path)
-        assert len(lex) == 4 and lex.unknown_id == 3
-
     def test_duplicate_symbol_rejected(self):
         with pytest.raises(TextFrontendError, match="duplicate"):
             Lexicon(list("aa"), vocab_id="dup")

@@ -332,13 +332,12 @@ class TestFrozenEncodings:
         runs = []
         for step_fn in (training_step, per_utterance_step):
             model, opt, part = _multi_speaker_finetune()
-            frozen = encode_frozen(model, items)
+            encoded = encode_frozen(model, items)
             history = []
             for step in range(1, 4):
                 picks = [(step + k) % len(items) for k in range(4)]
                 metrics = step_fn(
-                    model, opt, [items[i] for i in picks], cfg.train, step, part, False,
-                    frozen=[frozen[i] for i in picks],
+                    model, opt, [encoded[i] for i in picks], cfg.train, step, part, False
                 )
                 history.append((metrics, _snapshot(model, opt)))
             runs.append(history)
@@ -348,6 +347,33 @@ class TestFrozenEncodings:
             for key in want:
                 assert got[key] == want[key], key
             assert got["grad flow.blocks.0.conv1.weight"] is not None
+
+    def test_mixed_batch_matches_all_encoded_batch(self, corpus):
+        """Under the fine-tune partition, items without stored encodings run
+        the encoders inside the step; two steps on a batch that mixes both
+        kinds give the bytes of steps on a batch in which every item carries
+        its encodings."""
+        cfg = micro_run_config("finetune")
+        items = prepare_corpus(corpus, cfg, "finetune")[:4]
+        runs = []
+        for mixed in (False, True):
+            model, opt, part = _multi_speaker_finetune()
+            encoded = encode_frozen(model, items)
+            batch = [items[j] if mixed and j % 2 else encoded[j] for j in range(4)]
+            history = []
+            for step in (1, 2):
+                metrics = training_step(model, opt, batch, cfg.train, step, part, False)
+                history.append((metrics, _snapshot(model, opt)))
+            runs.append((batch, history))
+        (all_encoded, want_history), (mixed_batch, got_history) = runs
+        assert [item.post is None for item in all_encoded] == [False] * 4
+        assert [item.post is None for item in mixed_batch] == [False, True, False, True]
+        for (metrics, got), (want_metrics, want) in zip(got_history, want_history):
+            assert metrics == want_metrics
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key] == want[key], key
+            assert got["m flow.blocks.0.conv1.weight"] is not None
 
     def test_finetune_run_encodes_each_item_once(
         self, tmp_path, corpus, monkeypatch, per_utterance_step
@@ -397,11 +423,11 @@ class TestFrozenEncodings:
         model = SynthesisModel(micro_model_config(), AUDIO, "finetune", seed=0)
         part = partition_parameters(model, "pretrain")
         opt = AdamW(list(model.named_parameters()), lr=1e-3)
-        frozen = encode_frozen(model, items)
+        encoded = encode_frozen(model, items)
         with pytest.raises(TrainError, match="trainable encoders"):
-            training_step(model, opt, items, cfg.train, 1, part, True, frozen=frozen)
-        with pytest.raises(TrainError, match="1 frozen encodings for 2 items"):
-            training_step(model, opt, items, cfg.train, 1, part, True, frozen=frozen[:1])
+            training_step(model, opt, encoded, cfg.train, 1, part, True)
+        with pytest.raises(TrainError, match="trainable encoders"):
+            training_step(model, opt, [items[0], encoded[1]], cfg.train, 1, part, True)
 
 
 def _save_load_roundtrip(model, tmp=None):
@@ -668,3 +694,19 @@ class TestRunTraining:
 def test_removed_adversarial_options_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         config_from_dict({"train": {key: value}})
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [("model", key) for key in (
+        "latent_channels", "hidden_channels", "flow_blocks", "flow_hidden", "duration_hidden",
+        "decoder_channels", "text_vocab_size", "pseudo_vocab_size", "speaker_embed_dim",
+    )] + [
+        ("feature", key)
+        for key in ("sample_rate", "n_fft", "hop_length", "win_length", "n_mels")
+    ],
+)
+@pytest.mark.parametrize("value", [0, -2])
+def test_sizes_below_one_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+        config_from_dict({section: {key: value}})
