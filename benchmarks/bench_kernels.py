@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
-"""Time the NumPy kernels of ``pptts._kernels`` on realistic problem sizes.
+"""Time the NumPy kernels of ``pptts._kernels`` on realistic problem sizes,
+and two of the decoder's audio-rate layers from ``pptts.tensor``.
 
-Prints one row per kernel with the median wall time of one call.
+Prints one row per kernel with the median wall time of one call. The layer
+rows take the input the decoder gives them in a pretrain step at the
+acceptance sizes: the F-ordered [16, 3456] output of the last upsampling
+stage (a 54-frame utterance at hop 64). ``post conv1d`` is the decoder's
+last convolution (16 channels to 1, 7 taps, padding 3), forward plus
+backward to the weight, bias and input; ``relu`` is one forward.
 
 Run from the repository root:
 
@@ -15,7 +21,7 @@ import time
 
 import numpy as np
 
-from pptts import _kernels
+from pptts import _kernels, tensor
 
 
 def _median_ms(fn, args, repeats: int = 7) -> float:
@@ -29,8 +35,15 @@ def _median_ms(fn, args, repeats: int = 7) -> float:
     return statistics.median(samples)
 
 
+def _post_conv_step(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, upstream: np.ndarray):
+    """Forward and backward of the decoder's ``post`` convolution."""
+    x, weight, bias = (tensor.Tensor(a, requires_grad=True) for a in (x, weight, bias))
+    tensor.conv1d(x, weight, bias, 7, 3).backward(upstream)
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
+    audio = np.asfortranarray(rng.standard_normal((16, 3456)).astype(np.float32))
     cases = [
         (
             "mas_assignment 80x600",
@@ -64,6 +77,17 @@ def main() -> None:
                 rng.standard_normal((128, 16)),
             ),
         ),
+        (
+            "post conv1d fwd+bwd F 16x3456",
+            _post_conv_step,
+            (
+                audio,
+                rng.standard_normal((1, 16 * 7)).astype(np.float32),
+                np.zeros(1, np.float32),
+                rng.standard_normal((1, 3456)).astype(np.float32),
+            ),
+        ),
+        ("relu F 16x3456", tensor.Tensor.relu, (tensor.Tensor(audio),)),
     ]
 
     header = f"{'kernel':<34} {'median (ms)':>12}"

@@ -99,11 +99,6 @@ def monotonic_alignment_search(grid):
     return _kernels.mas_assignments(grid)
 
 
-def alignment_score(grid: np.ndarray, assignment: np.ndarray) -> float:
-    """Total grid log-likelihood along an assignment path."""
-    return float(grid[assignment, np.arange(grid.shape[1])].sum())
-
-
 def alignment_to_durations(assignment: np.ndarray, n_tokens: int) -> np.ndarray:
     """Frames per token; sums to n_frames, every token gets >= 1."""
     durations = np.bincount(assignment, minlength=n_tokens)
@@ -126,9 +121,3 @@ def expand_prior(
     if durations.sum() == 0:
         raise ValueError("total duration is zero")
     return np.repeat(mean, durations, axis=0), np.repeat(std, durations, axis=0)
-
-
-def durations_to_assignment(durations: np.ndarray) -> np.ndarray:
-    """Per-frame token indices realizing the given durations."""
-    durations = np.asarray(durations, dtype=np.int64)
-    return np.repeat(np.arange(len(durations)), durations)

@@ -42,6 +42,10 @@ class AudioConfig:
         _require_sizes(self, "sample_rate", "n_fft", "hop_length", "win_length", "n_mels")
         if self.win_length > self.n_fft:
             raise ConfigError("win_length must be <= n_fft")
+        # Also refuses NaN. A floor of 0 or below lets log-mels of silence
+        # reach -inf.
+        if not self.mel_floor > 0:
+            raise ConfigError("mel_floor must be > 0")
 
     @property
     def spec_bins(self) -> int:

@@ -241,12 +241,13 @@ class Tensor:
         return _make(out, [(self, lambda g: g * (1.0 - np.square(out)))], "tanh")
 
     def relu(self):
+        # The bytes of ``np.where(x > 0, x, 0.0)`` without its data-dependent
+        # branch: fmax maps NaN to 0 as the mask does, and ``+= 0.0`` turns
+        # the -0.0 that fmax may keep into 0.0.
         mask = self.data > 0
-        return _make(
-            np.where(mask, self.data, 0.0).astype(self.data.dtype),
-            [(self, lambda g: g * mask)],
-            "relu",
-        )
+        out = np.fmax(self.data, 0.0)
+        out += 0.0
+        return _make(out, [(self, lambda g: g * mask)], "relu")
 
     def abs(self):
         return _make(
@@ -420,11 +421,14 @@ def _unpad_grad(g: np.ndarray, left: int, right: int, mode: str) -> np.ndarray:
 
 def _im2col(data: np.ndarray, kernel: int) -> np.ndarray:
     """[C, T] -> [C * kernel, T - kernel + 1]; column t is the flattened
-    window data[:, t : t + kernel]."""
+    window data[:, t : t + kernel]. Windows are gathered from a C-ordered
+    copy of an F-ordered or strided input, which is several times faster
+    than gathering them across its strides."""
     channels, width = data.shape
     count = width - kernel + 1
     if count < 1:
         raise ValueError(f"input width {width} shorter than kernel {kernel}")
+    data = np.ascontiguousarray(data)
     s0, s1 = data.strides
     windows = np.lib.stride_tricks.as_strided(
         data, shape=(channels, count, kernel), strides=(s0, s1, s1)
@@ -436,13 +440,22 @@ def _im2col(data: np.ndarray, kernel: int) -> np.ndarray:
 
 def _col2im(g: np.ndarray, like: np.ndarray, kernel: int) -> np.ndarray:
     """Adjoint of :func:`_im2col`: scatter-add each tap's row of ``g`` into
-    zeros with the shape and memory layout of ``like``."""
+    zeros with the shape and memory layout of ``like``.
+
+    The layout decides the summation order of later reductions of the
+    result, so it is kept; when it is not C order, the adds run in a C
+    buffer (same values, same order) that is then copied into it.
+    """
     count = g.shape[1]
     g3 = g.reshape(like.shape[0], kernel, count)
-    gx = np.zeros_like(like)
+    gx = np.zeros(like.shape, like.dtype)
     for j in range(kernel):
         gx[:, j : j + count] += g3[:, j, :]
-    return gx
+    if like.flags.c_contiguous:
+        return gx
+    out = np.empty_like(like)
+    out[...] = gx
+    return out
 
 
 def conv1d(
@@ -469,7 +482,12 @@ def conv1d(
     out = w @ cols + bias.data.reshape(w.shape[0], 1)
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        gx = _col2im(w.T @ g, src, kernel)
+        # With one output channel ``w.T @ g`` is an outer product: each
+        # element is one rounded product either way, and the broadcast
+        # skips a GEMM of inner dimension 1. Its -0.0 where the GEMM gives
+        # 0.0 is added into zeros by _col2im, which makes it 0.0 again.
+        gc = w.T * g if w.shape[0] == 1 else w.T @ g
+        gx = _col2im(gc, src, kernel)
         return _unpad_grad(gx, padding, padding, pad_mode) if padding else gx
 
     return _make(

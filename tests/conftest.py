@@ -9,6 +9,8 @@ is printed so the acceptance status is readable at a glance. The
 never builds, and ``per_utterance_step`` the oracle of a training step with
 frozen encodings and one alignment search per batch. ``pad_cols`` and
 ``frame_cols`` are single ops those chains are made of.
+``alignment_score`` and ``durations_to_assignment`` are the oracles of the
+alignment search tests.
 """
 
 from __future__ import annotations
@@ -86,11 +88,28 @@ def _pad_cols(x, left: int, right: int, mode: str = "zeros"):
 
 def _frame_cols(x, kernel: int):
     """im2col of a [C, T] tensor: [C * kernel, T - kernel + 1], column t
-    holding the flattened window x[:, t : t + kernel]."""
+    holding the flattened window x[:, t : t + kernel]. Independent of
+    ``tensor``'s im2col code: the windows are gathered across the input's
+    own strides, and the backward adds each tap's row straight into zeros
+    laid out like the input."""
     from pptts import tensor as tz
 
-    out = tz._im2col(x.data, kernel)
-    return tz._make(out, [(x, lambda g: tz._col2im(g, x.data, kernel))], "frame_cols")
+    channels, width = x.data.shape
+    count = width - kernel + 1
+    s0, s1 = x.data.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x.data, shape=(channels, count, kernel), strides=(s0, s1, s1)
+    )
+    out = np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(channels * kernel, count)
+
+    def vjp(g):
+        g3 = g.reshape(channels, kernel, count)
+        gx = np.zeros_like(x.data)
+        for j in range(kernel):
+            gx[:, j : j + count] += g3[:, j, :]
+        return gx
+
+    return tz._make(out, [(x, vjp)], "frame_cols")
 
 
 def _take_rows_scatter(x, ids):
@@ -152,6 +171,27 @@ def _upsample_cols(x, factor: int):
         return g[:, ::factor]
 
     return tz._make(out, [(x, vjp)], "upsample_cols")
+
+
+def _alignment_score(grid, assignment) -> float:
+    """Total grid log-likelihood along an assignment path."""
+    return float(grid[assignment, np.arange(grid.shape[1])].sum())
+
+
+def _durations_to_assignment(durations):
+    """Per-frame token indices realizing the given durations."""
+    durations = np.asarray(durations, dtype=np.int64)
+    return np.repeat(np.arange(len(durations)), durations)
+
+
+@pytest.fixture
+def alignment_score():
+    return _alignment_score
+
+
+@pytest.fixture
+def durations_to_assignment():
+    return _durations_to_assignment
 
 
 @pytest.fixture

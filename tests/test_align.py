@@ -56,7 +56,7 @@ class TestLikelihoodGrid:
 
 
 class TestSearch:
-    def test_brute_force_equivalence(self):
+    def test_brute_force_equivalence(self, alignment_score):
         rng = np.random.default_rng(2)
         for n in (1, 2, 3, 4):
             for t in range(n, 9):
@@ -64,7 +64,7 @@ class TestSearch:
                     grid = rng.normal(size=(n, t))
                     a = align.monotonic_alignment_search(grid)
                     assert_valid_alignment(a, n, t)
-                    got = align.alignment_score(grid, a)
+                    got = alignment_score(grid, a)
                     want, _ = brute_force_alignment(grid)
                     assert abs(got - want) < 1e-9
 
@@ -94,7 +94,7 @@ class TestDurations:
     def test_single_token(self):
         assert align.alignment_to_durations(np.zeros(4, dtype=np.int64), 1).tolist() == [4]
 
-    def test_round_trip_via_prefix_sums(self):
+    def test_round_trip_via_prefix_sums(self, durations_to_assignment):
         rng = np.random.default_rng(4)
         for _ in range(200):
             n = int(rng.integers(1, 5))
@@ -102,7 +102,7 @@ class TestDurations:
             a = align.monotonic_alignment_search(rng.normal(size=(n, t)))
             d = align.alignment_to_durations(a, n)
             assert d.sum() == t and np.all(d >= 1)
-            assert np.array_equal(align.durations_to_assignment(d), a)
+            assert np.array_equal(durations_to_assignment(d), a)
 
     def test_token_without_frames_rejected(self):
         with pytest.raises(ValueError):

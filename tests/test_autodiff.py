@@ -101,6 +101,51 @@ class TestElementwise:
         a[np.abs(a) < 0.05] = 0.5
         check_grads(lambda x: x.relu().sum(), a)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("values", ["special", "random bits"])
+    def test_relu_bytes_match_where(self, dtype, layout, values):
+        """Forward bytes, dtype and layout of ``np.where(x > 0, x, 0.0)`` on
+        signed zeros, NaN, infinities, subnormals, the dtype's extremes and
+        random bit patterns; the gradient passes where ``x > 0``. Small and
+        strided inputs take numpy's scalar loops, where fmax can keep -0.0."""
+        info = np.finfo(dtype)
+        data = np.array(
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, info.max, -info.max,
+             info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+             info.eps, -info.eps, 1.0, -1.0],
+            dtype=dtype,
+        )
+        if values == "random bits":
+            bits = np.random.default_rng(7).integers(
+                0, np.iinfo(np.uint64).max, size=4096, dtype=np.uint64, endpoint=True
+            )
+            data = np.concatenate([data, bits.view(dtype)])
+        data = data[: data.size // 16 * 16].reshape(16, -1)
+        if layout == "F":
+            data = np.asfortranarray(data)
+        elif layout == "strided":  # every other row of a C array
+            wide = np.zeros((32, data.shape[1]), dtype)
+            wide[::2] = data
+            data = wide[::2]
+        want = np.where(data > 0, data, 0.0).astype(dtype)
+        x = Tensor(data, requires_grad=True)
+        out = x.relu()
+        assert out.data.dtype == want.dtype
+        assert out.data.flags.f_contiguous == want.flags.f_contiguous
+        assert out.data.tobytes(order="A") == want.tobytes(order="A")
+        out.backward(np.ones_like(data))
+        assert np.array_equal(x.grad, (data > 0).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_of_negative_zero_is_zero_at_any_length(self, dtype):
+        """numpy's fmax keeps -0.0 in some elements, depending on where they
+        fall in its vector loop (numpy 2.4 on x86-64, float64: the first
+        element past a multiple of 8), so every length up to 64 is checked."""
+        for n in range(1, 65):
+            out = Tensor(np.full(n, -0.0, dtype)).relu().data
+            assert out.dtype == dtype and not np.signbit(out).any(), n
+
     def test_abs_away_from_zero(self):
         a = rand(4, 4, seed=26)
         a[np.abs(a) < 0.05] = -0.5

@@ -287,6 +287,7 @@ class TestTrainingCommands:
             "model.flow_hidden",
             "model.decoder_channels",
             "feature.win_length",
+            "feature.mel_floor",
         ],
     )
     def test_zero_size_exits_one(self, workspace, tmp_path, capsys, key):

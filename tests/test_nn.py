@@ -135,24 +135,30 @@ class TestConv1dFusedOp:
     """``tensor.conv1d`` against the chain of ops ``Conv1d`` used to record."""
 
     GEOMETRIES = [
-        # kernel, padding, pad_mode
-        (3, 1, "zeros"),
-        (7, 3, "zeros"),
-        (5, 2, "circular"),
-        (4, 0, "zeros"),
-        (1, 0, "zeros"),
-        (5, 2, "zeros"),
-        (4, 1, "circular"),
+        # kernel, padding, pad_mode, input channels, output channels
+        (3, 1, "zeros", 3, 4),
+        (7, 3, "zeros", 3, 4),
+        (5, 2, "circular", 3, 4),
+        (4, 0, "zeros", 3, 4),
+        (1, 0, "zeros", 3, 4),
+        (5, 2, "zeros", 3, 4),
+        (4, 1, "circular", 3, 4),
+        # One output channel, whose input gradient skips the GEMM of inner
+        # dimension 1; the first is the decoder's ``post`` layer.
+        (7, 3, "zeros", 16, 1),
+        (3, 1, "zeros", 3, 1),
+        (1, 0, "zeros", 3, 1),
+        (5, 2, "circular", 3, 1),
     ]
 
     def _case(self, geometry, dtype, layout, seed=0):
-        kernel, padding, pad_mode = geometry
+        kernel, padding, pad_mode, c_in, c_out = geometry
         rng = np.random.default_rng(seed)
-        conv = Conv1d(3, 4, kernel, padding=padding, pad_mode=pad_mode, rng=rng, dtype=dtype)
-        conv.bias.data[...] = rng.normal(size=4)
-        x = _layout(rng.normal(size=(3, 23)).astype(dtype), layout)
+        conv = Conv1d(c_in, c_out, kernel, padding=padding, pad_mode=pad_mode, rng=rng, dtype=dtype)
+        conv.bias.data[...] = rng.normal(size=c_out)
+        x = _layout(rng.normal(size=(c_in, 23)).astype(dtype), layout)
         t_out = 23 + 2 * padding - kernel + 1
-        upstream = _layout(rng.normal(size=(4, t_out)).astype(dtype), layout)
+        upstream = _layout(rng.normal(size=(c_out, t_out)).astype(dtype), layout)
         return conv, x, upstream
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
@@ -179,6 +185,25 @@ class TestConv1dFusedOp:
         for g, w in zip(got, want):
             _assert_same_bits(g, w)
         assert sum(g is None for g in got) == 1
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES[7:9])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_one_output_channel_negative_zero_upstream(self, geometry, layout, conv1d_chain):
+        """An upstream gradient of signed zeros: the broadcast product gives
+        -0.0 where the GEMM gives 0.0, and adding into zeros removes it."""
+        conv, x, upstream = self._case(geometry, np.float64, layout, seed=2)
+        # Positive weights make every product with -0.0 a -0.0, so input
+        # columns that only see signed zeros get nothing else.
+        conv.weight.data[...] = np.abs(conv.weight.data)
+        upstream[:, ::2] = -0.0
+        upstream[:, 4:16] = -0.0
+        x[0] = 0.0
+        want_out, want = _conv_run(conv1d_chain, conv, x, True, upstream)
+        got_out, got = _conv_run(Conv1d.__call__, conv, x, True, upstream)
+        _assert_same_bits(got_out, want_out)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+        assert not any(np.signbit(g[g == 0]).any() for g in got)
 
     def test_one_graph_node_per_call(self):
         conv = Conv1d(2, 3, 3, padding=1, rng=np.random.default_rng(3))

@@ -710,3 +710,9 @@ def test_removed_adversarial_options_rejected(key, value):
 def test_sizes_below_one_rejected(section, key, value):
     with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
         config_from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -1.0, float("nan")])
+def test_mel_floor_not_positive_rejected(value):
+    with pytest.raises(ConfigError, match="mel_floor must be > 0"):
+        config_from_dict({"feature": {"mel_floor": value}})
