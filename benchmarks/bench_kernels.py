@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the NumPy kernels of ``pptts._kernels`` on realistic problem sizes,
-and two of the decoder's audio-rate layers from ``pptts.tensor``.
+two of the decoder's audio-rate layers from ``pptts.tensor``, and one pass
+of the audio front end from ``pptts.features``.
 
 Prints one row per kernel with the median wall time of one call. The layer
 rows take the input the decoder gives them in a pretrain step at the
@@ -8,6 +9,9 @@ acceptance sizes: the F-ordered [16, 3456] output of the last upsampling
 stage (a 54-frame utterance at hop 64). ``post conv1d`` is the decoder's
 last convolution (16 channels to 1, 7 taps, padding 3), forward plus
 backward to the weight, bias and input; ``relu`` is one forward.
+``log-mel`` is ``mel_of_waveform`` (STFT, filterbank, log) of 1.5 s of
+audio at the acceptance sizes: 8 kHz, n_fft 256, hop 64, window 128,
+20 mels. Evaluating one utterance runs it once per wave.
 
 Run from the repository root:
 
@@ -22,6 +26,10 @@ import time
 import numpy as np
 
 from pptts import _kernels, tensor
+from pptts.config import AudioConfig
+from pptts.features import mel_of_waveform
+
+AUDIO = AudioConfig(sample_rate=8000, n_fft=256, hop_length=64, win_length=128, n_mels=20)
 
 
 def _median_ms(fn, args, repeats: int = 7) -> float:
@@ -88,6 +96,11 @@ def main() -> None:
             ),
         ),
         ("relu F 16x3456", tensor.Tensor.relu, (tensor.Tensor(audio),)),
+        (
+            "log-mel 12000 samples",
+            mel_of_waveform,
+            (rng.uniform(-0.5, 0.5, 12_000).astype(np.float32), AUDIO),
+        ),
     ]
 
     header = f"{'kernel':<34} {'median (ms)':>12}"

@@ -9,9 +9,8 @@ import numpy as np
 
 from ._kernels import levenshtein
 from .audio import read_wav
-from .config import AudioConfig
 from .data import Lexicon, ManifestEntry, text_to_phonemes
-from .features import PrecomputedProvider, mel_of_waveform
+from .features import FrameFeatures, PrecomputedProvider, mel_of_waveform
 from .model import SynthesisModel
 from .pseudo import Codebook, merge_runs, quantize
 
@@ -20,18 +19,17 @@ class EvalError(ValueError):
     """Raised for metric inputs that cannot be scored."""
 
 
-def mel_distance(reference_wave: np.ndarray, generated_wave: np.ndarray, cfg: AudioConfig) -> float:
-    """Mean absolute log-mel difference over the overlapping frames.
+def mel_distance(ref_mel: np.ndarray, gen_mel: np.ndarray) -> float:
+    """Mean absolute difference of two log-mels [frames x n_mels] over their
+    overlapping frames.
 
-    The two waveforms may differ in length; frames beyond the shorter mel
-    matrix are ignored. Both inputs must yield at least one frame.
+    The two may differ in length; frames beyond the shorter matrix are
+    ignored. Both must have at least one frame.
     """
-    ref = mel_of_waveform(np.asarray(reference_wave), cfg)
-    gen = mel_of_waveform(np.asarray(generated_wave), cfg)
-    frames = min(ref.shape[0], gen.shape[0])
+    frames = min(ref_mel.shape[0], gen_mel.shape[0])
     if frames == 0:
         raise EvalError("no overlapping mel frames to compare")
-    diff = np.abs(ref[:frames].astype(np.float64) - gen[:frames].astype(np.float64))
+    diff = np.abs(ref_mel[:frames].astype(np.float64) - gen_mel[:frames].astype(np.float64))
     return float(diff.mean())
 
 
@@ -46,36 +44,30 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / denom)
 
 
-def speaker_similarity(
-    reference_wave: np.ndarray, generated_wave: np.ndarray, model: SynthesisModel
-) -> float:
-    """Cosine similarity between reference-encoder embeddings of two waves."""
+def speaker_similarity(ref_mel: np.ndarray, gen_mel: np.ndarray, model: SynthesisModel) -> float:
+    """Cosine similarity between the reference-encoder embeddings of two
+    log-mels computed at ``model.audio``."""
     if not model.config.multi_speaker:
         raise EvalError("speaker similarity requires a multi-speaker model")
-    ref_mel = mel_of_waveform(np.asarray(reference_wave), model.audio)
-    gen_mel = mel_of_waveform(np.asarray(generated_wave), model.audio)
     emb_ref = model.reference_encode(ref_mel).data.ravel()
     emb_gen = model.reference_encode(gen_mel).data.ravel()
     return cosine_similarity(emb_ref, emb_gen)
 
 
 def token_roundtrip_accuracy(
-    generated_wave: np.ndarray,
-    expected_tokens: np.ndarray,
-    codebook: Codebook,
-    provider,
+    features: FrameFeatures, expected_tokens: np.ndarray, codebook: Codebook
 ) -> float:
-    """How well a generated wave re-tokenizes to its pseudo token targets.
+    """How well generated audio re-tokenizes to its pseudo token targets.
 
-    Quantizes the wave with the given codebook and feature provider, merges
-    runs, and returns 1 - edit_distance / max(len). 1.0 means the merged
-    sequence round-trips exactly.
+    Quantizes the generated audio's frame features, from the provider the
+    codebook was fitted on, merges runs, and returns
+    1 - edit_distance / max(len). 1.0 means the merged sequence round-trips
+    exactly.
     """
     expected = np.asarray(expected_tokens, dtype=np.int64).ravel()
     if expected.size == 0:
         raise EvalError("expected token sequence is empty")
-    feats = provider.features_for_wave(np.asarray(generated_wave))
-    got = merge_runs(quantize(feats, codebook)).tokens
+    got = merge_runs(quantize(features, codebook)).tokens
     if got.size == 0:
         raise EvalError("generated wave produced no tokens")
     dist = levenshtein(got, expected)
@@ -109,11 +101,20 @@ def evaluate_manifest(
 ) -> EvalReport:
     """Synthesize each labeled entry and score it against its recording.
 
-    Entries that cannot be scored (missing text, unreadable audio) are
-    recorded under ``errors`` instead of aborting the whole run.
+    Each entry's recording and generated wave become one log-mel each at
+    ``model.audio``, which all three metrics read; the token features reuse
+    them when ``provider.audio`` equals ``model.audio`` and are computed from
+    the waves otherwise. Scoring tokens needs the builtin-mel provider the
+    codebook was fitted on. Entries that cannot be scored (missing text,
+    unreadable audio) are recorded under ``errors`` instead of aborting the
+    whole run.
     """
     if model.mode != "finetune":
         raise EvalError("evaluation synthesizes from text; model must be in finetune mode")
+    if codebook is not None and provider is None:
+        raise EvalError(
+            "token accuracy needs the feature provider the codebook was fitted on"
+        )
     if codebook is not None and isinstance(provider, PrecomputedProvider):
         raise EvalError(
             "generated audio has no precomputed features; score token "
@@ -121,6 +122,7 @@ def evaluate_manifest(
         )
     if lexicon is None:
         lexicon = Lexicon.default()
+    multi = model.config.multi_speaker
     report = EvalReport()
     for index, entry in enumerate(entries):
         try:
@@ -130,30 +132,31 @@ def evaluate_manifest(
             if sr != model.audio.sample_rate:
                 raise EvalError(f"sample rate {sr} != configured {model.audio.sample_rate}")
             phonemes = text_to_phonemes(entry.text, lexicon)
-            ref_mel = None
-            if model.config.multi_speaker:
-                ref_mel = mel_of_waveform(ref_wave, model.audio)
+            ref_mel = mel_of_waveform(ref_wave, model.audio)
             result = model.synthesize(
                 phonemes,
                 noise_scale=noise_scale,
                 length_scale=length_scale,
-                ref_mel=ref_mel,
+                ref_mel=ref_mel if multi else None,
                 seed=seed + index,
             )
+            gen_mel = mel_of_waveform(result.wave, model.audio)
             record = {
                 "id": entry.id,
-                "mel_l1": mel_distance(ref_wave, result.wave, model.audio),
+                "mel_l1": mel_distance(ref_mel, gen_mel),
                 "gen_seconds": result.wave.size / model.audio.sample_rate,
             }
-            if model.config.multi_speaker:
-                record["speaker_cos"] = speaker_similarity(ref_wave, result.wave, model)
-            if codebook is not None and provider is not None:
-                expected = merge_runs(
-                    quantize(provider.features_for_wave(ref_wave), codebook)
-                ).tokens
-                record["token_acc"] = token_roundtrip_accuracy(
-                    result.wave, expected, codebook, provider
-                )
+            if multi:
+                record["speaker_cos"] = speaker_similarity(ref_mel, gen_mel, model)
+            if codebook is not None:
+                if provider.audio == model.audio:
+                    ref_feats = provider.features_for_mel(ref_mel)
+                    gen_feats = provider.features_for_mel(gen_mel)
+                else:
+                    ref_feats = provider.features_for_wave(ref_wave)
+                    gen_feats = provider.features_for_wave(result.wave)
+                expected = merge_runs(quantize(ref_feats, codebook)).tokens
+                record["token_acc"] = token_roundtrip_accuracy(gen_feats, expected, codebook)
             report.records.append(record)
         except (EvalError, ValueError, OSError) as exc:
             report.errors.append({"id": entry.id, "error": str(exc)})

@@ -39,8 +39,12 @@ class FrameFeatures:
     frame_rate_hz: float
 
 
+@lru_cache(maxsize=16)
 def hann_window(cfg: AudioConfig, dtype=np.float32) -> np.ndarray:
-    """Periodic Hann window of win_length, zero-padded centered to n_fft."""
+    """Periodic Hann window of win_length, zero-padded centered to n_fft.
+
+    Built once per (config, dtype); the array is shared, so it is read-only.
+    """
     n = cfg.win_length
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     if n < cfg.n_fft:
@@ -48,7 +52,9 @@ def hann_window(cfg: AudioConfig, dtype=np.float32) -> np.ndarray:
         full = np.zeros(cfg.n_fft)
         full[pad_left : pad_left + n] = win
         win = full
-    return win.astype(dtype)
+    win = win.astype(dtype)
+    win.flags.writeable = False
+    return win
 
 
 def pad_indices(num_samples: int, cfg: AudioConfig) -> np.ndarray | None:
@@ -106,9 +112,15 @@ def mel_filterbank(cfg: AudioConfig) -> np.ndarray:
     return _mel_filterbank_cached(cfg.sample_rate, cfg.n_fft, cfg.n_mels, cfg.fmin, fmax)
 
 
+@lru_cache(maxsize=16)
 def mel_basis_t(cfg: AudioConfig, dtype=np.float32) -> np.ndarray:
-    """Transposed filterbank [bins x n_mels] in the given dtype."""
-    return np.ascontiguousarray(mel_filterbank(cfg).T.astype(dtype))
+    """Transposed filterbank [bins x n_mels] in the given dtype.
+
+    Built once per (config, dtype); the array is shared, so it is read-only.
+    """
+    basis = np.ascontiguousarray(mel_filterbank(cfg).T.astype(dtype))
+    basis.flags.writeable = False
+    return basis
 
 
 def linear_spectrogram(wave: Tensor, cfg: AudioConfig) -> Tensor:
@@ -228,13 +240,17 @@ class BuiltinMelProvider:
 
     def features_for_wave(self, wave: np.ndarray) -> FrameFeatures:
         """Features of an in-memory waveform."""
-        vals = mel_of_waveform(wave, self.audio)
+        return self.features_for_mel(mel_of_waveform(wave, self.audio))
+
+    def features_for_mel(self, mel: np.ndarray) -> FrameFeatures:
+        """Features of a log-mel [frames x n_mels] computed at ``self.audio``,
+        standardized if the provider normalizes."""
         if self.normalize:
             if self.mean is None:
                 raise RuntimeError("provider not fitted; call fit() first")
-            vals = (vals - self.mean) / self.std
+            mel = (mel - self.mean) / self.std
         return FrameFeatures(
-            values=vals, provider_id=self.provider_id, frame_rate_hz=self.frame_rate_hz
+            values=mel, provider_id=self.provider_id, frame_rate_hz=self.frame_rate_hz
         )
 
     def fit(self, entries: list[ManifestEntry]) -> "BuiltinMelProvider":

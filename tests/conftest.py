@@ -10,7 +10,9 @@ never builds, and ``per_utterance_step`` the oracle of a training step with
 frozen encodings and one alignment search per batch. ``pad_cols`` and
 ``frame_cols`` are single ops those chains are made of.
 ``alignment_score`` and ``durations_to_assignment`` are the oracles of the
-alignment search tests.
+alignment search tests. ``report_by_waves`` is the oracle of
+``evaluate_manifest``: it scores every metric from the waves, one log-mel
+per metric and wave.
 """
 
 from __future__ import annotations
@@ -289,3 +291,85 @@ def per_utterance_step():
     """Oracle of ``train.training_step``, with its signature so it can be
     patched in for it."""
     return _per_utterance_step
+
+
+def _report_by_waves(
+    model, entries, codebook=None, provider=None, noise_scale=0.667,
+    length_scale=1.0, seed=0,
+) -> dict:
+    """``evaluate_manifest(...).to_dict()`` with every metric computed from
+    the waves: each metric turns the waves it reads into log-mels itself,
+    and the token features standardize their own log-mels at the
+    provider's config. Assumes a builtin-mel provider whenever a codebook
+    is given."""
+    from pptts import _kernels
+    from pptts.audio import read_wav
+    from pptts.data import Lexicon, text_to_phonemes
+    from pptts.evaluate import EvalError
+    from pptts.features import FrameFeatures, mel_of_waveform
+    from pptts.pseudo import merge_runs, quantize
+
+    audio = model.audio
+
+    def mel_distance(ref_wave, gen_wave):
+        ref = mel_of_waveform(ref_wave, audio)
+        gen = mel_of_waveform(gen_wave, audio)
+        frames = min(ref.shape[0], gen.shape[0])
+        return float(np.abs(ref[:frames].astype(np.float64) - gen[:frames].astype(np.float64)).mean())
+
+    def speaker_similarity(ref_wave, gen_wave):
+        a = model.reference_encode(mel_of_waveform(ref_wave, audio)).data.ravel().astype(np.float64)
+        b = model.reference_encode(mel_of_waveform(gen_wave, audio)).data.ravel().astype(np.float64)
+        return float(np.dot(a, b) / float(np.linalg.norm(a) * np.linalg.norm(b)))
+
+    def tokens(wave):
+        vals = mel_of_waveform(wave, provider.audio)
+        if provider.normalize:
+            vals = (vals - provider.mean) / provider.std
+        feats = FrameFeatures(vals, provider.provider_id, provider.frame_rate_hz)
+        return merge_runs(quantize(feats, codebook)).tokens
+
+    lexicon = Lexicon.default()
+    records, errors = [], []
+    for index, entry in enumerate(entries):
+        try:
+            if not entry.text:
+                raise EvalError("entry has no text to synthesize")
+            ref_wave, sr = read_wav(entry.audio_path)
+            if sr != audio.sample_rate:
+                raise EvalError(f"sample rate {sr} != configured {audio.sample_rate}")
+            phonemes = text_to_phonemes(entry.text, lexicon)
+            ref_mel = None
+            if model.config.multi_speaker:
+                ref_mel = mel_of_waveform(ref_wave, audio)
+            result = model.synthesize(
+                phonemes, noise_scale=noise_scale, length_scale=length_scale,
+                ref_mel=ref_mel, seed=seed + index,
+            )
+            record = {
+                "id": entry.id,
+                "mel_l1": mel_distance(ref_wave, result.wave),
+                "gen_seconds": result.wave.size / audio.sample_rate,
+            }
+            if model.config.multi_speaker:
+                record["speaker_cos"] = speaker_similarity(ref_wave, result.wave)
+            if codebook is not None:
+                expected, got = tokens(ref_wave), tokens(result.wave)
+                dist = _kernels.levenshtein(got, expected)
+                record["token_acc"] = 1.0 - dist / max(got.size, expected.size)
+            records.append(record)
+        except (EvalError, ValueError, OSError) as exc:
+            errors.append({"id": entry.id, "error": str(exc)})
+    aggregate = {"count": len(records), "error_count": len(errors)}
+    for key in ("mel_l1", "speaker_cos", "token_acc"):
+        vals = [r[key] for r in records if key in r]
+        if vals:
+            aggregate[key] = float(np.mean(vals))
+    return {"records": records, "errors": errors, "aggregate": aggregate}
+
+
+@pytest.fixture
+def report_by_waves():
+    """Oracle of ``evaluate.evaluate_manifest``, returning its report's
+    ``to_dict()``."""
+    return _report_by_waves

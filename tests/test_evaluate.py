@@ -1,13 +1,17 @@
 """Evaluation metrics and manifest-level reports."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pptts import evaluate as evaluate_module
+from pptts import features as features_module
 from pptts._kernels import levenshtein
+from pptts.audio import read_wav, write_wav
 from pptts.config import AudioConfig, ModelConfig
 from pptts.data import load_manifest
 from pptts.evaluate import (
@@ -18,7 +22,7 @@ from pptts.evaluate import (
     speaker_similarity,
     token_roundtrip_accuracy,
 )
-from pptts.features import build_provider
+from pptts.features import build_provider, mel_of_waveform
 from pptts.model import SynthesisModel
 from pptts.pseudo import merge_runs, quantize, train_codebook
 from pptts.synthetic import generate_synthetic_corpus
@@ -61,6 +65,16 @@ def corpus(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def multi_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("multi_eval")
+    manifest = generate_synthetic_corpus(
+        seed=2, n_utts=3, n_speakers=2, out_dir=out, sample_rate=8000,
+        alphabet="abcd",
+    )
+    return load_manifest(manifest)
+
+
+@pytest.fixture(scope="module")
 def provider(corpus):
     return build_provider("builtin-mel", AUDIO, entries=corpus, normalize=True)
 
@@ -68,6 +82,23 @@ def provider(corpus):
 @pytest.fixture(scope="module")
 def codebook(corpus, provider):
     return train_codebook((provider.features_for(e) for e in corpus), k=6, seed=0)
+
+
+# A feature config other than the models': token features cannot reuse the
+# log-mels that the other two metrics read.
+OTHER_AUDIO = AudioConfig(
+    sample_rate=8000, n_fft=128, hop_length=32, win_length=96, n_mels=12
+)
+
+
+@pytest.fixture(scope="module")
+def other_provider(corpus):
+    return build_provider("builtin-mel", OTHER_AUDIO, entries=corpus, normalize=True)
+
+
+@pytest.fixture(scope="module")
+def other_codebook(corpus, other_provider):
+    return train_codebook((other_provider.features_for(e) for e in corpus), k=6, seed=0)
 
 
 def _wave(seed=0, n=2000):
@@ -97,75 +128,70 @@ class TestCosine:
             cosine_similarity(np.ones(3), np.ones(4))
 
 
+def _mel(seed=0, n=2000):
+    return mel_of_waveform(_wave(seed, n), AUDIO)
+
+
 class TestMelDistance:
     def test_zero_on_identical(self):
-        w = _wave(4)
-        assert mel_distance(w, w, AUDIO) == 0.0
+        m = _mel(4)
+        assert mel_distance(m, m) == 0.0
 
     def test_positive_on_different(self):
-        assert mel_distance(_wave(5), _wave(6), AUDIO) > 0.0
+        assert mel_distance(_mel(5), _mel(6)) > 0.0
 
     def test_length_mismatch_uses_overlap(self):
-        from pptts.features import mel_of_waveform
-
-        a, b = _wave(7, 3000), _wave(7, 3000)[:2000]
-        ref = mel_of_waveform(a, AUDIO).astype(np.float64)
-        gen = mel_of_waveform(b, AUDIO).astype(np.float64)
-        frames = min(ref.shape[0], gen.shape[0])
-        want = float(np.abs(ref[:frames] - gen[:frames]).mean())
-        assert mel_distance(a, b, AUDIO) == pytest.approx(want, rel=1e-12)
+        a, b = _mel(7, 3000), _mel(7, 2000)
+        frames = min(a.shape[0], b.shape[0])
+        want = float(np.abs(a[:frames].astype(np.float64) - b[:frames].astype(np.float64)).mean())
+        assert a.shape[0] > b.shape[0]
+        assert mel_distance(a, b) == want
 
     def test_symmetric(self):
-        a, b = _wave(8), _wave(9)
-        assert mel_distance(a, b, AUDIO) == pytest.approx(
-            mel_distance(b, a, AUDIO), rel=1e-12
-        )
+        a, b = _mel(8), _mel(9)
+        assert mel_distance(a, b) == mel_distance(b, a)
+
+    def test_no_frames_rejected(self):
+        with pytest.raises(EvalError, match="no overlapping"):
+            mel_distance(_mel(8)[:0], _mel(9))
 
 
 class TestSpeakerSimilarity:
     def test_requires_multi_speaker(self):
         model = micro_model(multi=False)
         with pytest.raises(EvalError):
-            speaker_similarity(_wave(10), _wave(11), model)
+            speaker_similarity(_mel(10), _mel(11), model)
 
     def test_identical_waves_score_one(self):
         model = micro_model(multi=True)
-        w = _wave(12)
-        assert speaker_similarity(w, w, model) == pytest.approx(1.0, abs=1e-6)
+        m = _mel(12)
+        assert speaker_similarity(m, m, model) == pytest.approx(1.0, abs=1e-6)
 
     def test_range(self):
         model = micro_model(multi=True)
-        s = speaker_similarity(_wave(13), _wave(14), model)
+        s = speaker_similarity(_mel(13), _mel(14), model)
         assert -1.0 <= s <= 1.0
 
 
 class TestTokenRoundtrip:
     def test_reference_wave_round_trips_exactly(self, corpus, codebook, provider):
-        from pptts.audio import read_wav
-
         wave, _ = read_wav(corpus[0].audio_path)
-        expected = merge_runs(
-            quantize(provider.features_for_wave(wave), codebook)
-        ).tokens
-        acc = token_roundtrip_accuracy(wave, expected, codebook, provider)
-        assert acc == 1.0
+        feats = provider.features_for_wave(wave)
+        expected = merge_runs(quantize(feats, codebook)).tokens
+        assert token_roundtrip_accuracy(feats, expected, codebook) == 1.0
 
     def test_wrong_tokens_score_below_one(self, corpus, codebook, provider):
-        from pptts.audio import read_wav
-
         wave, _ = read_wav(corpus[0].audio_path)
-        expected = merge_runs(
-            quantize(provider.features_for_wave(wave), codebook)
-        ).tokens
+        feats = provider.features_for_wave(wave)
+        expected = merge_runs(quantize(feats, codebook)).tokens
         wrong = (expected + 1) % codebook.k
         wrong = merge_runs_dedup(wrong)
-        acc = token_roundtrip_accuracy(wave, wrong, codebook, provider)
-        assert acc < 1.0
+        assert token_roundtrip_accuracy(feats, wrong, codebook) < 1.0
 
     def test_empty_expected_rejected(self, codebook, provider):
         with pytest.raises(EvalError):
             token_roundtrip_accuracy(
-                _wave(15), np.array([], dtype=np.int64), codebook, provider
+                provider.features_for_wave(_wave(15)), np.array([], dtype=np.int64), codebook
             )
 
     @settings(max_examples=60, deadline=None)
@@ -245,15 +271,9 @@ class TestEvaluateManifest:
         with pytest.raises(EvalError, match="no precomputed features"):
             evaluate_manifest(model, corpus, codebook=codebook, provider=provider)
 
-    def test_multi_speaker_adds_cosine(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("multi_eval")
-        manifest = generate_synthetic_corpus(
-            seed=2, n_utts=3, n_speakers=2, out_dir=out, sample_rate=8000,
-            alphabet="abcd",
-        )
-        entries = load_manifest(manifest)
+    def test_multi_speaker_adds_cosine(self, multi_corpus):
         model = self._finetune_model(multi=True)
-        report = evaluate_manifest(model, entries, seed=0)
+        report = evaluate_manifest(model, multi_corpus, seed=0)
         assert not report.errors
         for rec in report.records:
             assert -1.0 <= rec["speaker_cos"] <= 1.0
@@ -287,3 +307,106 @@ class TestEvaluateManifest:
         model = self._finetune_model()
         d = evaluate_manifest(model, corpus[:1]).to_dict()
         assert set(d) == {"records", "errors", "aggregate"}
+
+    def test_codebook_without_provider_refused_before_synthesis(
+        self, corpus, codebook, monkeypatch
+    ):
+        model = self._finetune_model()
+
+        def synthesize(*args, **kwargs):
+            raise AssertionError("synthesized before refusing the codebook")
+
+        monkeypatch.setattr(model, "synthesize", synthesize)
+        with pytest.raises(EvalError, match="feature provider"):
+            evaluate_manifest(model, corpus, codebook=codebook)
+
+    def _assert_report_matches_oracle(self, report_by_waves, model, entries, **kwargs):
+        got = evaluate_manifest(model, entries, seed=5, **kwargs).to_dict()
+        want = report_by_waves(model, entries, seed=5, **kwargs)
+        assert got == want
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        return got
+
+    def test_single_speaker_report_equals_wave_oracle(
+        self, report_by_waves, corpus, codebook, provider
+    ):
+        got = self._assert_report_matches_oracle(
+            report_by_waves, self._finetune_model(), corpus,
+            codebook=codebook, provider=provider,
+        )
+        assert not got["errors"] and "token_acc" in got["aggregate"]
+
+    def test_multi_speaker_report_equals_wave_oracle(
+        self, report_by_waves, multi_corpus, codebook, provider
+    ):
+        got = self._assert_report_matches_oracle(
+            report_by_waves, self._finetune_model(multi=True), multi_corpus,
+            codebook=codebook, provider=provider,
+        )
+        assert not got["errors"]
+        assert {"speaker_cos", "token_acc"} <= set(got["aggregate"])
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_other_provider_config_report_equals_wave_oracle(
+        self, report_by_waves, multi, corpus, multi_corpus, other_codebook, other_provider
+    ):
+        assert other_provider.audio != AUDIO
+        got = self._assert_report_matches_oracle(
+            report_by_waves, self._finetune_model(multi=multi),
+            multi_corpus if multi else corpus,
+            codebook=other_codebook, provider=other_provider,
+        )
+        assert not got["errors"] and "token_acc" in got["aggregate"]
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_error_records_equal_wave_oracle(
+        self, report_by_waves, multi, corpus, codebook, provider, tmp_path
+    ):
+        # Shorter than n_fft // 2 = 64 samples: no centered STFT frame.
+        short = tmp_path / "short.wav"
+        write_wav(short, _wave(16, 40), AUDIO.sample_rate)
+        entries = [
+            dataclasses.replace(corpus[0], audio_path="/nonexistent/missing.wav"),
+            dataclasses.replace(corpus[1], id="short", audio_path=str(short)),
+            dataclasses.replace(corpus[2], text=None),
+            corpus[3],
+        ]
+        got = self._assert_report_matches_oracle(
+            report_by_waves, self._finetune_model(multi=multi), entries,
+            codebook=codebook, provider=provider,
+        )
+        assert [e["id"] for e in got["errors"]] == [e.id for e in entries[:3]]
+        assert got["errors"][1]["error"] == (
+            "waveform too short for centered STFT: 40 <= 64"
+        )
+        assert got["aggregate"]["count"] == 1
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_one_log_mel_per_wave(
+        self, multi, corpus, multi_corpus, codebook, provider,
+        other_codebook, other_provider, monkeypatch,
+    ):
+        real = features_module.mel_of_waveform
+        calls = []
+
+        def counting(wave, cfg):
+            calls.append(cfg)
+            return real(wave, cfg)
+
+        monkeypatch.setattr(evaluate_module, "mel_of_waveform", counting)
+        monkeypatch.setattr(features_module, "mel_of_waveform", counting)
+        model = self._finetune_model(multi=multi)
+        entries = multi_corpus if multi else corpus
+
+        report = evaluate_manifest(model, entries, codebook=codebook, provider=provider)
+        assert not report.errors and "token_acc" in report.aggregate
+        assert calls == [AUDIO] * (2 * len(entries))
+
+        # At another provider config the token features need one more
+        # log-mel of each wave, at that config.
+        calls.clear()
+        report = evaluate_manifest(
+            model, entries, codebook=other_codebook, provider=other_provider
+        )
+        assert not report.errors
+        assert calls == [AUDIO, AUDIO, OTHER_AUDIO, OTHER_AUDIO] * len(entries)

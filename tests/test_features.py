@@ -15,6 +15,7 @@ from pptts.features import (
     compute_linear_spectrogram,
     compute_mel,
     hann_window,
+    mel_basis_t,
     mel_filterbank,
     mel_of_waveform,
     read_feature_file,
@@ -90,6 +91,43 @@ class TestWindow:
         want = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
         assert np.allclose(w, want, atol=1e-7)
         assert w[0] == 0.0
+
+
+class TestCachedArrays:
+    """The window and the transposed filterbank are built once per (config,
+    dtype) and shared, so they must be read-only and equal to a fresh
+    build."""
+
+    # win_length < n_fft exercises the centered zero padding.
+    CONFIGS = [CFG, AudioConfig(sample_rate=8000, n_fft=256, hop_length=64, win_length=128, n_mels=20)]
+
+    @staticmethod
+    def _fresh_window(cfg, dtype):
+        n = cfg.win_length
+        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+        full = np.zeros(cfg.n_fft)
+        left = (cfg.n_fft - n) // 2
+        full[left : left + n] = win
+        return full.astype(dtype)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_only_and_equal_to_fresh(self, cfg, dtype):
+        for got, want in (
+            (hann_window(cfg, dtype=dtype), self._fresh_window(cfg, dtype)),
+            (mel_basis_t(cfg, dtype=dtype), np.ascontiguousarray(mel_filterbank(cfg).T.astype(dtype))),
+        ):
+            assert not got.flags.writeable
+            assert got.flags.c_contiguous
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+
+    def test_built_once_per_config_and_dtype(self):
+        cfg = self.CONFIGS[1]
+        assert hann_window(cfg, dtype=np.float64) is hann_window(cfg, dtype=np.float64)
+        assert mel_basis_t(cfg, dtype=np.float64) is mel_basis_t(cfg, dtype=np.float64)
 
 
 class TestMel:
