@@ -11,7 +11,10 @@ last convolution (16 channels to 1, 7 taps, padding 3), forward plus
 backward to the weight, bias and input; ``relu`` is one forward.
 ``log-mel`` is ``mel_of_waveform`` (STFT, filterbank, log) of 1.5 s of
 audio at the acceptance sizes: 8 kHz, n_fft 256, hop 64, window 128,
-20 mels. Evaluating one utterance runs it once per wave.
+20 mels. Evaluating one utterance runs it once per wave. ``synthetic
+corpus`` is ``generate_synthetic_corpus`` writing 256 one-word utterances
+in 8 voices at 8 kHz, the size of the benchmark's codebook corpus, to a
+temporary directory.
 
 Run from the repository root:
 
@@ -21,6 +24,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import statistics
+import tempfile
 import time
 
 import numpy as np
@@ -28,6 +32,7 @@ import numpy as np
 from pptts import _kernels, tensor
 from pptts.config import AudioConfig
 from pptts.features import mel_of_waveform
+from pptts.synthetic import generate_synthetic_corpus, random_texts
 
 AUDIO = AudioConfig(sample_rate=8000, n_fft=256, hop_length=64, win_length=128, n_mels=20)
 
@@ -49,8 +54,16 @@ def _post_conv_step(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, upstrea
     tensor.conv1d(x, weight, bias, 7, 3).backward(upstream)
 
 
+def _synthetic_corpus(out_dir: str, texts: list[str]) -> None:
+    generate_synthetic_corpus(
+        seed=0, n_utts=len(texts), n_speakers=8, out_dir=out_dir,
+        sample_rate=AUDIO.sample_rate, texts=texts,
+    )
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
+    corpus_dir = tempfile.TemporaryDirectory()
     audio = np.asfortranarray(rng.standard_normal((16, 3456)).astype(np.float32))
     cases = [
         (
@@ -101,13 +114,19 @@ def main() -> None:
             mel_of_waveform,
             (rng.uniform(-0.5, 0.5, 12_000).astype(np.float32), AUDIO),
         ),
+        (
+            "synthetic corpus 256 utts 8 voices",
+            _synthetic_corpus,
+            (corpus_dir.name, random_texts(rng, 256, words=(1, 1))),
+        ),
     ]
 
     header = f"{'kernel':<34} {'median (ms)':>12}"
     print(header)
     print("-" * len(header))
-    for name, fn, args in cases:
-        print(f"{name:<34} {_median_ms(fn, args):>12.3f}")
+    with corpus_dir:
+        for name, fn, args in cases:
+            print(f"{name:<34} {_median_ms(fn, args):>12.3f}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ effective config next to its outputs so runs can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -199,9 +200,19 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
+def _feature_configured(args) -> bool:
+    """Whether ``--config`` or a ``--set feature.*`` override is given."""
+    return args.config is not None or any(
+        _parse_override(item)[0] == "feature" for item in args.overrides
+    )
+
+
 def cmd_eval(args) -> int:
     cfg = _effective_config(args)
     ckpt = tr.load_checkpoint(args.ckpt)
+    if not _feature_configured(args):
+        # Score tokens at the audio config the model was trained at.
+        cfg = dataclasses.replace(cfg, feature=ckpt.audio)
     model = tr.build_model_from_checkpoint(ckpt)
     entries = load_manifest(args.manifest)
     codebook = provider = None

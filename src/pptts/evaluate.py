@@ -44,14 +44,16 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / denom)
 
 
-def speaker_similarity(ref_mel: np.ndarray, gen_mel: np.ndarray, model: SynthesisModel) -> float:
-    """Cosine similarity between the reference-encoder embeddings of two
-    log-mels computed at ``model.audio``."""
+def speaker_similarity(
+    ref_embedding: np.ndarray, gen_mel: np.ndarray, model: SynthesisModel
+) -> float:
+    """Cosine similarity between a reference-encoder embedding (as
+    ``SynthesisResult.speaker`` carries it) and the embedding of a log-mel
+    computed at ``model.audio``."""
     if not model.config.multi_speaker:
         raise EvalError("speaker similarity requires a multi-speaker model")
-    emb_ref = model.reference_encode(ref_mel).data.ravel()
     emb_gen = model.reference_encode(gen_mel).data.ravel()
-    return cosine_similarity(emb_ref, emb_gen)
+    return cosine_similarity(ref_embedding, emb_gen)
 
 
 def token_roundtrip_accuracy(
@@ -102,7 +104,9 @@ def evaluate_manifest(
     """Synthesize each labeled entry and score it against its recording.
 
     Each entry's recording and generated wave become one log-mel each at
-    ``model.audio``, which all three metrics read; the token features reuse
+    ``model.audio``, which all three metrics read, and speaker similarity
+    compares the generated wave with the reference embedding that
+    conditioned its synthesis; the token features reuse
     them when ``provider.audio`` equals ``model.audio`` and are computed from
     the waves otherwise. Scoring tokens needs the builtin-mel provider the
     codebook was fitted on. Entries that cannot be scored (missing text,
@@ -147,7 +151,7 @@ def evaluate_manifest(
                 "gen_seconds": result.wave.size / model.audio.sample_rate,
             }
             if multi:
-                record["speaker_cos"] = speaker_similarity(ref_mel, gen_mel, model)
+                record["speaker_cos"] = speaker_similarity(result.speaker, gen_mel, model)
             if codebook is not None:
                 if provider.audio == model.audio:
                     ref_feats = provider.features_for_mel(ref_mel)

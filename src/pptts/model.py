@@ -312,6 +312,10 @@ class SynthesisResult:
     wave: np.ndarray
     durations: np.ndarray
     tokens: np.ndarray
+    # The [speaker_embed_dim, 1] embedding the flow and decoder were
+    # conditioned on (zeros without a reference); None for a
+    # single-speaker model.
+    speaker: np.ndarray | None = None
 
 
 class SynthesisModel(Module):
@@ -483,4 +487,5 @@ class SynthesisModel(Module):
             wave=np.asarray(wave.data, dtype=np.float32),
             durations=durations,
             tokens=np.asarray(ids, dtype=np.int64),
+            speaker=None if speaker is None else speaker.data,
         )

@@ -43,9 +43,6 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def parameter_dict(self) -> dict[str, Tensor]:
-        return dict(self.named_parameters())
-
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None

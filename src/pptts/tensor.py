@@ -36,10 +36,6 @@ def no_grad():
         _grad_enabled = previous
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
     if grad.shape == shape:
@@ -90,9 +86,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     # -- graph construction and backward -------------------------------------
 

@@ -28,7 +28,7 @@ from . import tensor as tz
 from .audio import read_wav
 from .config import AudioConfig, ConfigError, ModelConfig, RunConfig, _build_section
 from .data import Lexicon, ManifestEntry, text_to_phonemes
-from .features import build_provider, compute_linear_spectrogram, compute_mel
+from .features import BuiltinMelProvider, build_provider, compute_linear_spectrogram, compute_mel
 from .model import Stats, SynthesisModel
 from .nn import AdamW
 from .pseudo import Codebook, codebook_hash, merge_runs, quantize
@@ -138,7 +138,8 @@ def prepare_corpus(
 
     Pre-training labels every utterance with its merged pseudo token runs;
     fine-tuning keeps only entries that carry text and converts it to
-    phoneme ids.
+    phoneme ids. A builtin-mel provider at ``cfg.feature`` quantizes the
+    log-mel computed here, so each wave is read and transformed once.
     """
     if not entries:
         raise TrainError("manifest is empty")
@@ -165,6 +166,7 @@ def prepare_corpus(
         if lexicon is None:
             lexicon = Lexicon.default()
 
+    reuse_mel = isinstance(provider, BuiltinMelProvider) and provider.audio == cfg.feature
     prepared = []
     for entry in entries:
         wave, sr = read_wav(entry.audio_path)
@@ -175,7 +177,7 @@ def prepare_corpus(
         spec = compute_linear_spectrogram(wave, cfg.feature)
         mel = compute_mel(spec, cfg.feature)
         if stage == "pretrain":
-            feats = provider.features_for(entry)
+            feats = provider.features_for_mel(mel) if reuse_mel else provider.features_for(entry)
             tokens = merge_runs(quantize(feats, codebook)).tokens
         else:
             tokens = text_to_phonemes(entry.text, lexicon).as_array()

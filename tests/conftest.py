@@ -12,7 +12,9 @@ frozen encodings and one alignment search per batch. ``pad_cols`` and
 ``alignment_score`` and ``durations_to_assignment`` are the oracles of the
 alignment search tests. ``report_by_waves`` is the oracle of
 ``evaluate_manifest``: it scores every metric from the waves, one log-mel
-per metric and wave.
+per metric and wave. ``render_per_phone`` is the oracle of
+``synthetic.render_utterance``: it renders every phone instance anew.
+``grad_enabled`` reads whether ``tensor`` records graphs.
 """
 
 from __future__ import annotations
@@ -373,3 +375,43 @@ def report_by_waves():
     """Oracle of ``evaluate.evaluate_manifest``, returning its report's
     ``to_dict()``."""
     return _report_by_waves
+
+
+def _render_per_phone(
+    text, speaker_index, sample_rate, rng=None, formant_jitter=0.0,
+    duration_jitter=0.0, phones=None,
+):
+    """``synthetic.render_utterance`` with one ``_render_phone`` call per
+    phone instance; ``phones`` is accepted and ignored."""
+    from pptts import synthetic
+
+    f0 = synthetic.speaker_f0(speaker_index)
+    scale = synthetic.speaker_formant_scale(speaker_index)
+    parts = [
+        synthetic._render_phone(
+            ch, f0, sample_rate, rng, formant_jitter, duration_jitter, scale
+        )
+        for ch in text
+    ]
+    if not parts:
+        raise ValueError("empty text")
+    return np.concatenate(parts)
+
+
+@pytest.fixture
+def render_per_phone():
+    """Oracle of ``synthetic.render_utterance``, with its signature so it
+    can be patched in for it."""
+    return _render_per_phone
+
+
+def _grad_enabled() -> bool:
+    from pptts import tensor as tz
+
+    return tz._grad_enabled
+
+
+@pytest.fixture
+def grad_enabled():
+    """Whether ``tensor`` records graphs at the moment of the call."""
+    return _grad_enabled

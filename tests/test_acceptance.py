@@ -651,8 +651,10 @@ def test_criterion_7_reference_voice_transfer(tmp_path):
         gen_mel = mel_of_waveform(result.wave, model.audio)
         same_mel = mel_of_waveform(held_out[key][1], model.audio)
         cross_mel = mel_of_waveform(held_out[other][1], model.audio)
-        same.append(speaker_similarity(same_mel, gen_mel, model))
-        cross.append(speaker_similarity(cross_mel, gen_mel, model))
+        same_emb = model.reference_encode(same_mel).data
+        cross_emb = model.reference_encode(cross_mel).data
+        same.append(speaker_similarity(same_emb, gen_mel, model))
+        cross.append(speaker_similarity(cross_emb, gen_mel, model))
 
     same_mean, cross_mean = float(np.mean(same)), float(np.mean(cross))
     report = "\n".join(

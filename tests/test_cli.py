@@ -415,7 +415,7 @@ class TestSynthesizeCommand:
     )
     def test_unbounded_duration_exits_one(self, workspace, capsys, bias, message):
         model = build_model_from_checkpoint(load_checkpoint(workspace["fine_ckpt"]))
-        model.parameter_dict()["duration.proj.bias"].data[...] = bias
+        dict(model.named_parameters())["duration.proj.bias"].data[...] = bias
         ckpt = workspace["root"] / "long.ckpt"
         save_checkpoint(model, ckpt, stage="finetune")
         out = workspace["root"] / "long.wav"
@@ -442,6 +442,31 @@ class TestEvalCommand:
         assert "mel_l1" in report["aggregate"]
         assert "token_acc" in report["aggregate"]
         assert "wrote" in capsys.readouterr().out
+
+    def test_without_config_scores_at_checkpoint_audio(self, workspace, capsys):
+        # The corpus is 8 kHz; the default feature config is 22050 Hz.
+        reports = {}
+        for name, flags in (("config", ["--config", workspace["config"]]), ("plain", [])):
+            out = workspace["root"] / f"report_{name}.json"
+            code = run(
+                "eval", *flags, "--ckpt", workspace["fine_ckpt"],
+                "--manifest", workspace["manifest"],
+                "--codebook", workspace["codebook"], "--out", out,
+            )
+            assert code == 0, capsys.readouterr().err
+            reports[name] = out.read_bytes()
+        assert "token_acc" in json.loads(reports["plain"])["aggregate"]
+        assert reports["plain"] == reports["config"]
+
+    def test_feature_override_wins_over_checkpoint_audio(self, workspace, tmp_path, capsys):
+        code = run(
+            "eval", "--ckpt", workspace["fine_ckpt"],
+            "--manifest", workspace["manifest"],
+            "--codebook", workspace["codebook"], "--out", tmp_path / "r.json",
+            "--set", "feature.sample_rate=22050",
+        )
+        assert code == 1
+        assert "sample rate 8000 != configured 22050" in capsys.readouterr().err
 
     def test_works_without_codebook(self, workspace):
         out = workspace["root"] / "report_nocb.json"

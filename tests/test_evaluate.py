@@ -160,16 +160,17 @@ class TestSpeakerSimilarity:
     def test_requires_multi_speaker(self):
         model = micro_model(multi=False)
         with pytest.raises(EvalError):
-            speaker_similarity(_mel(10), _mel(11), model)
+            speaker_similarity(np.ones((6, 1)), _mel(11), model)
 
     def test_identical_waves_score_one(self):
         model = micro_model(multi=True)
         m = _mel(12)
-        assert speaker_similarity(m, m, model) == pytest.approx(1.0, abs=1e-6)
+        emb = model.reference_encode(m).data
+        assert speaker_similarity(emb, m, model) == pytest.approx(1.0, abs=1e-6)
 
     def test_range(self):
         model = micro_model(multi=True)
-        s = speaker_similarity(_mel(13), _mel(14), model)
+        s = speaker_similarity(model.reference_encode(_mel(13)).data, _mel(14), model)
         assert -1.0 <= s <= 1.0
 
 
@@ -410,3 +411,24 @@ class TestEvaluateManifest:
         )
         assert not report.errors
         assert calls == [AUDIO, AUDIO, OTHER_AUDIO, OTHER_AUDIO] * len(entries)
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_reference_encoder_once_per_wave(
+        self, report_by_waves, multi, corpus, multi_corpus, codebook, provider, monkeypatch
+    ):
+        # The recording's embedding conditions synthesis and is reused for
+        # speaker similarity; only the generated wave is encoded again.
+        model = self._finetune_model(multi=multi)
+        entries = multi_corpus if multi else corpus
+        want = report_by_waves(model, entries, codebook=codebook, provider=provider, seed=5)
+        real = model.reference_encode
+        calls = []
+
+        def counting(mel):
+            calls.append(mel.shape)
+            return real(mel)
+
+        monkeypatch.setattr(model, "reference_encode", counting)
+        got = evaluate_manifest(model, entries, codebook=codebook, provider=provider, seed=5)
+        assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert len(calls) == (2 * len(entries) if multi else 0)

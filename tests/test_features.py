@@ -22,7 +22,6 @@ from pptts.features import (
     write_feature_file,
     FrameFeatures,
 )
-from pptts.tensor import is_grad_enabled
 
 
 CFG = AudioConfig(sample_rate=8000, n_fft=256, hop_length=64, win_length=256, n_mels=20)
@@ -169,9 +168,9 @@ class TestMel:
 
 class TestArrayEntryPoints:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_plain_ndarray_of_input_dtype(self, dtype):
+    def test_plain_ndarray_of_input_dtype(self, dtype, grad_enabled):
         wave = sine(440, 0.3, CFG.sample_rate).astype(dtype)
-        assert is_grad_enabled()
+        assert grad_enabled()
         spec = compute_linear_spectrogram(wave, CFG)
         outputs = [spec, compute_mel(spec, CFG), mel_of_waveform(wave, CFG)]
         for out in outputs:

@@ -322,7 +322,7 @@ def test_bench_kernels_script_runs():
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == [
         "mas_assignment", "mas_assignment", "mas_assignments", "levenshtein",
-        "nearest_centroids", "post", "relu", "log-mel",
+        "nearest_centroids", "post", "relu", "log-mel", "synthetic",
     ]
     assert all(float(row[-1]) > 0 for row in rows)
 

@@ -363,11 +363,6 @@ class TestModule:
         lin.zero_grad()
         assert lin.weight.grad is None and lin.bias.grad is None
 
-    def test_parameter_dict(self):
-        lin = Conv1d(2, 3, 1, rng=np.random.default_rng(9))
-        d = lin.parameter_dict()
-        assert set(d) == {"weight", "bias"}
-
 
 class TestAdamW:
     def test_hand_computed_step(self):

@@ -1,8 +1,11 @@
 """Deterministic synthetic corpus generator."""
 
+import shutil
+
 import numpy as np
 import pytest
 
+from pptts import synthetic
 from pptts.audio import read_wav
 from pptts.data import load_manifest
 from pptts.synthetic import (
@@ -136,3 +139,79 @@ class TestCorpus:
     def test_invalid_counts(self, tmp_path):
         with pytest.raises(ValueError):
             generate_synthetic_corpus(seed=0, n_utts=0, n_speakers=1, out_dir=tmp_path)
+
+
+# Multi-word texts (so spaces) by default; the jitter values are those of
+# acceptance criterion 6.
+CORPORA = {
+    "multi-speaker-8k": dict(seed=5, n_utts=24, n_speakers=3, sample_rate=8000),
+    "multi-speaker-22k": dict(
+        seed=6, n_utts=12, n_speakers=2, sample_rate=22050, alphabet="abcdefghijklmnopqrstuvwxyz"
+    ),
+    "jittered": dict(
+        seed=7, n_utts=12, n_speakers=2, sample_rate=8000,
+        formant_jitter=0.05, duration_jitter=0.15,
+    ),
+    "speaker-indices": dict(
+        seed=8, n_utts=12, n_speakers=2, sample_rate=8000, speaker_indices=[8, 9]
+    ),
+}
+
+
+def _corpus_bytes(out_dir):
+    return {
+        f.relative_to(out_dir).as_posix(): f.read_bytes()
+        for f in sorted(out_dir.rglob("*")) if f.is_file()
+    }
+
+
+def _count_phones(monkeypatch):
+    """Record (character, f0) of every ``_render_phone`` call."""
+    real = synthetic._render_phone
+    calls = []
+
+    def counting(char, f0, *args, **kwargs):
+        calls.append((char, f0))
+        return real(char, f0, *args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "_render_phone", counting)
+    return calls
+
+
+class TestPhoneMemo:
+    @pytest.mark.parametrize("kwargs", CORPORA.values(), ids=CORPORA)
+    def test_bytes_equal_per_phone_oracle(self, tmp_path, monkeypatch, render_per_phone, kwargs):
+        # Both corpora go to the same directory, so the manifests' absolute
+        # audio paths compare too.
+        out = tmp_path / "corpus"
+        with monkeypatch.context() as patch:
+            patch.setattr(synthetic, "render_utterance", render_per_phone)
+            generate_synthetic_corpus(out_dir=out, **kwargs)
+        want = _corpus_bytes(out)
+        shutil.rmtree(out)
+        manifest = generate_synthetic_corpus(out_dir=out, **kwargs)
+        assert _corpus_bytes(out) == want
+        assert len(want) == kwargs["n_utts"] + 1
+        assert any(" " in e.text for e in load_manifest(manifest))
+
+    def test_unjittered_renders_each_distinct_phone_once(self, tmp_path, monkeypatch):
+        calls = _count_phones(monkeypatch)
+        manifest = generate_synthetic_corpus(out_dir=tmp_path, **CORPORA["multi-speaker-8k"])
+        entries = load_manifest(manifest)
+        distinct = {(ch, e.speaker_id) for e in entries for ch in e.text}
+        assert len(calls) == len(set(calls)) == len(distinct)
+        assert sum(len(e.text) for e in entries) > 2 * len(distinct)
+
+    def test_jittered_renders_every_phone_instance(self, tmp_path, monkeypatch):
+        calls = _count_phones(monkeypatch)
+        manifest = generate_synthetic_corpus(out_dir=tmp_path, **CORPORA["jittered"])
+        texts = [e.text for e in load_manifest(manifest)]
+        assert [ch for ch, _ in calls] == list("".join(texts))
+
+    def test_no_phone_survives_a_call(self, tmp_path, monkeypatch):
+        calls = _count_phones(monkeypatch)
+        kwargs = CORPORA["multi-speaker-8k"]
+        generate_synthetic_corpus(out_dir=tmp_path / "a", **kwargs)
+        first = list(calls)
+        generate_synthetic_corpus(out_dir=tmp_path / "b", **kwargs)
+        assert calls == first + first

@@ -16,10 +16,12 @@ from pptts.config import (
     TrainConfig,
     config_from_dict,
 )
+from pptts import features as features_module
+from pptts.audio import read_wav
 from pptts.data import load_manifest
-from pptts.features import build_provider
+from pptts.features import build_provider, compute_linear_spectrogram, compute_mel
 from pptts.model import SynthesisModel
-from pptts.pseudo import codebook_hash, train_codebook
+from pptts.pseudo import codebook_hash, merge_runs, quantize, train_codebook
 from pptts.synthetic import generate_synthetic_corpus
 from pptts.train import (
     Checkpoint,
@@ -171,6 +173,38 @@ class TestPrepareCorpus:
             assert item.tokens.size <= item.spec.shape[0]
             assert item.spec.shape[1] == AUDIO.spec_bins
             assert item.mel.shape[1] == AUDIO.n_mels
+
+    def test_pretrain_reads_and_transforms_each_wave_once(
+        self, corpus, codebook, provider, monkeypatch
+    ):
+        # Oracle: the spectrogram and log-mel of the wave, and tokens from
+        # the provider's own read and log-mel of the same file.
+        want = []
+        for entry in corpus:
+            spec = compute_linear_spectrogram(read_wav(entry.audio_path)[0], AUDIO)
+            tokens = merge_runs(quantize(provider.features_for(entry), codebook)).tokens
+            want.append((spec, compute_mel(spec, AUDIO), tokens))
+        reads, mels = [], []
+
+        def counting_read(path):
+            reads.append(path)
+            return read_wav(path)
+
+        def counting_mel(wave, cfg):
+            mels.append(cfg)
+            return features_module.compute_mel(
+                features_module.compute_linear_spectrogram(wave, cfg), cfg
+            )
+
+        monkeypatch.setattr(train_module, "read_wav", counting_read)
+        monkeypatch.setattr(features_module, "read_wav", counting_read)
+        monkeypatch.setattr(features_module, "mel_of_waveform", counting_mel)
+        items = prepare_corpus(corpus, micro_run_config("pretrain"), "pretrain", codebook, provider)
+        assert reads == [e.audio_path for e in corpus]
+        assert mels == []
+        for item, (spec, mel, tokens) in zip(items, want, strict=True):
+            for got, ref in ((item.spec, spec), (item.mel, mel), (item.tokens, tokens)):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_pretrain_requires_codebook(self, corpus):
         cfg = micro_run_config("pretrain")
