@@ -18,7 +18,7 @@ from . import evaluate as ev
 from . import train as tr
 from .audio import read_wav, write_wav
 from .config import ConfigError, RunConfig, config_from_dict, load_config, merge_overrides, write_config
-from .data import Lexicon, load_manifest, text_to_phonemes
+from .data import DEFAULT_CHARACTERS, load_manifest, text_to_phonemes
 from .features import build_provider, mel_of_waveform
 from .pseudo import load_codebook, merge_runs, quantize, save_codebook, train_codebook
 from .synthetic import generate_synthetic_corpus
@@ -171,8 +171,7 @@ def cmd_synthesize(args) -> int:
             "synthesis needs a text-capable checkpoint (fine-tuned or from-scratch)"
         )
     model = tr.build_model_from_checkpoint(ckpt)
-    lexicon = Lexicon.default()
-    phonemes = text_to_phonemes(args.text, lexicon)
+    ids = text_to_phonemes(args.text)
     ref_mel = None
     if args.ref_wav is not None:
         wave, sr = read_wav(args.ref_wav)
@@ -180,7 +179,7 @@ def cmd_synthesize(args) -> int:
             raise ValueError(f"reference sample rate {sr} != {model.audio.sample_rate}")
         ref_mel = mel_of_waveform(wave, model.audio)
     result = model.synthesize(
-        phonemes,
+        ids,
         noise_scale=args.noise_scale,
         length_scale=args.length_scale,
         ref_mel=ref_mel,
@@ -193,8 +192,7 @@ def cmd_synthesize(args) -> int:
     hop_s = model.audio.hop_length / model.audio.sample_rate
     print("token durations:")
     for tok, frames in zip(result.tokens, result.durations):
-        sym = lexicon.symbols[tok] if tok < len(lexicon.symbols) else "?"
-        print(f"  {sym!r}: {int(frames)} frames ({frames * hop_s:.3f}s)")
+        print(f"  {DEFAULT_CHARACTERS[tok]!r}: {int(frames)} frames ({frames * hop_s:.3f}s)")
     total = int(result.durations.sum())
     print(f"total: {total} frames ({total * hop_s:.3f}s) -> {out}")
     return 0

@@ -21,7 +21,7 @@ class ManifestError(ValueError):
 
 
 class TextFrontendError(ValueError):
-    """Text cannot be tokenized with the given lexicon."""
+    """Text cannot be tokenized over ``DEFAULT_CHARACTERS``."""
 
 
 @dataclass(frozen=True)
@@ -104,58 +104,11 @@ def write_manifest(path: str | Path, entries: list[ManifestEntry]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Text frontend: character tokens by default, overridable by a Lexicon of
-# single-character symbols (an optional "<unk>" symbol maps uncovered ones).
+# Text frontend: one token id per character of DEFAULT_CHARACTERS.
 # ---------------------------------------------------------------------------
 
-UNKNOWN_TOKEN = "<unk>"
 DEFAULT_CHARACTERS = " abcdefghijklmnopqrstuvwxyz'"
-
-
-@dataclass(frozen=True)
-class PhonemeSequence:
-    tokens: tuple[int, ...]
-    vocab_id: str
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.tokens, dtype=np.int64)
-
-
-class Lexicon:
-    """Ordered symbol table mapping single characters to token ids."""
-
-    def __init__(self, symbols: list[str], vocab_id: str):
-        self.symbols = list(symbols)
-        self.vocab_id = vocab_id
-        self.unknown_id: int | None = None
-        self._index: dict[str, int] = {}
-        for i, sym in enumerate(self.symbols):
-            if sym == UNKNOWN_TOKEN:
-                self.unknown_id = i
-                continue
-            if len(sym) != 1:
-                raise TextFrontendError(
-                    f"lexicon symbol {sym!r} must be a single character"
-                )
-            if sym in self._index:
-                raise TextFrontendError(f"duplicate lexicon symbol {sym!r}")
-            self._index[sym] = i
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def lookup(self, char: str) -> int | None:
-        idx = self._index.get(char)
-        if idx is None:
-            return self.unknown_id
-        return idx
-
-    @classmethod
-    def default(cls) -> "Lexicon":
-        return cls(list(DEFAULT_CHARACTERS), vocab_id="char-lower-v1")
+_CHAR_IDS = {ch: i for i, ch in enumerate(DEFAULT_CHARACTERS)}
 
 
 def normalize_text(text: str) -> str:
@@ -163,22 +116,20 @@ def normalize_text(text: str) -> str:
     return re.sub(r"\s+", " ", text.lower()).strip()
 
 
-def text_to_phonemes(text: str, lexicon: Lexicon | None = None) -> PhonemeSequence:
-    """Tokenize text to ids; deterministic and pure.
+def text_to_phonemes(text: str) -> np.ndarray:
+    """Tokenize text to int64 ids, the index of each character in
+    ``DEFAULT_CHARACTERS``; deterministic and pure.
 
-    Raises TextFrontendError for empty normalized text or for symbols the
-    lexicon does not cover when no unknown token is configured.
+    Raises TextFrontendError for empty normalized text or for a character
+    outside ``DEFAULT_CHARACTERS``.
     """
-    lexicon = lexicon or Lexicon.default()
     normalized = normalize_text(text)
     if not normalized:
         raise TextFrontendError("text is empty after normalization")
     tokens = []
     for ch in normalized:
-        idx = lexicon.lookup(ch)
+        idx = _CHAR_IDS.get(ch)
         if idx is None:
-            raise TextFrontendError(
-                f"symbol {ch!r} not in lexicon and no {UNKNOWN_TOKEN} configured"
-            )
+            raise TextFrontendError(f"symbol {ch!r} not in the character set")
         tokens.append(idx)
-    return PhonemeSequence(tokens=tuple(tokens), vocab_id=lexicon.vocab_id)
+    return np.array(tokens, dtype=np.int64)

@@ -9,7 +9,7 @@ import numpy as np
 
 from ._kernels import levenshtein
 from .audio import read_wav
-from .data import Lexicon, ManifestEntry, text_to_phonemes
+from .data import ManifestEntry, text_to_phonemes
 from .features import FrameFeatures, PrecomputedProvider, mel_of_waveform
 from .model import SynthesisModel
 from .pseudo import Codebook, merge_runs, quantize
@@ -96,7 +96,6 @@ def evaluate_manifest(
     entries: list[ManifestEntry],
     codebook: Codebook | None = None,
     provider=None,
-    lexicon: Lexicon | None = None,
     noise_scale: float = 0.667,
     length_scale: float = 1.0,
     seed: int = 0,
@@ -124,8 +123,6 @@ def evaluate_manifest(
             "generated audio has no precomputed features; score token "
             "accuracy with the builtin-mel provider"
         )
-    if lexicon is None:
-        lexicon = Lexicon.default()
     multi = model.config.multi_speaker
     report = EvalReport()
     for index, entry in enumerate(entries):
@@ -135,10 +132,10 @@ def evaluate_manifest(
             ref_wave, sr = read_wav(entry.audio_path)
             if sr != model.audio.sample_rate:
                 raise EvalError(f"sample rate {sr} != configured {model.audio.sample_rate}")
-            phonemes = text_to_phonemes(entry.text, lexicon)
+            ids = text_to_phonemes(entry.text)
             ref_mel = mel_of_waveform(ref_wave, model.audio)
             result = model.synthesize(
-                phonemes,
+                ids,
                 noise_scale=noise_scale,
                 length_scale=length_scale,
                 ref_mel=ref_mel if multi else None,

@@ -23,9 +23,7 @@ import numpy as np
 from . import align
 from . import tensor as T
 from .config import AudioConfig, ModelConfig
-from .data import PhonemeSequence
 from .nn import Conv1d, Embedding, Module, ModuleList
-from .pseudo import PseudoPhonemeSequence
 from .seeding import seeded_rng
 from .tensor import Tensor
 
@@ -380,25 +378,17 @@ class SynthesisModel(Module):
         stats = self.posterior(Tensor(spec.T))
         return stats.sample(eps), stats
 
-    def text_encode(self, phonemes) -> tuple[Tensor, Stats]:
+    def text_encode(self, ids: np.ndarray) -> tuple[Tensor, Stats]:
         if self.mode != "finetune":
             raise ModelError("text encoding requires a finetune-mode model")
-        ids = phonemes.as_array() if isinstance(phonemes, PhonemeSequence) else phonemes
         return self.text_encoder(ids)
 
-    def pseudo_encode(self, pseudo) -> tuple[Tensor, Stats]:
-        if self.mode != "pretrain":
-            raise ModelError("pseudo encoding requires a pretrain-mode model")
-        tokens = (
-            pseudo.tokens if isinstance(pseudo, PseudoPhonemeSequence) else pseudo
-        )
-        return self.pseudo_encoder(tokens)
-
-    def token_encode(self, tokens) -> tuple[Tensor, Stats]:
-        """Mode-appropriate prior encoder."""
+    def token_encode(self, ids: np.ndarray) -> tuple[Tensor, Stats]:
+        """Mode-appropriate prior encoder: pseudo tokens in pretrain mode,
+        text tokens in finetune mode."""
         if self.mode == "pretrain":
-            return self.pseudo_encode(tokens)
-        return self.text_encode(tokens)
+            return self.pseudo_encoder(ids)
+        return self.text_encode(ids)
 
     # -- flow / decoder / reference -------------------------------------------
 
@@ -455,7 +445,7 @@ class SynthesisModel(Module):
 
     def synthesize(
         self,
-        phonemes,
+        ids: np.ndarray,
         noise_scale: float = 0.667,
         length_scale: float = 1.0,
         ref_mel: np.ndarray | None = None,
@@ -465,7 +455,7 @@ class SynthesisModel(Module):
         if ref_mel is not None and not self.config.multi_speaker:
             raise ModelError("reference mel given to a single-speaker model")
         with T.no_grad():
-            hidden, prior = self.text_encode(phonemes)
+            hidden, prior = self.text_encode(ids)
             log_dur = self.predict_durations(hidden).data
             durations = self._frame_counts(log_dur, length_scale)
             mean_f, std_f = align.expand_prior(prior.mean_tc, prior.std_tc, durations)
@@ -482,7 +472,6 @@ class SynthesisModel(Module):
                 )
             z, _ = self.flow.inverse(z_p, speaker)
             wave = self.decode(z, speaker)
-        ids = phonemes.as_array() if isinstance(phonemes, PhonemeSequence) else phonemes
         return SynthesisResult(
             wave=np.asarray(wave.data, dtype=np.float32),
             durations=durations,

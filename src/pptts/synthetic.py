@@ -199,6 +199,8 @@ def generate_synthetic_corpus(
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
+    # Resolved once: each WAV path is this directory plus a fresh file name.
+    wav_dir = wav_dir.resolve()
     rng = np.random.default_rng(seed)
     if texts is None:
         texts = random_texts(rng, n_utts, alphabet=alphabet)
@@ -223,7 +225,7 @@ def generate_synthetic_corpus(
         entries.append(
             ManifestEntry(
                 id=f"utt{i:04d}",
-                audio_path=str(wav_path.resolve()),
+                audio_path=str(wav_path),
                 speaker_id=f"spk{spk}",
                 duration_s=len(wave) / sample_rate,
                 text=text,

@@ -27,7 +27,7 @@ from . import align, losses
 from . import tensor as tz
 from .audio import read_wav
 from .config import AudioConfig, ConfigError, ModelConfig, RunConfig, _build_section
-from .data import Lexicon, ManifestEntry, text_to_phonemes
+from .data import ManifestEntry, text_to_phonemes
 from .features import BuiltinMelProvider, build_provider, compute_linear_spectrogram, compute_mel
 from .model import Stats, SynthesisModel
 from .nn import AdamW
@@ -132,7 +132,6 @@ def prepare_corpus(
     stage: str,
     codebook: Codebook | None = None,
     provider=None,
-    lexicon: Lexicon | None = None,
 ) -> list[PreparedUtterance]:
     """Load audio and derive per-utterance targets for one stage.
 
@@ -163,8 +162,6 @@ def prepare_corpus(
         entries = [e for e in entries if e.text]
         if not entries:
             raise TrainError("fine-tuning requires labeled entries (none have text)")
-        if lexicon is None:
-            lexicon = Lexicon.default()
 
     reuse_mel = isinstance(provider, BuiltinMelProvider) and provider.audio == cfg.feature
     prepared = []
@@ -180,7 +177,7 @@ def prepare_corpus(
             feats = provider.features_for_mel(mel) if reuse_mel else provider.features_for(entry)
             tokens = merge_runs(quantize(feats, codebook)).tokens
         else:
-            tokens = text_to_phonemes(entry.text, lexicon).as_array()
+            tokens = text_to_phonemes(entry.text)
         if tokens.size > spec.shape[0]:
             raise TrainError(
                 f"{entry.id}: {tokens.size} tokens exceed {spec.shape[0]} "
@@ -275,16 +272,6 @@ def batch_losses(
             terms["recon"] = losses.reconstruction_loss(wave, item.mel, model.audio)
         out.append(terms)
     return out
-
-
-def utterance_losses(
-    model: SynthesisModel,
-    item: PreparedUtterance,
-    eps,
-    include_recon: bool,
-) -> dict[str, Tensor]:
-    """:func:`batch_losses` of one utterance, encoders included."""
-    return batch_losses(model, [item], [eps], include_recon)[0]
 
 
 def _batch_mean(terms: list[dict[str, Tensor]]) -> dict[str, Tensor]:
@@ -636,7 +623,6 @@ def run_training(
     codebook: Codebook | None = None,
     init_ckpt: str | Path | None = None,
     provider=None,
-    lexicon: Lexicon | None = None,
 ) -> TrainResult:
     """Run one full training stage and write metrics + checkpoints.
 
@@ -683,7 +669,7 @@ def run_training(
     else:
         raise TrainError(f"unknown stage {tcfg.stage!r}")
 
-    items = prepare_corpus(entries, cfg, stage, codebook, provider, lexicon)
+    items = prepare_corpus(entries, cfg, stage, codebook, provider)
     apply_partition(model, partition)
     # Frozen encoders give each item the same outputs at every step.
     if encoders_frozen(model, partition):

@@ -306,7 +306,7 @@ def _report_by_waves(
     is given."""
     from pptts import _kernels
     from pptts.audio import read_wav
-    from pptts.data import Lexicon, text_to_phonemes
+    from pptts.data import text_to_phonemes
     from pptts.evaluate import EvalError
     from pptts.features import FrameFeatures, mel_of_waveform
     from pptts.pseudo import merge_runs, quantize
@@ -331,7 +331,6 @@ def _report_by_waves(
         feats = FrameFeatures(vals, provider.provider_id, provider.frame_rate_hz)
         return merge_runs(quantize(feats, codebook)).tokens
 
-    lexicon = Lexicon.default()
     records, errors = [], []
     for index, entry in enumerate(entries):
         try:
@@ -340,12 +339,12 @@ def _report_by_waves(
             ref_wave, sr = read_wav(entry.audio_path)
             if sr != audio.sample_rate:
                 raise EvalError(f"sample rate {sr} != configured {audio.sample_rate}")
-            phonemes = text_to_phonemes(entry.text, lexicon)
+            ids = text_to_phonemes(entry.text)
             ref_mel = None
             if model.config.multi_speaker:
                 ref_mel = mel_of_waveform(ref_wave, audio)
             result = model.synthesize(
-                phonemes, noise_scale=noise_scale, length_scale=length_scale,
+                ids, noise_scale=noise_scale, length_scale=length_scale,
                 ref_mel=ref_mel, seed=seed + index,
             )
             record = {

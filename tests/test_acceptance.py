@@ -40,10 +40,10 @@ from pptts.pseudo import expand_runs, merge_runs, quantize, train_codebook
 from pptts.synthetic import generate_synthetic_corpus, random_texts
 from pptts.tensor import Tensor
 from pptts.train import (
+    batch_losses,
     load_checkpoint,
     prepare_corpus,
     run_training,
-    utterance_losses,
 )
 
 
@@ -268,7 +268,7 @@ def test_criterion_3_pretraining_loss_gradcheck(tmp_path):
     tcfg = cfg.train
 
     def total_loss() -> Tensor:
-        losses = utterance_losses(model, item, eps, include_recon=True)
+        losses = batch_losses(model, [item], [eps], include_recon=True)[0]
         return (
             tcfg.kld_weight * losses["kld"]
             + tcfg.duration_weight * losses["dur"]
@@ -477,7 +477,7 @@ def _validation_losses(model, entries, cfg) -> float:
     totals = []
     for item in items:
         with tz.no_grad():
-            losses = utterance_losses(model, item, 0.0, include_recon=False)
+            losses = batch_losses(model, [item], [0.0], include_recon=False)[0]
         totals.append(float(losses["kld"].item()) + float(losses["dur"].item()))
     return float(np.mean(totals))
 
@@ -500,6 +500,7 @@ def _mean_token_accuracy(model, entries, codebook, provider) -> float:
     return float(np.mean(scores))
 
 
+@pytest.mark.slow
 def test_criterion_6_transfer_beats_from_scratch(tmp_path):
     budget = Budget(900)
     pre_man, lab_man, val_man = _transfer_corpora(tmp_path)
@@ -578,6 +579,7 @@ def test_criterion_6_transfer_beats_from_scratch(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_reference_voice_transfer(tmp_path):
     budget = Budget(1200)
     model_cfg = dataclasses.replace(TRANSFER_MODEL, multi_speaker=True)

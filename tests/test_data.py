@@ -8,10 +8,8 @@ from hypothesis import given, strategies as st
 
 from pptts.data import (
     DEFAULT_CHARACTERS,
-    Lexicon,
     ManifestEntry,
     ManifestError,
-    PhonemeSequence,
     TextFrontendError,
     load_manifest,
     normalize_text,
@@ -139,43 +137,36 @@ class TestTextFrontend:
         assert normalize_text("a  b") == "a b"
 
     def test_default_roundtrip(self):
-        seq = text_to_phonemes("hello world")
-        lex = Lexicon.default()
-        assert "".join(lex.symbols[t] for t in seq.tokens) == "hello world"
+        ids = text_to_phonemes("hello world")
+        assert "".join(DEFAULT_CHARACTERS[t] for t in ids) == "hello world"
+
+    def test_character_ids_pinned(self):
+        # Checkpoints trained on these ids must read text the same way.
+        assert text_to_phonemes("a b").tolist() == [1, 0, 2]
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        assert text_to_phonemes(letters).tolist() == list(range(1, 27))
+        assert text_to_phonemes("'").tolist() == [27]
 
     def test_deterministic(self):
         a = text_to_phonemes("some text here")
         b = text_to_phonemes("some text here")
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_case_insensitive(self):
-        assert text_to_phonemes("AbC") == text_to_phonemes("abc")
+        np.testing.assert_array_equal(text_to_phonemes("AbC"), text_to_phonemes("abc"))
 
     def test_empty_text_rejected(self):
         with pytest.raises(TextFrontendError):
             text_to_phonemes("   ")
 
     def test_unknown_symbol_without_unk(self):
-        lex = Lexicon(list("ab"), vocab_id="tiny")
-        with pytest.raises(TextFrontendError, match="not in lexicon"):
-            text_to_phonemes("abc", lex)
-
-    def test_unknown_symbol_with_unk(self):
-        lex = Lexicon(list("ab") + ["<unk>"], vocab_id="tiny+unk")
-        seq = text_to_phonemes("abq", lex)
-        assert seq.tokens == (0, 1, 2)
-
-    def test_duplicate_symbol_rejected(self):
-        with pytest.raises(TextFrontendError, match="duplicate"):
-            Lexicon(list("aa"), vocab_id="dup")
-
-    def test_multichar_symbol_rejected(self):
-        with pytest.raises(TextFrontendError):
-            Lexicon(["ab"], vocab_id="bad")
+        with pytest.raises(TextFrontendError, match="'1' not in the character set"):
+            text_to_phonemes("ab1")
 
     def test_as_array_dtype(self):
-        arr = text_to_phonemes("abc").as_array()
-        assert arr.dtype == np.int64
+        arr = text_to_phonemes("abc")
+        assert isinstance(arr, np.ndarray)
+        assert arr.dtype == np.int64 and arr.shape == (3,)
 
     def test_default_vocab_covers_examples(self):
         # Default characters: space, a-z, apostrophe -> 28 ids.
@@ -187,5 +178,5 @@ class TestTextFrontend:
             seq = text_to_phonemes(text)
         except TextFrontendError:
             return  # whitespace-only input
-        assert all(0 <= t < 28 for t in seq.tokens)
-        assert isinstance(seq, PhonemeSequence)
+        assert seq.dtype == np.int64
+        assert np.all((0 <= seq) & (seq < 28))

@@ -181,7 +181,7 @@ class TestFlow:
 class TestTokenEncoders:
     def test_pretrain_uses_pseudo_vocab(self):
         model = make_model("pretrain")
-        hidden, stats = model.pseudo_encode(np.array([0, 5, 10]))
+        hidden, stats = model.token_encode(np.array([0, 5, 10]))
         assert hidden.shape == (16, 3)
         assert stats.mean.shape == (8, 3)
         assert np.all(stats.std.data > 0)
@@ -195,21 +195,18 @@ class TestTokenEncoders:
 
     def test_mode_gating(self):
         pre = make_model("pretrain")
-        fine = make_model("finetune")
         with pytest.raises(ModelError):
             pre.text_encode(np.array([0]))
-        with pytest.raises(ModelError):
-            fine.pseudo_encode(np.array([0]))
 
     def test_pseudo_vocab_bound(self):
         model = make_model("pretrain")
         with pytest.raises(ValueError):
-            model.pseudo_encode(np.array([11]))
+            model.token_encode(np.array([11]))
 
     def test_empty_rejected(self):
         model = make_model("pretrain")
         with pytest.raises(ModelError):
-            model.pseudo_encode(np.array([], dtype=np.int64))
+            model.token_encode(np.array([], dtype=np.int64))
 
     def test_untrained_prior_is_standard_normal_for_every_token(self):
         # An untrained prior favours no token, so the first alignments come
@@ -236,7 +233,11 @@ class TestTokenEncoders:
     def test_token_encode_dispatch(self):
         pre = make_model("pretrain")
         h1, _ = pre.token_encode(np.array([1, 2]))
-        h2, _ = pre.pseudo_encode(np.array([1, 2]))
+        h2, _ = pre.pseudo_encoder(np.array([1, 2]))
+        assert np.array_equal(h1.data, h2.data)
+        fine = make_model("finetune")
+        h1, _ = fine.token_encode(np.array([1, 2]))
+        h2, _ = fine.text_encode(np.array([1, 2]))
         assert np.array_equal(h1.data, h2.data)
 
 

@@ -1,13 +1,15 @@
 """Deterministic synthetic corpus generator."""
 
+import dataclasses
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pptts import synthetic
 from pptts.audio import read_wav
-from pptts.data import load_manifest
+from pptts.data import load_manifest, write_manifest
 from pptts.synthetic import (
     generate_synthetic_corpus,
     random_texts,
@@ -139,6 +141,41 @@ class TestCorpus:
     def test_invalid_counts(self, tmp_path):
         with pytest.raises(ValueError):
             generate_synthetic_corpus(seed=0, n_utts=0, n_speakers=1, out_dir=tmp_path)
+
+    def test_audio_paths_resolved(self, tmp_path, monkeypatch):
+        # A relative output directory reached through a symlink: each
+        # manifest path must still be absolute and free of the link, as
+        # resolving every WAV path on its own would make it.
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        monkeypatch.chdir(tmp_path)
+        out_dir = Path("link") / "corpus"
+        resolves = []
+        real_resolve = Path.resolve
+
+        def counting_resolve(self, *args, **kwargs):
+            resolves.append(self)
+            return real_resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", counting_resolve)
+        manifest = generate_synthetic_corpus(
+            seed=2, n_utts=6, n_speakers=2, out_dir=out_dir, sample_rate=8000
+        )
+        monkeypatch.setattr(Path, "resolve", real_resolve)
+        assert len(resolves) == 1
+
+        entries = load_manifest(manifest)
+        for e in entries:
+            assert e.audio_path == str(Path(e.audio_path).resolve())
+            assert e.audio_path.startswith(str((tmp_path / "real").resolve()))
+        per_path = [
+            dataclasses.replace(
+                e, audio_path=str((out_dir / "wav" / f"{e.id}.wav").resolve())
+            )
+            for e in entries
+        ]
+        write_manifest(tmp_path / "per_path.jsonl", per_path)
+        assert manifest.read_bytes() == (tmp_path / "per_path.jsonl").read_bytes()
 
 
 # Multi-word texts (so spaces) by default; the jitter values are those of
