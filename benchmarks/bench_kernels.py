@@ -14,7 +14,10 @@ audio at the acceptance sizes: 8 kHz, n_fft 256, hop 64, window 128,
 20 mels. Evaluating one utterance runs it once per wave. ``synthetic
 corpus`` is ``generate_synthetic_corpus`` writing 256 one-word utterances
 in 8 voices at 8 kHz, the size of the benchmark's codebook corpus, to a
-temporary directory.
+temporary directory. ``kmeans++ init`` and ``train_codebook`` run on the
+standardized log-mel frames of such a corpus (288 utterances), trimmed to
+the 10,760 x 20 frames of the codebook workload at seed 1: seeding of
+k=64 centroids, and a whole fit of 32 Lloyd passes at tolerance 0.
 
 Run from the repository root:
 
@@ -29,9 +32,10 @@ import time
 
 import numpy as np
 
-from pptts import _kernels, tensor
+from pptts import _kernels, pseudo, tensor
 from pptts.config import AudioConfig
-from pptts.features import mel_of_waveform
+from pptts.data import load_manifest
+from pptts.features import FrameFeatures, build_provider, mel_of_waveform
 from pptts.synthetic import generate_synthetic_corpus, random_texts
 
 AUDIO = AudioConfig(sample_rate=8000, n_fft=256, hop_length=64, win_length=128, n_mels=20)
@@ -61,9 +65,29 @@ def _synthetic_corpus(out_dir: str, texts: list[str]) -> None:
     )
 
 
+def _codebook_frames(texts: list[str], rows: int = 10_760) -> np.ndarray:
+    with tempfile.TemporaryDirectory() as out_dir:
+        manifest = generate_synthetic_corpus(
+            seed=1, n_utts=len(texts), n_speakers=8, out_dir=out_dir,
+            sample_rate=AUDIO.sample_rate, texts=texts,
+        )
+        entries = load_manifest(manifest)
+        provider = build_provider("builtin-mel", AUDIO, entries=entries, normalize=True)
+        frames = np.concatenate([provider.features_for(e).values for e in entries])
+    if len(frames) < rows:
+        raise RuntimeError(f"corpus gave {len(frames)} frames, fewer than {rows}")
+    return frames[:rows].astype(np.float64)
+
+
+def _fit_codebook(frames: np.ndarray) -> None:
+    stream = [FrameFeatures(frames, "bench", 50.0)]
+    pseudo.train_codebook(stream, k=64, seed=1, max_iters=32, tol=0.0)
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
     corpus_dir = tempfile.TemporaryDirectory()
+    frames = _codebook_frames(random_texts(np.random.default_rng(1), 288, words=(1, 1)))
     audio = np.asfortranarray(rng.standard_normal((16, 3456)).astype(np.float32))
     cases = [
         (
@@ -99,6 +123,12 @@ def main() -> None:
             ),
         ),
         (
+            "kmeans++ init 10760x20 k=64",
+            pseudo._kmeans_pp_init,
+            (frames, 64, np.random.default_rng(1)),
+        ),
+        ("train_codebook 10760x20 k=64 32 passes", _fit_codebook, (frames,)),
+        (
             "post conv1d fwd+bwd F 16x3456",
             _post_conv_step,
             (
@@ -121,12 +151,12 @@ def main() -> None:
         ),
     ]
 
-    header = f"{'kernel':<34} {'median (ms)':>12}"
+    header = f"{'kernel':<40} {'median (ms)':>12}"
     print(header)
     print("-" * len(header))
     with corpus_dir:
         for name, fn, args in cases:
-            print(f"{name:<34} {_median_ms(fn, args):>12.3f}")
+            print(f"{name:<40} {_median_ms(fn, args):>12.3f}")
 
 
 if __name__ == "__main__":

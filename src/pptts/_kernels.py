@@ -109,13 +109,46 @@ def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
 _NEAREST_BLOCK = 2**16  # elements per temporary in nearest_centroids
 
 
-def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
-    """Assign each point to its nearest centroid (squared Euclidean).
+def rounding_margin(d: int) -> float:
+    """Relative rounding margin of squared distances in ``d`` dimensions.
 
-    Returns:
-        (ids int64 [n], squared_distances float64 [n]); ties resolve to the
-        lowest centroid index.
+    ``|c|^2 - 2 x.c + |x|^2`` from one GEMM and the exact expression
+    ``sum((x - c)^2)`` are each within ``(d + 2) eps (|x|^2 + |c|^2)`` of
+    the true squared distance, up to second-order terms. This margin,
+    ``4 (d + 4) eps``, is more than twice their sum plus the few roundings
+    of applying it. Relative bounds fail under underflow, so every use adds
+    the smallest normal number ``tiny``, which exceeds the ``d`` half
+    subnormal spacings that underflow can lose.
     """
+    return 4 * (d + 4) * np.finfo(np.float64).eps
+
+
+def _scored_blocks(points: np.ndarray, centroids: np.ndarray):
+    """Yield ``(start, block, x_sq, score, window)`` per block of rows.
+
+    ``score[i, j]`` ranks centroid j for row i by ``|c_j|^2 - 2 x_i.c_j``,
+    which differs from the squared distance by the row constant
+    ``|x_i|^2``; ``window[i]`` is the rounding bound of the ranking plus
+    ``|x_i|^2``, doubled (:func:`rounding_margin`). A NaN or infinite
+    window makes every comparison with it fail.
+    """
+    n, d = points.shape
+    k = centroids.shape[0]
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    c_sq_max = c_sq.max()
+    minus_2ct = -2.0 * centroids.T
+    rel = rounding_margin(d)
+    tiny = np.finfo(np.float64).tiny
+    chunk = max(1, _NEAREST_BLOCK // max(k, d))
+    for start in range(0, n, chunk):
+        block = points[start : start + chunk]
+        x_sq = np.einsum("ij,ij->i", block, block)
+        score = block @ minus_2ct
+        score += c_sq
+        yield start, block, x_sq, score, rel * (x_sq + c_sq_max) + tiny
+
+
+def _as_float_pair(points: np.ndarray, centroids: np.ndarray):
     points = np.ascontiguousarray(points, dtype=np.float64)
     centroids = np.ascontiguousarray(centroids, dtype=np.float64)
     if points.shape[1] != centroids.shape[1]:
@@ -123,40 +156,77 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
             f"dimension mismatch: points D={points.shape[1]}, "
             f"centroids D={centroids.shape[1]}"
         )
-    # One GEMM per block ranks centroids by |c|^2 - 2 x.c, which differs
-    # from |x - c|^2 by the row constant |x|^2 up to rounding. Every
-    # centroid within the rounding bound of the row minimum is re-scored
-    # with the exact expression sum((x - c)^2), so ids and distances are
-    # those of the direct [n, k, d] computation bit for bit.
+    return points, centroids
+
+
+def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
+    """Assign each point to its nearest centroid (squared Euclidean).
+
+    One GEMM per block ranks the centroids (:func:`_scored_blocks`). Every
+    centroid within the rounding window of a row's best score is re-scored
+    with the exact expression ``sum((x - c)^2)``, so ids and distances are
+    those of the direct [n, k, d] computation bit for bit. Most rows have
+    one such centroid: the fast path re-scores only that GEMM winner, in
+    one vectorised pass over the block. Rows with another centroid inside
+    the window, or with a NaN score or window, re-score every candidate.
+
+    Returns:
+        (ids int64 [n], squared_distances float64 [n]); ties resolve to the
+        lowest centroid index.
+    """
+    points, centroids = _as_float_pair(points, centroids)
     n, d = points.shape
     k = centroids.shape[0]
     out = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=np.float64)
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    c_sq_max = c_sq.max()
-    minus_2ct = -2.0 * centroids.T
-    # The ranking plus |x|^2, and the exact expression, are each within
-    # (d + 2) eps (|x|^2 + |c|^2) of the true distance, up to second-order
-    # terms; a window of twice their sum keeps every exact minimum and tie.
-    # ``tiny`` covers underflow, where relative bounds do not hold. A NaN or
-    # infinite bound makes the whole row a candidate, as does a NaN score.
-    rel = 4 * (d + 4) * np.finfo(np.float64).eps
-    tiny = np.finfo(np.float64).tiny
-    chunk = max(1, _NEAREST_BLOCK // max(k, d))
     pairs = max(1, _NEAREST_BLOCK // max(1, d))
-    for start in range(0, n, chunk):
-        block = points[start : start + chunk]
-        x_sq = np.einsum("ij,ij->i", block, block)
-        score = block @ minus_2ct
-        score += c_sq
-        bound = score.min(axis=1) + (rel * (x_sq + c_sq_max) + tiny)
-        rows, cols = np.divmod(np.flatnonzero(~(score > bound[:, None])), k)
-        exact = score  # same buffer: candidates' exact distances, +inf elsewhere
-        exact.fill(np.inf)
-        for s in range(0, len(rows), pairs):
-            r, c = rows[s : s + pairs], cols[s : s + pairs]
-            exact[r, c] = np.square(block[r] - centroids[c]).sum(axis=1)
+    for start, block, _, score, window in _scored_blocks(points, centroids):
+        stop = start + len(block)
+        rows = np.arange(len(block))
+        ids = np.argmin(score, axis=1)
+        best = score[rows, ids]
+        bound = best + window
+        # The runner-up decides whether the winner is alone in its window.
+        # (argmin and a gather take a third of the time of min(axis=1).)
+        score[rows, ids] = np.inf
+        runner_up = score[rows, np.argmin(score, axis=1)]
+        crowded = np.flatnonzero(~(runner_up > bound))
+        score[crowded, ids[crowded]] = best[crowded]
+        out[start:stop] = ids
+        dist[start:stop] = np.square(block - centroids[ids]).sum(axis=1)
+        if not crowded.size:
+            continue
+        inside = ~(score[crowded] > bound[crowded, None])
+        cand_rows, cand_cols = np.divmod(np.flatnonzero(inside), k)
+        exact = np.full(inside.shape, np.inf)
+        for s in range(0, len(cand_rows), pairs):
+            r, c = cand_rows[s : s + pairs], cand_cols[s : s + pairs]
+            exact[r, c] = np.square(block[crowded[r]] - centroids[c]).sum(axis=1)
         ids = np.argmin(exact, axis=1)
-        out[start : start + chunk] = ids
-        dist[start : start + chunk] = exact[np.arange(len(block)), ids]
+        out[start + crowded] = ids
+        dist[start + crowded] = exact[np.arange(len(crowded)), ids]
     return out, dist
+
+
+def other_centroid_bound(points: np.ndarray, centroids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Lower bound on the distance (not squared) from each point to every
+    centroid except ``centroids[ids]``, from one GEMM per block.
+
+    The best other score plus ``|x|^2``, less the window of
+    :func:`_scored_blocks`, is at most the true squared distance to each
+    other centroid; the square root of it, floored at 0, is the bound. It
+    may exceed a valid bound by the half ulp of that square root, which
+    :func:`rounding_margin` covers where the bound is used. It is 0 or NaN
+    where the point or a score is not finite, and +inf when there is no
+    other centroid.
+    """
+    points, centroids = _as_float_pair(points, centroids)
+    ids = np.asarray(ids, dtype=np.int64)
+    bound = np.empty(len(points), dtype=np.float64)
+    for start, block, x_sq, score, window in _scored_blocks(points, centroids):
+        stop = start + len(block)
+        rows = np.arange(len(block))
+        score[rows, ids[start:stop]] = np.inf
+        low = score[rows, np.argmin(score, axis=1)] + x_sq - window
+        bound[start:stop] = np.sqrt(np.maximum(low, 0.0))
+    return bound

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .data import DEFAULT_CHARACTERS
+
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
@@ -75,6 +77,14 @@ class ModelConfig:
             "duration_hidden", "decoder_channels", "text_vocab_size", "pseudo_vocab_size",
             "speaker_embed_dim",
         )
+        # Text ids are the indices of DEFAULT_CHARACTERS: a smaller table
+        # fails on the first text that uses a dropped character, and rows
+        # past it never train.
+        if self.text_vocab_size != len(DEFAULT_CHARACTERS):
+            raise ConfigError(
+                f"text_vocab_size must be {len(DEFAULT_CHARACTERS)}, the size of the "
+                f"character set, got {self.text_vocab_size}"
+            )
         if self.latent_channels % 2 != 0:
             raise ConfigError("latent_channels must be even")
         if self.dtype not in ("float32", "float64"):

@@ -80,23 +80,107 @@ def _collect_frames(feature_stream: Iterable[FrameFeatures]) -> tuple[np.ndarray
     return np.concatenate(blocks, axis=0), provider_id or "unknown"
 
 
+# Elements per block of the k-means++ distance update. Reusing one
+# cache-sized buffer avoids the page faults of fresh [n, d] temporaries,
+# which cost more than the arithmetic.
+_SEED_BLOCK = 2**16
+
+
 def _kmeans_pp_init(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(frames)
-    centroids = np.empty((k, frames.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = frames[first]
-    # Squared distance to the nearest chosen centroid so far.
-    d2 = np.square(frames - centroids[0]).sum(axis=1)
+    n, dim = frames.shape
+    centroids = np.empty((k, dim), dtype=np.float64)
+    rows = max(1, _SEED_BLOCK // dim)
+    diff = np.empty((min(rows, n), dim))
+    dist = np.empty(len(diff))
+    d2 = np.full(n, np.inf)  # squared distance to the nearest chosen centroid so far
+    p = np.empty(n)
+
+    def choose(i: int, choice: int) -> None:
+        # Each row's distance is sum(axis=1) over a contiguous row of d
+        # squares, the reduction of np.square(frames - c).sum(axis=1).
+        centroids[i] = frames[choice]
+        for start in range(0, n, rows):
+            block = frames[start : start + rows]
+            m = len(block)
+            np.subtract(block, centroids[i], out=diff[:m])
+            np.square(diff[:m], out=diff[:m])
+            diff[:m].sum(axis=1, out=dist[:m])
+            np.minimum(d2[start : start + m], dist[:m], out=d2[start : start + m])
+
+    choose(0, int(rng.integers(n)))
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             # All remaining mass is on chosen points; fall back to uniform.
             choice = int(rng.integers(n))
         else:
-            choice = int(rng.choice(n, p=d2 / total))
-        centroids[i] = frames[choice]
-        d2 = np.minimum(d2, np.square(frames - centroids[i]).sum(axis=1))
+            choice = int(rng.choice(n, p=np.divide(d2, total, out=p)))
+        choose(i, choice)
     return centroids
+
+
+def _has_distinct(frames: np.ndarray, k: int) -> bool:
+    """Whether ``frames`` holds at least ``k`` distinct rows.
+
+    Distinct rows of a prefix are distinct rows of the whole, so a prefix
+    with ``k`` of them settles it without sorting every frame.
+    """
+    head = frames[: 8 * k]
+    if len(np.unique(head, axis=0)) >= k:
+        return True
+    return len(head) < len(frames) and len(np.unique(frames, axis=0)) >= k
+
+
+def _reassign(frames, centroids, moved, shift, ids, d2, lower) -> None:
+    """Update ``ids``, ``d2`` and ``lower`` in place for ``centroids``, of
+    which those flagged in ``moved`` moved, the farthest by ``shift``.
+
+    ``d2`` holds each frame's exact squared distance to its own centroid,
+    as :func:`_kernels.nearest_centroids` computes it; frames whose centroid
+    moved get it recomputed by the same expression. ``lower`` holds a lower
+    bound ``L`` on each frame's distance (not squared) to every other
+    centroid, and the triangle inequality lowers it by a ``step`` of at
+    least the largest true shift. With ``u = eps / 2`` and ``rel =
+    rounding_margin(d) = 8 (d + 4) u``:
+
+    - ``d`` squares of rounded differences, summed, round a true squared
+      distance ``D`` down to no less than ``D (1 - (d + 2) u) - d 2^-1075``;
+      the second term is what squares lose to underflow.
+    - ``shift`` is the square root of such a sum, so the true shift is at
+      most ``(shift + sqrt(d 2^-1074)) (1 + rel)``, which is ``step``. A
+      shift below ``sqrt(d) 2^-537.5`` can read 0; the absolute term
+      covers it.
+    - ``nextafter`` towards -inf puts each rounded ``L - step`` below the
+      true difference. :func:`_kernels.other_centroid_bound` may overshoot
+      by half an ulp, a factor ``(1 + u)`` that lowering keeps, so the true
+      squared distance to another centroid is at least ``L^2 (1 - 2u)``,
+      and its exact expression at least ``L^2 (1 - (d + 4) u) - d 2^-1075``.
+    - ``fl(L^2) (1 - rel) - tiny`` stays below that after its own
+      roundings. Where it is above ``d2``, the frame's centroid is the
+      unique exact minimum, so the kernel would return the same id and
+      distance.
+
+    Every other frame, including those whose bound or distance is not
+    finite (the comparison is then false), goes back to the kernel and
+    gets a fresh bound.
+    """
+    dim = frames.shape[1]
+    rel = _kernels.rounding_margin(dim)
+    step = (shift + np.sqrt(dim * np.finfo(np.float64).smallest_subnormal)) * (1 + rel)
+    np.subtract(lower, step, out=lower)
+    np.nextafter(lower, -np.inf, out=lower)
+    # A frame whose bound is no longer positive is rescanned whatever its
+    # distance, so only the others need it recomputed.
+    own = np.flatnonzero(moved[ids] & (lower > 0))
+    if own.size:
+        d2[own] = np.square(frames[own] - centroids[ids[own]]).sum(axis=1)
+    with np.errstate(over="ignore"):  # a huge bound squares to +inf, still a bound
+        clear = np.square(np.maximum(lower, 0.0)) * (1 - rel) - np.finfo(np.float64).tiny > d2
+    rescan = np.flatnonzero(~clear)
+    if rescan.size:
+        sub = frames[rescan]
+        ids[rescan], d2[rescan] = _kernels.nearest_centroids(sub, centroids)
+        lower[rescan] = _kernels.other_centroid_bound(sub, centroids, ids[rescan])
 
 
 def train_codebook(
@@ -114,25 +198,34 @@ def train_codebook(
     every iteration; empty clusters are reseeded to the point currently
     farthest from its assigned centroid. ``on_iteration`` receives
     ``(iteration, inertia)`` after each assignment pass.
+
+    After the first pass, a frame goes back to
+    :func:`_kernels.nearest_centroids` only when distance bounds cannot
+    prove that its centroid is still the unique nearest (:func:`_reassign`,
+    after Hamerly's bounds); when no centroid moved, none does. Ids,
+    distances, centroids and inertia are those of assigning every frame
+    every pass, bit for bit.
     """
     frames, provider_id = _collect_frames(feature_stream)
     n, dim = frames.shape
     if n < k:
         raise ValueError(f"need at least k={k} frames, got {n}")
-    if len(np.unique(frames, axis=0)) < k:
+    if not _has_distinct(frames, k):
         raise ValueError(f"fewer than k={k} distinct feature frames")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(frames, k, rng)
+    columns = np.ascontiguousarray(frames.T)
+    ids, d2 = _kernels.nearest_centroids(frames, centroids)
+    lower = _kernels.other_centroid_bound(frames, centroids, ids)
     prev_inertia = np.inf
     inertia = np.inf
     for iteration in range(max_iters):
-        ids, d2 = _kernels.nearest_centroids(frames, centroids)
         # bincount adds each cluster's frames in frame order starting from
         # zero, so the sums are exactly those of a sequential accumulation.
         counts = np.bincount(ids, minlength=k)
         sums = np.stack(
-            [np.bincount(ids, weights=frames[:, j], minlength=k) for j in range(dim)],
+            [np.bincount(ids, weights=column, minlength=k) for column in columns],
             axis=1,
         )
         inertia = 0.0
@@ -154,9 +247,12 @@ def train_codebook(
         for empty in np.flatnonzero(~filled):
             new_centroids[empty] = frames[worst_idx]
         shift = float(np.sqrt(np.square(new_centroids - centroids).sum(axis=1)).max())
+        moved = np.any(new_centroids != centroids, axis=1)
         centroids = new_centroids
         if shift < tol:
             break
+        if iteration + 1 < max_iters and moved.any():
+            _reassign(frames, centroids, moved, shift, ids, d2, lower)
 
     return Codebook(
         centroids=centroids,

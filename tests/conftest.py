@@ -15,6 +15,8 @@ alignment search tests. ``report_by_waves`` is the oracle of
 per metric and wave. ``render_per_phone`` is the oracle of
 ``synthetic.render_utterance``: it renders every phone instance anew.
 ``grad_enabled`` reads whether ``tensor`` records graphs.
+``lloyd_fit`` is the oracle of ``pseudo.train_codebook``: k-means++ seeding
+on whole [n, d] temporaries and every frame assigned every pass.
 """
 
 from __future__ import annotations
@@ -414,3 +416,65 @@ def _grad_enabled() -> bool:
 def grad_enabled():
     """Whether ``tensor`` records graphs at the moment of the call."""
     return _grad_enabled
+
+
+def _kmeans_pp_seed(frames, k: int, rng):
+    n = len(frames)
+    centroids = np.empty((k, frames.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centroids[0] = frames[first]
+    d2 = np.square(frames - centroids[0]).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            choice = int(rng.integers(n))
+        else:
+            choice = int(rng.choice(n, p=d2 / total))
+        centroids[i] = frames[choice]
+        d2 = np.minimum(d2, np.square(frames - centroids[i]).sum(axis=1))
+    return centroids
+
+
+def _lloyd_fit(feature_stream, k: int, seed: int, max_iters: int = 100, tol: float = 1e-6):
+    """(codebook, on_iteration values, centroids after each pass) of a fit
+    that calls ``_kernels.nearest_centroids`` on every frame every pass."""
+    from pptts import _kernels, pseudo
+
+    frames, provider_id = pseudo._collect_frames(feature_stream)
+    n, dim = frames.shape
+    if n < k or len(np.unique(frames, axis=0)) < k:
+        raise ValueError("too few distinct frames")
+    centroids = _kmeans_pp_seed(frames, k, np.random.default_rng(seed))
+    values, history = [], []
+    inertia = np.inf
+    for iteration in range(max_iters):
+        ids, d2 = _kernels.nearest_centroids(frames, centroids)
+        counts = np.bincount(ids, minlength=k)
+        sums = np.stack(
+            [np.bincount(ids, weights=frames[:, j], minlength=k) for j in range(dim)],
+            axis=1,
+        )
+        inertia = 0.0
+        for start in range(0, n, pseudo._INERTIA_BLOCK):
+            inertia += float(d2[start : start + pseudo._INERTIA_BLOCK].sum())
+        worst_idx = int(np.argmax(d2))
+        values.append((iteration, inertia))
+        new_centroids = centroids.copy()
+        filled = counts > 0
+        new_centroids[filled] = sums[filled] / counts[filled, None]
+        for empty in np.flatnonzero(~filled):
+            new_centroids[empty] = frames[worst_idx]
+        shift = float(np.sqrt(np.square(new_centroids - centroids).sum(axis=1)).max())
+        centroids = new_centroids
+        history.append(centroids)
+        if shift < tol:
+            break
+    codebook = pseudo.Codebook(centroids, k, dim, seed, provider_id, inertia=inertia)
+    return codebook, values, history
+
+
+@pytest.fixture(scope="session")
+def lloyd_fit():
+    """Oracle of ``pseudo.train_codebook``: returns ``(codebook, [(pass,
+    inertia), ...], [centroids after each pass])``."""
+    return _lloyd_fit

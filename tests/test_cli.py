@@ -61,6 +61,13 @@ CORRUPT_INPUTS = {
             "mode": "finetune", "stage": "finetune",
         }),
     ),
+    "ckpt-text-vocab-27": (
+        "ckpt",
+        _checkpoint_bytes({
+            "params": [], "config": {"text_vocab_size": 27}, "audio": {},
+            "mode": "finetune", "stage": "finetune",
+        }),
+    ),
     "ckpt-bad-shape": (
         "ckpt",
         _checkpoint_bytes({
@@ -164,6 +171,14 @@ class TestParsing:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: [model]")
+
+    def test_text_vocab_size_other_than_the_character_set_exits_one(self, workspace, capsys):
+        code = run(
+            "codebook", "--manifest", workspace["manifest"],
+            "--out", workspace["root"] / "cb5.txt", "--set", "model.text_vocab_size=27",
+        )
+        assert code == 1
+        assert "text_vocab_size must be 28" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_one(self, workspace, capsys):
         code = run(

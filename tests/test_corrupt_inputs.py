@@ -38,7 +38,7 @@ def _write_codebook(path):
 def _write_checkpoint(path):
     config = ModelConfig(
         latent_channels=2, hidden_channels=2, flow_blocks=1, flow_hidden=2,
-        duration_hidden=2, decoder_channels=2, text_vocab_size=3,
+        duration_hidden=2, decoder_channels=2, text_vocab_size=28,
     )
     audio = AudioConfig(sample_rate=8000, n_fft=16, hop_length=4, win_length=16, n_mels=4)
     model = SynthesisModel(config, audio, "finetune", seed=0)

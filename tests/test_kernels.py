@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,30 @@ class TestNearestCentroidsBitIdentity:
             assert_same_as_broadcast(points, centroids)
 
 
+class TestOtherCentroidBound:
+    """The bound is at most the distance to every centroid but a point's own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nearest_cases())
+    def test_below_every_other_distance(self, case):
+        points, centroids = case
+        points = points[:8]
+        ids, _ = _kernels.nearest_centroids(points, centroids)
+        bound = _kernels.other_centroid_bound(points, centroids, ids)
+        # The square root may round up by half an ulp (see the docstring).
+        slack = 1 + Fraction(2) ** -51
+        for x, own, b in zip(points, ids, bound):
+            for j, c in enumerate(centroids):
+                if j != own:
+                    exact = sum((Fraction(u) - Fraction(v)) ** 2 for u, v in zip(x, c))
+                    assert Fraction(float(b)) ** 2 <= exact * slack
+
+    def test_single_centroid_is_unbounded(self):
+        points = np.random.default_rng(14).normal(size=(5, 3))
+        bound = _kernels.other_centroid_bound(points, points[:1], np.zeros(5, np.int64))
+        assert np.all(bound == np.inf)
+
+
 def test_bench_kernels_script_runs():
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
@@ -322,7 +347,8 @@ def test_bench_kernels_script_runs():
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == [
         "mas_assignment", "mas_assignment", "mas_assignments", "levenshtein",
-        "nearest_centroids", "post", "relu", "log-mel", "synthetic",
+        "nearest_centroids", "kmeans++", "train_codebook", "post", "relu", "log-mel",
+        "synthetic",
     ]
     assert all(float(row[-1]) > 0 for row in rows)
 

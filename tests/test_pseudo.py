@@ -97,6 +97,13 @@ class TestTrainCodebook:
         with pytest.raises(ValueError, match="distinct"):
             train_codebook([make_features(points)], k=2, seed=0)
 
+    def test_kth_distinct_frame_last(self):
+        # The prefix holds one distinct row, so the whole input is counted.
+        points = np.ones((200, 3))
+        points[-1] = 0.0
+        cb = train_codebook([make_features(points)], k=2, seed=0)
+        assert sorted(cb.centroids[:, 0].tolist()) == [0.0, 1.0]
+
     def test_inertia_recorded(self):
         points = np.random.default_rng(4).normal(size=(60, 3))
         cb = train_codebook([make_features(points)], k=4, seed=0)
@@ -112,6 +119,89 @@ class TestTrainCodebook:
         b = FrameFeatures(np.ones((10, 2), np.float32) * np.arange(10)[:, None], "other", 50.0)
         with pytest.raises(ValueError, match="provider"):
             train_codebook([a, b], k=2, seed=0)
+
+
+@st.composite
+def fit_cases(draw):
+    """Feature streams with exact ties, duplicates, underflowing spreads and
+    large offsets, and a k up to their number of distinct rows."""
+    d = draw(st.one_of(st.integers(1, 24), st.just(129)))
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1.0, -3e3, 1e6]))
+    spread = draw(st.sampled_from([1e-160, 1e-3, 1.0, 50.0]))
+    frames = offset + spread * rng.standard_normal((n, d))
+    if draw(st.booleans()):  # duplicate frames
+        frames = frames[rng.integers(0, max(1, n // 3), size=n)]
+    if draw(st.booleans()):  # coarse grid: many exactly equal distances
+        step = spread / 2
+        frames = np.round(frames / step) * step
+    # From one cluster up to one per distinct row, where clusters empty.
+    share = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    k = 1 + round(share * (len(np.unique(frames, axis=0)) - 1))
+    cut = draw(st.integers(0, n - 1))
+    parts = [frames] if cut == 0 else [frames[:cut], frames[cut:]]
+    stream = [FrameFeatures(part, "test", 50.0) for part in parts]
+    return stream, k, draw(st.integers(0, 2**16))
+
+
+class TestFitMatchesOracle:
+    """The bounded Lloyd passes return what assigning every frame every pass
+    returns, bit for bit."""
+
+    @pytest.mark.parametrize("schedule", [dict(max_iters=32, tol=0.0), dict()])
+    @settings(max_examples=150, deadline=None)
+    @given(case=fit_cases())
+    def test_matches_every_frame_every_pass(self, lloyd_fit, schedule, case):
+        stream, k, seed = case
+        values = []
+        fit = train_codebook(
+            stream, k, seed, on_iteration=lambda i, v: values.append((i, v)), **schedule
+        )
+        want, want_values, _ = lloyd_fit(stream, k, seed, **schedule)
+        assert codebook_hash(fit) == codebook_hash(want)
+        assert fit.inertia == want.inertia
+        assert values == want_values
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_offset_small_spread(self, lloyd_fit, seed):
+        # |x|^2 is 1e13 times the distances here, so the GEMM scores hold
+        # no digit of them: every bound must come out 0 and every frame be
+        # rescanned.
+        frames = 1e6 + 1e-3 * np.random.default_rng(seed).standard_normal((300, 5))
+        stream = [FrameFeatures(frames, "test", 50.0)]
+        fit = train_codebook(stream, 8, seed, max_iters=32, tol=0.0)
+        assert codebook_hash(fit) == codebook_hash(lloyd_fit(stream, 8, seed, max_iters=32, tol=0.0)[0])
+
+    def test_passes_send_fewer_frames(self, monkeypatch, lloyd_fit):
+        rng = np.random.default_rng(5)
+        points, _, _ = blob_features(rng, k=8, per_cluster=60, dim=6, spread=1.0, separation=3.0)
+        feats = [make_features(points)]
+        want, _, history = lloyd_fit(feats, 12, 4, max_iters=40, tol=0.0)
+        calls = []
+        nearest = _kernels.nearest_centroids
+
+        def counting(frames, centroids):
+            calls.append(len(frames))
+            return nearest(frames, centroids)
+
+        monkeypatch.setattr(_kernels, "nearest_centroids", counting)
+        sent = []  # frames sent to the kernel by each pass
+
+        def on_iteration(i, _):
+            sent.append(sum(calls))
+            calls.clear()
+
+        fit = train_codebook(feats, 12, 4, max_iters=40, tol=0.0, on_iteration=on_iteration)
+        assert codebook_hash(fit) == codebook_hash(want)
+        n = len(points)
+        assert sent[0] == n
+        assert all(count < n for count in sent[1:])
+        # Pass t assigns to history[t - 1]; it is still when that equals
+        # what pass t - 1 assigned to.
+        still = [t for t in range(2, len(sent)) if np.array_equal(history[t - 1], history[t - 2])]
+        assert still, "the fit did not converge"
+        assert all(sent[t] == 0 for t in still)
 
 
 class TestQuantize:

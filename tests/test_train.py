@@ -746,6 +746,12 @@ def test_sizes_below_one_rejected(section, key, value):
         config_from_dict({section: {key: value}})
 
 
+@pytest.mark.parametrize("size", [27, 29])
+def test_text_vocab_size_is_the_character_set(size):
+    with pytest.raises(ConfigError, match="text_vocab_size must be 28"):
+        dataclasses.replace(ModelConfig(), text_vocab_size=size)
+
+
 @pytest.mark.parametrize("value", [0, 0.0, -1.0, float("nan")])
 def test_mel_floor_not_positive_rejected(value):
     with pytest.raises(ConfigError, match="mel_floor must be > 0"):
