@@ -91,14 +91,14 @@ def main() -> None:
     audio = np.asfortranarray(rng.standard_normal((16, 3456)).astype(np.float32))
     cases = [
         (
-            "mas_assignment 80x600",
-            _kernels.mas_assignment,
-            (rng.standard_normal((80, 600)),),
+            "mas_assignments 1 grid 80x600",
+            _kernels.mas_assignments,
+            ([rng.standard_normal((80, 600))],),
         ),
         (
-            "mas_assignment 200x2000",
-            _kernels.mas_assignment,
-            (rng.standard_normal((200, 2000)),),
+            "mas_assignments 1 grid 200x2000",
+            _kernels.mas_assignments,
+            ([rng.standard_normal((200, 2000))],),
         ),
         (
             # One fine-tune batch: four utterances of 3-4 phonemes.

@@ -79,11 +79,6 @@ def mas_assignments(grids: Sequence[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def mas_assignment(grid: np.ndarray) -> np.ndarray:
-    """:func:`mas_assignments` of one grid."""
-    return mas_assignments([grid])[0]
-
-
 def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
     """Edit distance (insert/delete/substitute, unit costs)."""
     a = np.ascontiguousarray(a, dtype=np.int64)

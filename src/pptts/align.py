@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -85,18 +86,15 @@ def alignment_log_prior(n_tokens: int, n_frames: int) -> np.ndarray:
     return out
 
 
-def monotonic_alignment_search(grid):
-    """Maximum-likelihood monotonic complete alignment.
+def monotonic_alignment_search(grids: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Maximum-likelihood monotonic complete alignment of each grid.
 
-    Given one [n_tokens, n_frames] array, returns its per-frame token-index
-    array; given a sequence of such grids (sizes may differ), returns one
-    such array per grid, all found by one search over the batch. Requires
-    n_tokens <= n_frames. Ties in the DP prefer staying on the current
-    token.
+    Given a sequence of [n_tokens, n_frames] arrays (sizes may differ),
+    returns one per-frame token-index array per grid, all found by one
+    search over the batch. Requires n_tokens <= n_frames. Ties in the DP
+    prefer staying on the current token.
     """
-    if isinstance(grid, np.ndarray):
-        return _kernels.mas_assignment(grid)
-    return _kernels.mas_assignments(grid)
+    return _kernels.mas_assignments(grids)
 
 
 def alignment_to_durations(assignment: np.ndarray, n_tokens: int) -> np.ndarray:

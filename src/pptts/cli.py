@@ -1,8 +1,9 @@
 """Command-line entrypoint: corpus prep, training stages, synthesis, eval.
 
-Every command takes an optional JSON config file plus repeatable
-``--set section.key=value`` overrides (overrides win), and echoes the
-effective config next to its outputs so runs can be reproduced exactly.
+The corpus and training commands take an optional JSON config file plus
+repeatable ``--set section.key=value`` overrides (overrides win), and echo
+the effective config next to their outputs so runs can be reproduced
+exactly. Quantizing commands use the front end the codebook file records.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from . import train as tr
 from .audio import read_wav, write_wav
 from .config import ConfigError, RunConfig, config_from_dict, load_config, merge_overrides, write_config
 from .data import DEFAULT_CHARACTERS, load_manifest, text_to_phonemes
-from .features import build_provider, mel_of_waveform
-from .pseudo import load_codebook, merge_runs, quantize, save_codebook, train_codebook
+from .features import BuiltinMelProvider, build_provider, mel_of_waveform
+from .pseudo import codebook_provider, load_codebook, merge_runs, quantize, save_codebook, train_codebook
 from .synthetic import generate_synthetic_corpus
 
 
@@ -63,16 +64,6 @@ def _echo_config(cfg: RunConfig, out: Path, is_dir: bool) -> None:
         write_config(cfg, out.parent / (out.name + ".config.json"))
 
 
-def _build_feature_provider(cfg: RunConfig, entries):
-    return build_provider(
-        cfg.codebook.provider,
-        cfg.feature,
-        entries=entries,
-        normalize=cfg.codebook.normalize_features,
-        feature_dir=cfg.codebook.feature_dir,
-    )
-
-
 # -- commands ---------------------------------------------------------------
 
 
@@ -81,7 +72,9 @@ def cmd_codebook(args) -> int:
         args, {"codebook": {"k": args.k, "seed": args.seed}}
     )
     entries = load_manifest(args.manifest)
-    provider = _build_feature_provider(cfg, entries)
+    provider = build_provider(
+        cfg.codebook.provider, cfg.feature, entries=entries, feature_dir=cfg.codebook.feature_dir
+    )
     codebook = train_codebook(
         (provider.features_for(e) for e in entries),
         k=cfg.codebook.k,
@@ -89,6 +82,10 @@ def cmd_codebook(args) -> int:
         max_iters=cfg.codebook.max_iters,
         tol=cfg.codebook.tol,
     )
+    if isinstance(provider, BuiltinMelProvider):
+        codebook = dataclasses.replace(
+            codebook, audio=provider.audio, mean=provider.mean, std=provider.std
+        )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_codebook(out, codebook)
@@ -102,7 +99,7 @@ def cmd_tokenize(args) -> int:
     cfg = _effective_config(args)
     entries = load_manifest(args.manifest)
     codebook = load_codebook(args.codebook)
-    provider = _build_feature_provider(cfg, entries)
+    provider = codebook_provider(args.codebook, codebook, cfg.codebook.feature_dir)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
@@ -136,10 +133,11 @@ def cmd_pretrain(args) -> int:
     cfg = _effective_config(args, extra)
     entries = load_manifest(args.manifest)
     codebook = load_codebook(args.codebook)
+    provider = codebook_provider(args.codebook, codebook, cfg.codebook.feature_dir)
     out_dir = Path(args.out_dir)
     _echo_config(cfg, out_dir, is_dir=True)
     result = tr.run_training(
-        entries, cfg, out_dir, codebook=codebook, init_ckpt=args.init_ckpt
+        entries, cfg, out_dir, codebook=codebook, init_ckpt=args.init_ckpt, provider=provider
     )
     print(f"wrote {result.checkpoint_path} ({result.elapsed_s:.1f}s)")
     print(f"final: {json.dumps(result.final_metrics, sort_keys=True)}")
@@ -198,25 +196,18 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _feature_configured(args) -> bool:
-    """Whether ``--config`` or a ``--set feature.*`` override is given."""
-    return args.config is not None or any(
-        _parse_override(item)[0] == "feature" for item in args.overrides
-    )
-
-
 def cmd_eval(args) -> int:
-    cfg = _effective_config(args)
-    ckpt = tr.load_checkpoint(args.ckpt)
-    if not _feature_configured(args):
-        # Score tokens at the audio config the model was trained at.
-        cfg = dataclasses.replace(cfg, feature=ckpt.audio)
-    model = tr.build_model_from_checkpoint(ckpt)
+    model = tr.build_model_from_checkpoint(tr.load_checkpoint(args.ckpt))
     entries = load_manifest(args.manifest)
     codebook = provider = None
     if args.codebook is not None:
         codebook = load_codebook(args.codebook)
-        provider = _build_feature_provider(cfg, entries)
+        if codebook.provider_id == "precomputed":
+            raise ev.EvalError(
+                f"{args.codebook}: generated audio has no precomputed features; "
+                "score token accuracy with a builtin-mel codebook"
+            )
+        provider = codebook_provider(args.codebook, codebook)
     report = ev.evaluate_manifest(
         model,
         entries,
@@ -341,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
     p = add("eval", cmd_eval, "synthesize a labeled manifest and score it")
-    _add_common(p)
     p.add_argument("--ckpt", type=Path, required=True, help="model checkpoint")
     p.add_argument("--manifest", type=Path, required=True, help="JSONL corpus manifest")
     p.add_argument("--out", type=Path, required=True, help="report JSON to write")

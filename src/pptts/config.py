@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -22,7 +23,11 @@ class ConfigError(ValueError):
 
 def _require_sizes(section, *names: str) -> None:
     for name in names:
-        if getattr(section, name) < 1:
+        value = getattr(section, name)
+        # A float size passes the range check and fails deep in numpy.
+        if not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
             raise ConfigError(f"{name} must be >= 1")
 
 
@@ -131,7 +136,6 @@ class CodebookConfig:
     max_iters: int = 100
     tol: float = 1e-6
     provider: str = "builtin-mel"
-    normalize_features: bool = True
     feature_dir: str | None = None  # for the precomputed provider
 
 

@@ -105,10 +105,11 @@ def evaluate_manifest(
     Each entry's recording and generated wave become one log-mel each at
     ``model.audio``, which all three metrics read, and speaker similarity
     compares the generated wave with the reference embedding that
-    conditioned its synthesis; the token features reuse
-    them when ``provider.audio`` equals ``model.audio`` and are computed from
-    the waves otherwise. Scoring tokens needs the builtin-mel provider the
-    codebook was fitted on. Entries that cannot be scored (missing text,
+    conditioned its synthesis; the token features reuse them when
+    ``provider.audio`` equals ``model.audio`` and are computed from the
+    waves otherwise. Scoring tokens needs the builtin-mel provider the
+    codebook was fitted on, standardized as in that fit, not refitted on
+    the evaluated manifest. Entries that cannot be scored (missing text,
     unreadable audio) are recorded under ``errors`` instead of aborting the
     whole run.
     """

@@ -7,10 +7,13 @@ runs it on a waveform that requires grad; the ndarray entry points
 :func:`mel_of_waveform`) run the same chain on plain arrays and record no
 graph.
 
-The ``builtin-mel`` provider feeds log-mel features (optionally standardized
-per corpus) to the unit-discovery pipeline; the ``precomputed`` provider
-loads externally dumped feature matrices so representations from large
-self-supervised models can be plugged in without bundling them.
+The ``builtin-mel`` provider feeds log-mel features to the unit-discovery
+pipeline, optionally standardized per mel bin by a mean and std fitted
+once, on the codebook's corpus, and stored in the codebook file with the
+audio config, so every later quantization uses that same front end. The
+``precomputed`` provider loads externally dumped feature matrices so
+representations from large self-supervised models can be plugged in
+without bundling them.
 """
 
 from __future__ import annotations
@@ -216,7 +219,9 @@ def read_feature_file(path: str | Path) -> FrameFeatures:
 
 
 class BuiltinMelProvider:
-    """Log-mel frame features with optional per-corpus standardization."""
+    """Log-mel frame features, standardized by ``mean`` and ``std`` when
+    ``normalize``: :meth:`fit` sets them from a corpus, or they are set
+    from a codebook that recorded them."""
 
     provider_id = "builtin-mel"
 

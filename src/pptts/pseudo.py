@@ -7,7 +7,9 @@ into one token carrying the run length as its duration.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -15,28 +17,41 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _kernels
-from .features import FrameFeatures
+from .config import AudioConfig, ConfigError, _build_section
+from .features import BuiltinMelProvider, FeatureProvider, FrameFeatures, PrecomputedProvider
 
 # Inertia adds the sums of consecutive blocks of this many frames, in order.
 # The fixed summation order keeps reported inertia reproducible bit for bit.
 _INERTIA_BLOCK = 8192
-_CODEBOOK_MAGIC = "PPCB1"
+_V1_MAGIC = "PPCB1"
+_CODEBOOK_MAGIC = "PPCB2"
 
 
 @dataclass
 class Codebook:
-    """K centroids over frame-feature space."""
+    """K centroids over frame-feature space.
+
+    A codebook fitted on builtin-mel features also holds the front end
+    that made them: the ``AudioConfig`` and the per-bin float32 mean and
+    std that standardized each log-mel. Those three are set together or
+    not at all.
+    """
 
     centroids: np.ndarray  # [k, dim] float64
-    k: int
-    dim: int
     seed: int
     provider_id: str
     inertia: float | None = None
+    audio: AudioConfig | None = None
+    mean: np.ndarray | None = None  # [dim] float32
+    std: np.ndarray | None = None  # [dim] float32, all > 0
 
-    def __post_init__(self) -> None:
-        if self.centroids.shape != (self.k, self.dim):
-            raise ValueError("centroid matrix shape does not match k/dim")
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.centroids.shape[1]
 
 
 @dataclass(frozen=True)
@@ -77,7 +92,7 @@ def _collect_frames(feature_stream: Iterable[FrameFeatures]) -> tuple[np.ndarray
         blocks.append(np.asarray(feats.values, dtype=np.float64))
     if not blocks:
         raise ValueError("empty feature stream")
-    return np.concatenate(blocks, axis=0), provider_id or "unknown"
+    return np.concatenate(blocks, axis=0), provider_id
 
 
 # Elements per block of the k-means++ distance update. Reusing one
@@ -207,7 +222,7 @@ def train_codebook(
     every pass, bit for bit.
     """
     frames, provider_id = _collect_frames(feature_stream)
-    n, dim = frames.shape
+    n = len(frames)
     if n < k:
         raise ValueError(f"need at least k={k} frames, got {n}")
     if not _has_distinct(frames, k):
@@ -254,14 +269,7 @@ def train_codebook(
         if iteration + 1 < max_iters and moved.any():
             _reassign(frames, centroids, moved, shift, ids, d2, lower)
 
-    return Codebook(
-        centroids=centroids,
-        k=k,
-        dim=dim,
-        seed=seed,
-        provider_id=provider_id,
-        inertia=inertia,
-    )
+    return Codebook(centroids=centroids, seed=seed, provider_id=provider_id, inertia=inertia)
 
 
 def quantize(features: FrameFeatures, codebook: Codebook) -> np.ndarray:
@@ -293,26 +301,50 @@ def expand_runs(seq: PseudoPhonemeSequence) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Codebook serialization: a text header line then one line per centroid.
+# Codebook serialization: a text header line, the ``mean`` and ``std`` rows
+# of a codebook that records its front end, then one line per centroid.
 # ---------------------------------------------------------------------------
 
+_AUDIO_FIELDS = tuple(f.name for f in dataclasses.fields(AudioConfig))
 
-def _header_line(codebook: Codebook) -> str:
+
+def _identity(codebook: Codebook, magic: str) -> str:
     return (
-        f"{_CODEBOOK_MAGIC} k={codebook.k} dim={codebook.dim} "
-        f"seed={codebook.seed} provider={codebook.provider_id}\n"
+        f"{magic} k={codebook.k} dim={codebook.dim} "
+        f"seed={codebook.seed} provider={codebook.provider_id}"
     )
 
 
+def _audio_fields(audio: AudioConfig) -> str:
+    return " ".join(f"{name}={json.dumps(getattr(audio, name))}" for name in _AUDIO_FIELDS)
+
+
+def _row(values: np.ndarray) -> str:
+    # repr of a float64 reloads it exactly, and a float32 widens exactly.
+    return " ".join(repr(float(v)) for v in values)
+
+
 def save_codebook(path: str | Path, codebook: Codebook) -> None:
+    """Write a ``PPCB2`` file: the header carries the ``AudioConfig``
+    fields and ``mean``/``std`` rows follow it when the codebook records
+    its front end."""
+    front_end = [codebook.audio is not None, codebook.mean is not None, codebook.std is not None]
+    if any(front_end) and not all(front_end):
+        raise ValueError("a codebook records its audio config, mean and std together")
+    header = _identity(codebook, _CODEBOOK_MAGIC)
+    if codebook.audio is not None:
+        header += (
+            f" {_audio_fields(codebook.audio)}\n"
+            f"mean {_row(codebook.mean)}\nstd {_row(codebook.std)}"
+        )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header_line(codebook))
+        fh.write(header + "\n")
         for row in codebook.centroids:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write(_row(row) + "\n")
 
 
-def _parse_header(path: str | Path, tokens: list[str]) -> tuple[int, int, int, str]:
-    """(k, dim, seed, provider) from the ``name=value`` tokens after the magic."""
+def _parse_header(path: str | Path, tokens: list[str]) -> tuple[int, int, int, dict[str, str]]:
+    """(k, dim, seed, all fields) from the ``name=value`` tokens after the magic."""
     fields = {}
     for token in tokens:
         name, sep, value = token.partition("=")
@@ -335,13 +367,33 @@ def _parse_header(path: str | Path, tokens: list[str]) -> tuple[int, int, int, s
     k, dim, seed = ints
     if k < 1:
         raise ValueError(f"{path}: codebook header field k={k} must be >= 1")
-    return k, dim, seed, fields["provider"]
+    return k, dim, seed, fields
 
 
-def _parse_row(path: str | Path, number: int, line: str, dim: int) -> np.ndarray:
-    """One centroid row of ``dim`` floats; ``number`` is its line in the file."""
+def _parse_audio(path: str | Path, fields: dict[str, str]) -> AudioConfig | None:
+    """The header's ``AudioConfig``, or None when it records none."""
+    if not any(name in fields for name in _AUDIO_FIELDS):
+        return None
+    values = {}
+    for name in _AUDIO_FIELDS:
+        if name not in fields:
+            raise ValueError(f"{path}: codebook header lacks the {name!r} field")
+        try:
+            values[name] = json.loads(fields[name])
+        except ValueError:
+            raise ValueError(
+                f"{path}: codebook header field {name}={fields[name]!r} is not a value"
+            ) from None
     try:
-        row = np.array(line.split(), dtype=np.float64)
+        return _build_section(AudioConfig, values, "feature")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: codebook audio config: {exc}") from None
+
+
+def _parse_row(path: str | Path, number: int, values: list[str], dim: int) -> np.ndarray:
+    """One row of ``dim`` floats; ``number`` is its line in the file."""
+    try:
+        row = np.array(values, dtype=np.float64)
     except ValueError:
         raise ValueError(f"{path}: line {number} is not a row of numbers") from None
     if row.size != dim:
@@ -351,27 +403,80 @@ def _parse_row(path: str | Path, number: int, line: str, dim: int) -> np.ndarray
     return row
 
 
+def _parse_stats(path: str | Path, number: int, line: str, name: str, dim: int) -> np.ndarray:
+    """The float32 ``mean`` or ``std`` row; a std must be positive."""
+    label, *values = line.split()
+    if label != name:
+        raise ValueError(f"{path}: line {number} is not the {name!r} row")
+    row = _parse_row(path, number, values, dim)
+    if not np.all(np.abs(row) <= np.finfo(np.float32).max):
+        raise ValueError(f"{path}: line {number} holds a value that is not a finite float32")
+    row = row.astype(np.float32)
+    if name == "std" and not np.all(row > 0):
+        raise ValueError(f"{path}: line {number} holds a std <= 0")
+    return row
+
+
 def load_codebook(path: str | Path) -> Codebook:
+    """Read a ``PPCB2`` file, or a ``PPCB1`` file of the same layout
+    without the front end."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if not header or header[0] != _CODEBOOK_MAGIC:
+        if not header or header[0] not in (_V1_MAGIC, _CODEBOOK_MAGIC):
             raise ValueError(f"{path}: not a codebook file")
-        k, dim, seed, provider_id = _parse_header(path, header[1:])
-        rows = [
-            _parse_row(path, number, line, dim)
-            for number, line in enumerate(fh, start=2)
-            if line.strip()
-        ]
+        k, dim, seed, fields = _parse_header(path, header[1:])
+        audio = _parse_audio(path, fields) if header[0] == _CODEBOOK_MAGIC else None
+        lines = [(number, line) for number, line in enumerate(fh, start=2) if line.strip()]
+    mean = std = None
+    if audio is not None:
+        if len(lines) < 2:
+            raise ValueError(f"{path}: codebook lacks its mean and std rows")
+        mean = _parse_stats(path, *lines[0], "mean", dim)
+        std = _parse_stats(path, *lines[1], "std", dim)
+        lines = lines[2:]
+    rows = [_parse_row(path, number, line.split(), dim) for number, line in lines]
     if len(rows) != k:
         raise ValueError(f"{path}: expected {k} centroid rows, found {len(rows)}")
     return Codebook(
-        centroids=np.vstack(rows), k=k, dim=dim, seed=seed, provider_id=provider_id
+        centroids=np.vstack(rows), seed=seed, provider_id=fields["provider"],
+        audio=audio, mean=mean, std=std,
     )
 
 
+def codebook_provider(
+    path: str | Path, codebook: Codebook, feature_dir: str | Path | None = None
+) -> FeatureProvider:
+    """The feature provider ``codebook`` (read from ``path``) was fitted
+    with, standardized as in that fit, so a frame's unit depends only on the
+    frame and the codebook. Precomputed features are read from
+    ``feature_dir``."""
+    if codebook.provider_id == "precomputed":
+        if feature_dir is None:
+            raise ValueError(f"{path}: precomputed features need codebook.feature_dir")
+        return PrecomputedProvider(feature_dir)
+    if codebook.provider_id != "builtin-mel":
+        raise ValueError(f"{path}: unknown feature provider {codebook.provider_id!r}")
+    if codebook.mean is None:
+        raise ValueError(
+            f"{path}: codebook records no audio config or feature standardization "
+            "(a PPCB1 file?); re-run `pptts codebook` to write one that does"
+        )
+    provider = BuiltinMelProvider(codebook.audio)
+    provider.mean, provider.std = codebook.mean, codebook.std
+    return provider
+
+
 def codebook_hash(codebook: Codebook) -> str:
-    """SHA-256 over the canonical serialized form."""
+    """SHA-256 over the ``PPCB1`` header line and the float64 centroids,
+    then the audio fields and the float32 mean and std of a codebook that
+    records them. A codebook without a front end hashes as its ``PPCB1``
+    file always has."""
     digest = hashlib.sha256()
-    digest.update(_header_line(codebook).encode())
+    digest.update((_identity(codebook, _V1_MAGIC) + "\n").encode())
     digest.update(np.ascontiguousarray(codebook.centroids, dtype="<f8").tobytes())
+    if codebook.audio is not None:
+        digest.update(_audio_fields(codebook.audio).encode())
+    for stats in (codebook.mean, codebook.std):
+        if stats is not None:
+            digest.update(np.ascontiguousarray(stats, dtype="<f4").tobytes())
     return digest.hexdigest()

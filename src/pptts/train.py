@@ -28,7 +28,7 @@ from . import tensor as tz
 from .audio import read_wav
 from .config import AudioConfig, ConfigError, ModelConfig, RunConfig, _build_section
 from .data import ManifestEntry, text_to_phonemes
-from .features import BuiltinMelProvider, build_provider, compute_linear_spectrogram, compute_mel
+from .features import BuiltinMelProvider, compute_linear_spectrogram, compute_mel
 from .model import Stats, SynthesisModel
 from .nn import AdamW
 from .pseudo import Codebook, codebook_hash, merge_runs, quantize
@@ -135,8 +135,11 @@ def prepare_corpus(
 ) -> list[PreparedUtterance]:
     """Load audio and derive per-utterance targets for one stage.
 
-    Pre-training labels every utterance with its merged pseudo token runs;
-    fine-tuning keeps only entries that carry text and converts it to
+    Pre-training labels every utterance with the merged pseudo token runs
+    of ``codebook``, quantizing the features of ``provider``, the fitted
+    front end the codebook was trained on; nothing is fitted here, so an
+    utterance's tokens do not depend on the rest of the manifest.
+    Fine-tuning keeps only entries that carry text and converts it to
     phoneme ids. A builtin-mel provider at ``cfg.feature`` quantizes the
     log-mel computed here, so each wave is read and transformed once.
     """
@@ -151,13 +154,7 @@ def prepare_corpus(
                 f"vocabulary holds {cfg.model.pseudo_vocab_size}"
             )
         if provider is None:
-            provider = build_provider(
-                cfg.codebook.provider,
-                cfg.feature,
-                entries=entries,
-                normalize=cfg.codebook.normalize_features,
-                feature_dir=cfg.codebook.feature_dir,
-            )
+            raise TrainError("pre-training requires the codebook's feature provider")
     else:
         entries = [e for e in entries if e.text]
         if not entries:
@@ -625,6 +622,9 @@ def run_training(
     provider=None,
 ) -> TrainResult:
     """Run one full training stage and write metrics + checkpoints.
+
+    Pre-training needs ``codebook`` and ``provider``, the feature provider
+    the codebook was fitted with (see :func:`prepare_corpus`).
 
     Batches cycle through a per-epoch shuffled order seeded from the run
     seed, so reruns with identical inputs produce identical parameter bytes

@@ -253,7 +253,7 @@ def _per_utterance_step(model, optimizer, items, cfg, step_index, partition, inc
         with tz.no_grad():
             grid = align.likelihood_grid(prior.mean_tc, prior.std_tc, z_p.data.T)
             grid += align.alignment_log_prior(*grid.shape)
-            assignment = align.monotonic_alignment_search(grid)
+            assignment = align.monotonic_alignment_search([grid])[0]
         durations = align.alignment_to_durations(assignment, item.tokens.size)
         frame_prior = Stats(
             mean=tz.repeat_cols(prior.mean, durations),
@@ -469,7 +469,7 @@ def _lloyd_fit(feature_stream, k: int, seed: int, max_iters: int = 100, tol: flo
         history.append(centroids)
         if shift < tol:
             break
-    codebook = pseudo.Codebook(centroids, k, dim, seed, provider_id, inertia=inertia)
+    codebook = pseudo.Codebook(centroids, seed, provider_id, inertia=inertia)
     return codebook, values, history
 
 

@@ -122,7 +122,7 @@ def test_criterion_1_alignment_matches_exhaustive_search():
         for t in range(n, 9):
             for _ in range(200):
                 grid = rng.standard_normal((n, t))
-                assignment = align.monotonic_alignment_search(grid)
+                assignment = align.monotonic_alignment_search([grid])[0]
                 # The path must be a complete monotone alignment...
                 assert assignment.shape == (t,)
                 assert assignment[0] == 0 and assignment[-1] == n - 1

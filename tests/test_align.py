@@ -62,7 +62,7 @@ class TestSearch:
             for t in range(n, 9):
                 for _ in range(25):
                     grid = rng.normal(size=(n, t))
-                    a = align.monotonic_alignment_search(grid)
+                    a = align.monotonic_alignment_search([grid])[0]
                     assert_valid_alignment(a, n, t)
                     got = alignment_score(grid, a)
                     want, _ = brute_force_alignment(grid)
@@ -73,7 +73,7 @@ class TestSearch:
         for _ in range(1000):
             n = int(rng.integers(1, 6))
             t = int(rng.integers(n, 12))
-            a = align.monotonic_alignment_search(rng.normal(size=(n, t)))
+            a = align.monotonic_alignment_search([rng.normal(size=(n, t))])[0]
             assert_valid_alignment(a, n, t)
 
     def test_sequence_of_grids_gives_one_path_each(self):
@@ -82,7 +82,7 @@ class TestSearch:
         paths = align.monotonic_alignment_search(grids)
         assert isinstance(paths, list) and len(paths) == 3
         for grid, path in zip(grids, paths):
-            assert np.array_equal(path, align.monotonic_alignment_search(grid))
+            assert np.array_equal(path, align.monotonic_alignment_search([grid])[0])
         assert align.monotonic_alignment_search(tuple(grids))[1].tolist() == list(range(5))
 
 
@@ -99,7 +99,7 @@ class TestDurations:
         for _ in range(200):
             n = int(rng.integers(1, 5))
             t = int(rng.integers(n, 10))
-            a = align.monotonic_alignment_search(rng.normal(size=(n, t)))
+            a = align.monotonic_alignment_search([rng.normal(size=(n, t))])[0]
             d = align.alignment_to_durations(a, n)
             assert d.sum() == t and np.all(d >= 1)
             assert np.array_equal(durations_to_assignment(d), a)
@@ -156,11 +156,11 @@ class TestAlignmentLogPrior:
         n, t = 4, 53
         flat = np.zeros((n, t))
         collapsed = align.alignment_to_durations(
-            align.monotonic_alignment_search(flat), n
+            align.monotonic_alignment_search([flat])[0], n
         )
         assert collapsed.max() == t - n + 1
         durations = align.alignment_to_durations(
-            align.monotonic_alignment_search(flat + align.alignment_log_prior(n, t)), n
+            align.monotonic_alignment_search([flat + align.alignment_log_prior(n, t)])[0], n
         )
         assert np.all(np.abs(durations - t / n) <= 1.5)
 

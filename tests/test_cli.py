@@ -6,8 +6,15 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from pptts.cli import main
-from pptts.train import build_model_from_checkpoint, load_checkpoint, save_checkpoint
+from pptts.config import load_config
+from pptts.data import load_manifest
+from pptts.evaluate import evaluate_manifest
+from pptts.features import build_provider, write_feature_file
+from pptts.pseudo import Codebook, load_codebook, save_codebook
+from pptts.train import build_model_from_checkpoint, load_checkpoint, run_training, save_checkpoint
 
 
 MICRO_CONFIG = {
@@ -42,8 +49,22 @@ def _checkpoint_bytes(header: dict) -> bytes:
     return b"TTSCKPT1" + struct.pack("<II", 1, len(raw)) + raw
 
 
-# (kind, file bytes) of each malformed input: FTFX feature file, WAV, checkpoint.
+def _codebook_bytes(mean: str, std: str) -> bytes:
+    """A one-centroid 2-dim PPCB2 codebook with the given stats rows."""
+    return (
+        "PPCB2 k=1 dim=2 seed=0 provider=builtin-mel sample_rate=8000 n_fft=128 "
+        "hop_length=64 win_length=128 center=true n_mels=2 fmin=0.0 fmax=null "
+        f"mel_floor=1e-05\nmean {mean}\nstd {std}\n0.0 0.0\n"
+    ).encode()
+
+
+# (kind, file bytes) of each malformed input: FTFX feature file, WAV,
+# checkpoint, codebook.
 CORRUPT_INPUTS = {
+    "codebook-stats-row-short": ("codebook", _codebook_bytes("0.0", "1.0 1.0")),
+    "codebook-stats-row-not-numeric": ("codebook", _codebook_bytes("0.0 zero", "1.0 1.0")),
+    "codebook-std-zero": ("codebook", _codebook_bytes("0.0 0.0", "1.0 0.0")),
+    "codebook-std-negative": ("codebook", _codebook_bytes("0.0 0.0", "-1.0 1.0")),
     "ftfx-cut-in-header": ("ftfx", b"FTFX\x03\x00\x00"),
     "ftfx-claims-huge-body": (
         "ftfx", b"FTFX" + struct.pack("<IIf", 0xFFFFFFFF, 0xFFFFFFFF, 25.0)
@@ -272,6 +293,42 @@ class TestTokenizeCommand:
                 a != b for a, b in zip(rec["tokens"], rec["tokens"][1:])
             )
 
+    def test_sub_manifest_gets_the_full_corpus_tokens(self, workspace, tmp_path):
+        # The standardization comes from the codebook, not from a fit on
+        # the manifest given.
+        lines = Path(workspace["manifest"]).read_text().splitlines()
+        sub = tmp_path / "sub.jsonl"
+        sub.write_text("\n".join(lines[1:3]) + "\n")
+        records = {}
+        for name, manifest in (("full", workspace["manifest"]), ("sub", sub)):
+            out = tmp_path / f"{name}.jsonl"
+            assert run("tokenize", "--config", workspace["config"], "--manifest", manifest,
+                       "--codebook", workspace["codebook"], "--out", out) == 0
+            records[name] = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["id"] for r in records["sub"]] == [json.loads(l)["id"] for l in lines[1:3]]
+        assert records["sub"] == records["full"][1:3]
+
+    def test_precomputed_codebook_reads_the_configured_feature_dir(
+        self, workspace, tmp_path, capsys
+    ):
+        rng = np.random.default_rng(0)
+        for entry in load_manifest(workspace["manifest"]):
+            write_feature_file(tmp_path / f"{entry.id}.ftfx", rng.normal(size=(9, 3)), 25.0)
+        flags = ["--set", "codebook.provider=precomputed", "--set", f"codebook.feature_dir={tmp_path}"]
+        codebook = tmp_path / "cb.txt"
+        assert run("codebook", "--manifest", workspace["manifest"], "--out", codebook,
+                   "--k", 2, *flags) == 0
+        assert codebook.read_text().splitlines()[0] == "PPCB2 k=2 dim=3 seed=0 provider=precomputed"
+        out = tmp_path / "tok.jsonl"
+        argv = ["tokenize", "--manifest", workspace["manifest"], "--codebook", codebook, "--out", out]
+        assert run(*argv, flags[2], flags[3]) == 0
+        assert len(out.read_text().splitlines()) == 5
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {codebook}: precomputed features need codebook.feature_dir\n"
+        )
+
     @pytest.mark.parametrize(
         "header, field",
         [("k=6 dim=10 seed=0", "'provider'"), ("k=6 dim seed=0 provider=x", "'dim'")],
@@ -281,7 +338,7 @@ class TestTokenizeCommand:
     ):
         rows = Path(workspace["codebook"]).read_text().splitlines()[1:]
         broken = tmp_path / "cb.txt"
-        broken.write_text("\n".join([f"PPCB1 {header}"] + rows) + "\n")
+        broken.write_text("\n".join([f"PPCB2 {header}"] + rows) + "\n")
         code = run(
             "tokenize", "--config", workspace["config"],
             "--manifest", workspace["manifest"],
@@ -291,6 +348,39 @@ class TestTokenizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(broken) in err and field in err
+
+
+@pytest.fixture(scope="module")
+def v1_codebook(workspace):
+    """The workspace codebook in the PPCB1 layout, which records no audio
+    config and no standardization."""
+    cb = load_codebook(workspace["codebook"])
+    path = workspace["root"] / "codebook_v1.txt"
+    rows = "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in cb.centroids)
+    path.write_text(f"PPCB1 k={cb.k} dim={cb.dim} seed={cb.seed} provider={cb.provider_id}\n" + rows)
+    return path
+
+
+class TestV1Codebook:
+    def test_loads_without_front_end(self, workspace, v1_codebook):
+        cb = load_codebook(v1_codebook)
+        assert cb.centroids.tobytes() == load_codebook(workspace["codebook"]).centroids.tobytes()
+        assert (cb.audio, cb.mean, cb.std) == (None, None, None)
+
+    @pytest.mark.parametrize("command", ["tokenize", "pretrain", "eval"])
+    def test_quantizing_commands_exit_one(self, workspace, v1_codebook, tmp_path, capsys, command):
+        argv = {
+            "tokenize": ["--out", tmp_path / "tok.jsonl"],
+            "pretrain": ["--config", workspace["config"], "--out-dir", tmp_path / "pre",
+                         "--iterations", 1],
+            "eval": ["--ckpt", workspace["fine_ckpt"], "--out", tmp_path / "r.json"],
+        }[command]
+        code = run(command, "--manifest", workspace["manifest"], "--codebook", v1_codebook, *argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {v1_codebook}: ") and "re-run `pptts codebook`" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrainingCommands:
@@ -325,6 +415,20 @@ class TestTrainingCommands:
         assert workspace["pre_ckpt"].exists()
         rec = json.loads((pre_dir / "metrics.jsonl").read_text().splitlines()[0])
         assert "loss_recon" in rec
+
+    def test_pretrain_equals_library_run_on_the_codebook_corpus(self, workspace, tmp_path):
+        # The codebook's corpus is the pretrain manifest, so fitting the
+        # provider on it gives the standardization the codebook records.
+        pre_dir = workspace["pre_ckpt"].parent
+        cfg = load_config(pre_dir / "config.json")
+        entries = load_manifest(workspace["manifest"])
+        result = run_training(
+            entries, cfg, tmp_path / "lib",
+            codebook=load_codebook(workspace["codebook"]),
+            provider=build_provider("builtin-mel", cfg.feature, entries=entries),
+        )
+        assert result.checkpoint_path.read_bytes() == workspace["pre_ckpt"].read_bytes()
+        assert result.metrics_path.read_bytes() == (pre_dir / "metrics.jsonl").read_bytes()
 
     def test_finetune_outputs(self, workspace):
         fine_dir = workspace["fine_ckpt"].parent
@@ -446,8 +550,7 @@ class TestEvalCommand:
     def test_report_written(self, workspace, capsys):
         out = workspace["root"] / "report.json"
         code = run(
-            "eval", "--config", workspace["config"],
-            "--ckpt", workspace["fine_ckpt"],
+            "eval", "--ckpt", workspace["fine_ckpt"],
             "--manifest", workspace["manifest"],
             "--codebook", workspace["codebook"], "--out", out,
         )
@@ -459,35 +562,36 @@ class TestEvalCommand:
         assert "wrote" in capsys.readouterr().out
 
     def test_without_config_scores_at_checkpoint_audio(self, workspace, capsys):
-        # The corpus is 8 kHz; the default feature config is 22050 Hz.
-        reports = {}
-        for name, flags in (("config", ["--config", workspace["config"]]), ("plain", [])):
-            out = workspace["root"] / f"report_{name}.json"
-            code = run(
-                "eval", *flags, "--ckpt", workspace["fine_ckpt"],
-                "--manifest", workspace["manifest"],
-                "--codebook", workspace["codebook"], "--out", out,
-            )
-            assert code == 0, capsys.readouterr().err
-            reports[name] = out.read_bytes()
-        assert "token_acc" in json.loads(reports["plain"])["aggregate"]
-        assert reports["plain"] == reports["config"]
-
-    def test_feature_override_wins_over_checkpoint_audio(self, workspace, tmp_path, capsys):
+        # The corpus is 8 kHz; the default feature config is 22050 Hz. The
+        # report equals the library's with the provider fitted on the
+        # codebook's corpus, which is this manifest.
+        out = workspace["root"] / "report_plain.json"
         code = run(
             "eval", "--ckpt", workspace["fine_ckpt"],
             "--manifest", workspace["manifest"],
-            "--codebook", workspace["codebook"], "--out", tmp_path / "r.json",
-            "--set", "feature.sample_rate=22050",
+            "--codebook", workspace["codebook"], "--out", out,
         )
-        assert code == 1
-        assert "sample rate 8000 != configured 22050" in capsys.readouterr().err
+        assert code == 0, capsys.readouterr().err
+        entries = load_manifest(workspace["manifest"])
+        ckpt = load_checkpoint(workspace["fine_ckpt"])
+        report = evaluate_manifest(
+            build_model_from_checkpoint(ckpt), entries,
+            codebook=load_codebook(workspace["codebook"]),
+            provider=build_provider("builtin-mel", ckpt.audio, entries=entries),
+        )
+        assert "token_acc" in report.aggregate
+        assert json.loads(out.read_text()) == json.loads(json.dumps(report.to_dict()))
+
+    def test_help_lists_no_config_flags(self, capsys):
+        assert run("eval", "--help") == 0
+        text = capsys.readouterr().out
+        assert "--codebook" in text
+        assert "--config" not in text and "--set" not in text
 
     def test_works_without_codebook(self, workspace):
         out = workspace["root"] / "report_nocb.json"
         code = run(
-            "eval", "--config", workspace["config"],
-            "--ckpt", workspace["fine_ckpt"],
+            "eval", "--ckpt", workspace["fine_ckpt"],
             "--manifest", workspace["manifest"], "--out", out,
         )
         assert code == 0
@@ -506,8 +610,7 @@ class TestEvalCommand:
         )
         out = tmp_path / "report.json"
         code = run(
-            "eval", "--config", workspace["config"],
-            "--ckpt", workspace["fine_ckpt"], "--manifest", broken,
+            "eval", "--ckpt", workspace["fine_ckpt"], "--manifest", broken,
             "--out", out,
         )
         assert code == 1
@@ -517,24 +620,23 @@ class TestEvalCommand:
         assert len(report["records"]) == 4
 
     def test_precomputed_provider_exits_one(self, workspace, tmp_path, capsys):
+        centroids = load_codebook(workspace["codebook"]).centroids
+        codebook = tmp_path / "precomputed.txt"
+        save_codebook(codebook, Codebook(centroids, seed=0, provider_id="precomputed"))
         code = run(
-            "eval", "--config", workspace["config"],
-            "--ckpt", workspace["fine_ckpt"],
+            "eval", "--ckpt", workspace["fine_ckpt"],
             "--manifest", workspace["manifest"],
-            "--codebook", workspace["codebook"], "--out", tmp_path / "r.json",
-            "--set", "codebook.provider=precomputed",
-            "--set", f"codebook.feature_dir={tmp_path}",
+            "--codebook", codebook, "--out", tmp_path / "r.json",
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "no precomputed features" in err
+        assert err.startswith(f"error: {codebook}: ") and "no precomputed features" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_pretrain_checkpoint_exits_one(self, workspace):
         assert (
             run(
-                "eval", "--config", workspace["config"],
-                "--ckpt", workspace["pre_ckpt"],
+                "eval", "--ckpt", workspace["pre_ckpt"],
                 "--manifest", workspace["manifest"],
                 "--out", workspace["root"] / "r.json",
             )
@@ -551,6 +653,12 @@ class TestCorruptInputs:
         if kind == "ckpt":
             bad = tmp_path / "bad.ckpt"
             argv = ["synthesize", "--ckpt", bad, "--text", "abcd", "--out", tmp_path / "o.wav"]
+        elif kind == "codebook":
+            bad = tmp_path / "bad.txt"
+            argv = [
+                "tokenize", "--manifest", workspace["manifest"], "--codebook", bad,
+                "--out", tmp_path / "tok.jsonl",
+            ]
         else:
             manifest = workspace["manifest"]
             if kind == "wav":

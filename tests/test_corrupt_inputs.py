@@ -1,7 +1,7 @@
 """Malformed input files: each reader loads them or raises ValueError or OSError.
 
-Starting from one small valid file per format (WAV, FTFX feature file, PPCB1
-codebook, TTSCKPT1 checkpoint), every truncation and random single-byte
+Starting from one small valid file per format (WAV, FTFX feature file, PPCB2
+codebook with its audio config and stats rows, TTSCKPT1 checkpoint), every truncation and random single-byte
 flips are fed to its reader. A header that claims more bytes than the file
 holds must be refused before that many bytes are allocated.
 """
@@ -32,7 +32,12 @@ def _write_ftfx(path):
 
 def _write_codebook(path):
     centroids = np.arange(6, dtype=np.float64).reshape(3, 2) / 7.0
-    save_codebook(path, Codebook(centroids, k=3, dim=2, seed=1, provider_id="builtin-mel"))
+    audio = AudioConfig(sample_rate=8000, n_fft=16, hop_length=4, win_length=16, n_mels=2)
+    stats = np.array([0.25, 1.5], dtype=np.float32)
+    save_codebook(
+        path,
+        Codebook(centroids, seed=1, provider_id="builtin-mel", audio=audio, mean=-stats, std=stats),
+    )
 
 
 def _write_checkpoint(path):

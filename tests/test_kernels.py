@@ -96,7 +96,7 @@ class TestMas:
             for t in range(n, 9):
                 for _ in range(20):
                     grid = rng.normal(size=(n, t))
-                    assign = _kernels.mas_assignment(grid)
+                    assign = _kernels.mas_assignments([grid])[0]
                     assert_valid_alignment(assign, n, t)
                     got = grid[assign, np.arange(t)].sum()
                     want, _ = brute_force_alignment(grid)
@@ -104,33 +104,33 @@ class TestMas:
 
     def test_single_token(self):
         grid = np.zeros((1, 5))
-        assert _kernels.mas_assignment(grid).tolist() == [0] * 5
+        assert _kernels.mas_assignments([grid])[0].tolist() == [0] * 5
 
     def test_square_grid_is_diagonal(self):
         grid = np.random.default_rng(1).normal(size=(3, 3))
-        assert _kernels.mas_assignment(grid).tolist() == [0, 1, 2]
+        assert _kernels.mas_assignments([grid])[0].tolist() == [0, 1, 2]
 
     def test_tie_prefers_staying(self):
         # All-zero grid: every alignment scores 0; the tie rule keeps the
         # path on its current token, so advances happen as early as possible.
-        assert _kernels.mas_assignment(np.zeros((2, 3))).tolist() == [0, 1, 1]
-        assert _kernels.mas_assignment(np.zeros((3, 5))).tolist() == [0, 1, 2, 2, 2]
+        assert _kernels.mas_assignments([np.zeros((2, 3))])[0].tolist() == [0, 1, 1]
+        assert _kernels.mas_assignments([np.zeros((3, 5))])[0].tolist() == [0, 1, 2, 2, 2]
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             grid = rng.normal(size=(3, 7))
-            a = _kernels.mas_assignment(grid)
-            b = _kernels.mas_assignment(grid + 17.25)
+            a = _kernels.mas_assignments([grid])[0]
+            b = _kernels.mas_assignments([grid + 17.25])[0]
             assert np.array_equal(a, b)
 
     def test_rejects_more_tokens_than_frames(self):
         with pytest.raises(ValueError):
-            _kernels.mas_assignment(np.zeros((4, 3)))
+            _kernels.mas_assignments([np.zeros((4, 3))])[0]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            _kernels.mas_assignment(np.zeros((0, 3)))
+            _kernels.mas_assignments([np.zeros((0, 3))])[0]
 
 
 @st.composite
@@ -165,7 +165,7 @@ class TestMasBatch:
         assert len(batch) == len(grids)
         for grid, got in zip(grids, batch):
             assert got.dtype == np.int64
-            assert np.array_equal(got, _kernels.mas_assignment(grid))
+            assert np.array_equal(got, _kernels.mas_assignments([grid])[0])
             assert np.array_equal(got, cellwise_mas(grid))
 
     def test_finite_paths_are_valid(self):
@@ -177,7 +177,7 @@ class TestMasBatch:
 
     def test_nan_grid_stays_in_range(self):
         grid = np.full((3, 6), np.nan)
-        assign = _kernels.mas_assignment(grid)
+        assign = _kernels.mas_assignments([grid])[0]
         assert assign.min() >= 0 and assign.max() <= 2
 
     def test_empty_batch(self):
@@ -346,7 +346,7 @@ def test_bench_kernels_script_runs():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == [
-        "mas_assignment", "mas_assignment", "mas_assignments", "levenshtein",
+        "mas_assignments", "mas_assignments", "mas_assignments", "levenshtein",
         "nearest_centroids", "kmeans++", "train_codebook", "post", "relu", "log-mel",
         "synthetic",
     ]

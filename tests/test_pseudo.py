@@ -1,10 +1,14 @@
 """K-means codebook, quantization, and run-length token handling."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pptts import _kernels
+from pptts.config import AudioConfig
 from pptts.features import FrameFeatures
 from pptts.pseudo import (
     Codebook,
@@ -207,14 +211,13 @@ class TestFitMatchesOracle:
 class TestQuantize:
     def test_nearest(self):
         cb = Codebook(
-            centroids=np.array([[0.0, 0.0], [10.0, 10.0]]),
-            k=2, dim=2, seed=0, provider_id="test",
+            centroids=np.array([[0.0, 0.0], [10.0, 10.0]]), seed=0, provider_id="test",
         )
         feats = make_features([[0.1, -0.1], [9.5, 10.2], [0.2, 0.3]])
         assert quantize(feats, cb).tolist() == [0, 1, 0]
 
     def test_dim_mismatch(self):
-        cb = Codebook(np.zeros((2, 3)), 2, 3, 0, "test")
+        cb = Codebook(np.zeros((2, 3)), 0, "test")
         with pytest.raises(ValueError, match="dim"):
             quantize(make_features(np.zeros((5, 2))), cb)
 
@@ -274,7 +277,93 @@ class TestCodebookIO:
         path = tmp_path / "cb.txt"
         save_codebook(path, cb)
         first = path.read_text().splitlines()[0]
-        assert first.startswith("PPCB1 k=4 dim=3 seed=9 provider=")
+        assert first == "PPCB2 k=4 dim=3 seed=9 provider=test"
+
+    def _with_front_end(self):
+        rng = np.random.default_rng(10)
+        audio = AudioConfig(
+            sample_rate=8000, n_fft=256, hop_length=64, win_length=200, center=False,
+            n_mels=3, fmin=31.7, fmax=3999.9, mel_floor=1.234567e-7,
+        )
+        return dataclasses.replace(
+            self._codebook(),
+            provider_id="builtin-mel",
+            audio=audio,
+            mean=rng.normal(scale=7.0, size=3).astype(np.float32),
+            std=rng.uniform(1e-8, 3.0, size=3).astype(np.float32),
+        )
+
+    def test_front_end_round_trips_bit_for_bit(self, tmp_path):
+        cb = self._with_front_end()
+        path = tmp_path / "cb.txt"
+        save_codebook(path, cb)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("PPCB2 k=4 dim=3 seed=9 provider=builtin-mel sample_rate=8000 ")
+        assert lines[1].startswith("mean ") and lines[2].startswith("std ")
+        back = load_codebook(path)
+        assert back.audio == cb.audio
+        for got, want in ((back.mean, cb.mean), (back.std, cb.std)):
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert back.centroids.tobytes() == cb.centroids.tobytes()
+        assert codebook_hash(back) == codebook_hash(cb) != codebook_hash(self._codebook())
+
+    def test_front_end_is_all_or_nothing(self, tmp_path):
+        cb = dataclasses.replace(self._with_front_end(), std=None)
+        with pytest.raises(ValueError, match="together"):
+            save_codebook(tmp_path / "cb.txt", cb)
+
+    def test_v1_file_loads_with_its_hash(self, tmp_path):
+        cb = self._codebook()
+        header = f"PPCB1 k=4 dim=3 seed=9 provider={cb.provider_id}\n"
+        path = tmp_path / "cb.txt"
+        path.write_text(header + "".join(" ".join(repr(float(v)) for v in row) + "\n"
+                                         for row in cb.centroids))
+        back = load_codebook(path)
+        assert back.centroids.tobytes() == cb.centroids.tobytes()
+        assert (back.audio, back.mean, back.std) == (None, None, None)
+        digest = hashlib.sha256(header.encode() + cb.centroids.astype("<f8").tobytes())
+        assert codebook_hash(back) == codebook_hash(cb) == digest.hexdigest()
+
+    @pytest.mark.parametrize(
+        "line, row, message",
+        [
+            (1, "mean 0.5 1.0", "line 2 has 2 values, header dim is 3"),
+            (1, "mean 0.5 x 1.0", "line 2 is not a row of numbers"),
+            (1, "mean 0.5 1e39 1.0", "line 2 holds a value that is not a finite float32"),
+            (1, "0.5 0.5 1.0", "line 2 is not the 'mean' row"),
+            (2, "std 1.0 0.0 1.0", "line 3 holds a std <= 0"),
+            (2, "std 1.0 -2.0 1.0", "line 3 holds a std <= 0"),
+            (2, "std 1.0 1e-50 1.0", "line 3 holds a std <= 0"),
+            (2, "std 1.0 nan 1.0", "line 3 holds a value that is not a finite float32"),
+        ],
+    )
+    def test_malformed_stats_row(self, tmp_path, line, row, message):
+        path = tmp_path / "cb.txt"
+        save_codebook(path, self._with_front_end())
+        lines = path.read_text().splitlines()
+        lines[line] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as info:
+            load_codebook(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "field, swap, message",
+        [
+            ("n_fft=256", "", "lacks the 'n_fft' field"),
+            ("center=false", "center=maybe", "center='maybe' is not a value"),
+            ("n_mels=3", "n_mels=0", "n_mels must be >= 1"),
+            ("win_length=200", "win_length=300", "win_length must be <= n_fft"),
+            ("hop_length=64", "hop_length=6.4", "hop_length must be an integer, got 6.4"),
+        ],
+    )
+    def test_malformed_audio_field(self, tmp_path, field, swap, message):
+        path = tmp_path / "cb.txt"
+        save_codebook(path, self._with_front_end())
+        path.write_text(path.read_text().replace(field, swap, 1))
+        with pytest.raises(ValueError, match=message) as info:
+            load_codebook(path)
+        assert str(path) in str(info.value)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "cb.txt"
@@ -328,7 +417,7 @@ class TestCodebookIO:
         path = tmp_path / "cb.txt"
         save_codebook(path, cb)
         assert codebook_hash(load_codebook(path)) == h1
-        bumped = Codebook(cb.centroids + 1e-12, cb.k, cb.dim, cb.seed, cb.provider_id)
+        bumped = Codebook(cb.centroids + 1e-12, cb.seed, cb.provider_id)
         assert codebook_hash(bumped) != h1
 
 

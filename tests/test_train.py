@@ -211,6 +211,12 @@ class TestPrepareCorpus:
         with pytest.raises(TrainError):
             prepare_corpus(corpus, cfg, "pretrain", None)
 
+    def test_pretrain_requires_provider(self, corpus, codebook):
+        # Nothing is fitted here: the provider comes with the codebook.
+        cfg = micro_run_config("pretrain")
+        with pytest.raises(TrainError, match="feature provider"):
+            prepare_corpus(corpus, cfg, "pretrain", codebook)
+
     def test_codebook_too_large_for_vocab(self, corpus, provider):
         big = train_codebook(
             (provider.features_for(e) for e in corpus), k=12, seed=0
@@ -743,6 +749,13 @@ def test_removed_adversarial_options_rejected(key, value):
 @pytest.mark.parametrize("value", [0, -2])
 def test_sizes_below_one_rejected(section, key, value):
     with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+        config_from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("section,key", [("feature", "n_fft"), ("model", "flow_blocks")])
+@pytest.mark.parametrize("value", [1024.5, 2.0, "8"])
+def test_non_integer_sizes_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
         config_from_dict({section: {key: value}})
 
 
