@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +54,17 @@ class AudioConfig:
         # reach -inf.
         if not self.mel_floor > 0:
             raise ConfigError("mel_floor must be > 0")
+        # A null fmax is the Nyquist frequency.
+        nyquist = self.sample_rate / 2
+        fmax = nyquist if self.fmax is None else self.fmax
+        for name, value in (("fmin", self.fmin), ("fmax", fmax)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not 0 <= self.fmin < fmax <= nyquist:
+            raise ConfigError(
+                f"fmin and fmax must satisfy 0 <= fmin < fmax <= sample_rate / 2 = {nyquist:g}, "
+                f"got fmin={self.fmin!r}, fmax={self.fmax!r}"
+            )
 
     @property
     def spec_bins(self) -> int:

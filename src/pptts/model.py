@@ -120,28 +120,32 @@ class CouplingBlock(Module):
             return T.concat([kept, changed], axis=0)
         return T.concat([changed, kept], axis=0)
 
-    def _scale_shift(self, kept: Tensor, speaker: Tensor | None):
-        h = self.conv1(kept)
+    def _net_args(self, speaker: Tensor | None) -> dict:
+        """Keyword arguments of :func:`tensor.coupling_net` for this block."""
+        layers = [
+            (conv.weight, conv.bias, conv.kernel_size, conv.padding)
+            for conv in (self.conv1, self.conv2, self.proj)
+        ]
+        speaker_layer = None
         if speaker is not None:
             if not hasattr(self, "speaker_proj"):
                 raise ModelError("speaker conditioning on a single-speaker flow")
-            h = h + self.speaker_proj(speaker)
-        h = self.conv2(h.relu()).relu()
-        out = self.proj(h)
-        log_s = out[: self.half, :].tanh() * LOG_SCALE_CAP
-        shift = out[self.half :, :]
-        return log_s, shift
+            sp = self.speaker_proj
+            speaker_layer = (sp.weight, sp.bias, sp.kernel_size, sp.padding)
+        return dict(
+            half=self.half, parity=self.parity, layers=layers,
+            speaker=speaker, speaker_layer=speaker_layer,
+        )
 
     def forward(self, x: Tensor, speaker: Tensor | None):
-        kept, moved = self._halves(x)
-        log_s, shift = self._scale_shift(kept, speaker)
-        moved = moved * log_s.exp() + shift
-        return self._join(kept, moved), log_s.sum()
+        y, log_s = T.affine_coupling(x, cap=LOG_SCALE_CAP, **self._net_args(speaker))
+        return y, log_s.sum()
 
     def inverse(self, y: Tensor, speaker: Tensor | None):
+        net = T.coupling_net(y, **self._net_args(speaker))
+        log_s = T.coupling_log_scale(net, self.half, LOG_SCALE_CAP)
         kept, moved = self._halves(y)
-        log_s, shift = self._scale_shift(kept, speaker)
-        moved = (moved - shift) * (-log_s).exp()
+        moved = (moved - net[self.half :, :]) * (-log_s).exp()
         return self._join(kept, moved), -log_s.sum()
 
 

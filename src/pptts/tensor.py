@@ -7,9 +7,15 @@ once in reverse topological order. Broadcasting follows numpy; ``matmul``
 is restricted to 2-D operands.
 
 Structured ops used by the models live here too: 1-D convolution and the
-decoder's upsampling convolution, each one graph node; row gather with
-scatter-add backward; run-length column repetition; and the STFT magnitude
-that the log-mel chain of :mod:`pptts.features` is built on.
+decoder's upsampling convolution, each one graph node; the three nodes of an
+affine coupling block (conditioning network, log-scale and affine join); row
+gather with scatter-add backward; run-length column repetition; and the STFT
+magnitude that the log-mel chain of :mod:`pptts.features` is built on.
+
+A fused node computes the expressions of the op chain it replaces, in the
+chain's order, and lists its parents in the order the chain's depth-first
+walk reached them, so ``backward`` sums every gradient in the chain's order
+and every bit matches it.
 """
 
 from __future__ import annotations
@@ -50,16 +56,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """An ndarray plus the bookkeeping needed for reverse-mode autodiff."""
+    """An ndarray plus the bookkeeping needed for reverse-mode autodiff.
+
+    ``_vjps`` holds one vector-Jacobian product per parent, or, for a fused
+    node (:func:`_make_fused`), one callable that returns the gradients of
+    all parents at once.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data)
+        self.data = data if type(data) is np.ndarray else np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] | Callable = ()
         self._op = ""
 
     # -- basic introspection -------------------------------------------------
@@ -122,7 +133,13 @@ class Tensor:
             g = node.grad
             if g is None:
                 continue
-            for parent, vjp in zip(node._parents, node._vjps):
+            vjps = node._vjps
+            if callable(vjps):
+                for parent, pg in zip(node._parents, vjps(g)):
+                    if pg is not None:
+                        parent._accumulate(pg)
+                continue
+            for parent, vjp in zip(node._parents, vjps):
                 if parent.requires_grad:
                     parent._accumulate(vjp(g))
 
@@ -234,12 +251,7 @@ class Tensor:
         return _make(out, [(self, lambda g: g * (1.0 - np.square(out)))], "tanh")
 
     def relu(self):
-        # The bytes of ``np.where(x > 0, x, 0.0)`` without its data-dependent
-        # branch: fmax maps NaN to 0 as the mask does, and ``+= 0.0`` turns
-        # the -0.0 that fmax may keep into 0.0.
-        mask = self.data > 0
-        out = np.fmax(self.data, 0.0)
-        out += 0.0
+        out, mask = _relu(self.data)
         return _make(out, [(self, lambda g: g * mask)], "relu")
 
     def abs(self):
@@ -317,13 +329,39 @@ class Tensor:
 def _make(data, parent_vjps, op: str) -> Tensor:
     out = Tensor(data)
     if _grad_enabled:
-        live = [(p, f) for p, f in parent_vjps if p.requires_grad]
-        if live:
+        parents, vjps = [], []
+        for p, f in parent_vjps:
+            if p.requires_grad:
+                parents.append(p)
+                vjps.append(f)
+        if parents:
             out.requires_grad = True
-            out._parents = tuple(p for p, _ in live)
-            out._vjps = tuple(f for _, f in live)
+            out._parents = tuple(parents)
+            out._vjps = tuple(vjps)
             out._op = op
     return out
+
+
+def _make_fused(data, parents: Sequence[Tensor], vjp, op: str) -> Tensor:
+    """A node with one VJP for all ``parents``: ``vjp(g)`` returns one
+    gradient per parent, None for a parent that does not require grad."""
+    out = Tensor(data)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
+        out._vjps = vjp
+        out._op = op
+    return out
+
+
+def _relu(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ReLU and its gradient mask. The bytes of ``np.where(x > 0, x, 0.0)``
+    without its data-dependent branch: fmax maps NaN to 0 as the mask does,
+    and ``+= 0.0`` turns the -0.0 that fmax may keep into 0.0."""
+    mask = data > 0
+    out = np.fmax(data, 0.0)
+    out += 0.0
+    return out, mask
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -451,6 +489,35 @@ def _col2im(g: np.ndarray, like: np.ndarray, kernel: int) -> np.ndarray:
     return out
 
 
+def _conv_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, kernel: int, padding: int,
+    pad_mode: str = "zeros",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Output of :func:`conv1d` on arrays, with the padded input and the
+    im2col columns that its gradients read."""
+    src = _pad_data(x, padding, padding, pad_mode) if padding else x
+    cols = _im2col(src, kernel)
+    return w @ cols + b.reshape(w.shape[0], 1), src, cols
+
+
+def _conv_grad_x(
+    g: np.ndarray, w: np.ndarray, src: np.ndarray, kernel: int, padding: int,
+    pad_mode: str = "zeros",
+) -> np.ndarray:
+    """Input gradient of :func:`conv1d` from its output gradient ``g``."""
+    # With one output channel ``w.T @ g`` is an outer product: each element
+    # is one rounded product either way, and the broadcast skips a GEMM of
+    # inner dimension 1. Its -0.0 where the GEMM gives 0.0 is added into
+    # zeros by _col2im, which makes it 0.0 again.
+    gc = w.T * g if w.shape[0] == 1 else w.T @ g
+    gx = _col2im(gc, src, kernel)
+    return _unpad_grad(gx, padding, padding, pad_mode) if padding else gx
+
+
+def _bias_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return g.sum(axis=(1,), keepdims=True).reshape(shape)
+
+
 def conv1d(
     x: Tensor,
     weight: Tensor,
@@ -469,29 +536,162 @@ def conv1d(
     which the chain's depth-first walk reached them, so a computed weight
     would also get its gradient terms summed in the chain's order.
     """
-    src = _pad_data(x.data, padding, padding, pad_mode) if padding else x.data
-    cols = _im2col(src, kernel)
     w = weight.data
-    out = w @ cols + bias.data.reshape(w.shape[0], 1)
-
-    def vjp_x(g: np.ndarray) -> np.ndarray:
-        # With one output channel ``w.T @ g`` is an outer product: each
-        # element is one rounded product either way, and the broadcast
-        # skips a GEMM of inner dimension 1. Its -0.0 where the GEMM gives
-        # 0.0 is added into zeros by _col2im, which makes it 0.0 again.
-        gc = w.T * g if w.shape[0] == 1 else w.T @ g
-        gx = _col2im(gc, src, kernel)
-        return _unpad_grad(gx, padding, padding, pad_mode) if padding else gx
-
+    out, src, cols = _conv_forward(x.data, w, bias.data, kernel, padding, pad_mode)
     return _make(
         out,
         [
             (weight, lambda g: g @ cols.T),
-            (x, vjp_x),
-            (bias, lambda g: g.sum(axis=(1,), keepdims=True).reshape(bias.data.shape)),
+            (x, lambda g: _conv_grad_x(g, w, src, kernel, padding, pad_mode)),
+            (bias, lambda g: _bias_grad(g, bias.data.shape)),
         ],
         "conv1d",
     )
+
+
+# A convolution of a coupling network: (weight, bias, kernel, padding), with
+# zero padding.
+ConvLayer = tuple[Tensor, Tensor, int, int]
+
+
+def _coupling_rows(half: int, parity: int) -> tuple[slice, slice]:
+    """Rows of the half that a coupling block keeps and of the half it moves."""
+    if parity == 0:
+        return slice(None, half), slice(half, None)
+    return slice(half, None), slice(None, half)
+
+
+def coupling_net(
+    x: Tensor,
+    half: int,
+    parity: int,
+    layers: Sequence[ConvLayer],
+    speaker: Tensor | None = None,
+    speaker_layer: ConvLayer | None = None,
+    join_grads: list | None = None,
+) -> Tensor:
+    """Conditioning network of an affine coupling block as one graph node.
+
+    Reads the half of ``x`` that the block keeps (rows ``[:half]`` at parity
+    0, ``[half:]`` at parity 1) and computes conv1, plus ``speaker_layer``
+    of ``speaker`` if given, relu, conv2, relu and proj, the three
+    ``layers`` in that order. Rows ``[:half]`` of the [channels, T] output
+    are the raw log-scales, the rest the shifts.
+
+    The parents are (x, proj weight, conv2 weight, conv1 weight, conv1 bias,
+    speaker weight, speaker, speaker bias, conv2 bias, proj bias), the order
+    in which the depth-first walk of the chain of :func:`affine_coupling`
+    reaches them. ``join_grads`` is filled by that join's backward with the
+    gradients of the kept and moved halves of ``x``: the chain summed the
+    kept half's two terms in its slice node before ``x`` saw them, so this
+    node, whose backward runs after the join's, adds its own term there and
+    hands ``x`` the whole gradient.
+    """
+    kept_rows, moved_rows = _coupling_rows(half, parity)
+    (w1, b1, k1, p1), (w2, b2, k2, p2), (wp, bp, kp, pp) = layers
+    w1d, w2d, wpd = w1.data, w2.data, wp.data
+    h1, src1, cols1 = _conv_forward(x.data[kept_rows, :], w1d, b1.data, k1, p1)
+    speaker_parents: tuple[Tensor, ...] = ()
+    if speaker is not None:
+        ws, bs, ks, ps = speaker_layer
+        hs, src_s, cols_s = _conv_forward(speaker.data, ws.data, bs.data, ks, ps)
+        h1 = h1 + hs
+        speaker_parents = (ws, speaker, bs)
+    r1, mask1 = _relu(h1)
+    h2, src2, cols2 = _conv_forward(r1, w2d, b2.data, k2, p2)
+    r2, mask2 = _relu(h2)
+    out, src_p, cols_p = _conv_forward(r2, wpd, bp.data, kp, pp)
+
+    def vjp(g: np.ndarray) -> list:
+        g_h2 = _conv_grad_x(g, wpd, src_p, kp, pp) * mask2
+        g_h1 = _conv_grad_x(g_h2, w2d, src2, k2, p2) * mask1
+        gx = None
+        if x.requires_grad:
+            g_kept = _conv_grad_x(g_h1, w1d, src1, k1, p1)
+            gx = np.zeros_like(x.data)
+            if join_grads:
+                kept, moved = join_grads.pop()
+                kept += g_kept
+                gx[kept_rows, :] += kept
+                gx[moved_rows, :] += moved
+            else:
+                gx[kept_rows, :] += g_kept
+        grads = [
+            gx,
+            g @ cols_p.T if wp.requires_grad else None,
+            g_h2 @ cols2.T if w2.requires_grad else None,
+            g_h1 @ cols1.T if w1.requires_grad else None,
+            _bias_grad(g_h1, b1.data.shape) if b1.requires_grad else None,
+        ]
+        if speaker is not None:
+            g_s = _unbroadcast(g_h1, hs.shape)
+            grads += [
+                g_s @ cols_s.T if ws.requires_grad else None,
+                _conv_grad_x(g_s, ws.data, src_s, ks, ps) if speaker.requires_grad else None,
+                _bias_grad(g_s, bs.data.shape) if bs.requires_grad else None,
+            ]
+        grads += [
+            _bias_grad(g_h2, b2.data.shape) if b2.requires_grad else None,
+            _bias_grad(g, bp.data.shape) if bp.requires_grad else None,
+        ]
+        return grads
+
+    parents = (x, wp, w2, w1, b1, *speaker_parents, b2, bp)
+    return _make_fused(out, parents, vjp, "coupling_net")
+
+
+def coupling_log_scale(net: Tensor, half: int, cap: float) -> Tensor:
+    """``tanh(net[:half]) * cap``: the bounded log-scales of a coupling
+    block from its :func:`coupling_net` output, as one graph node."""
+    t = np.tanh(net.data[:half, :])
+    c = np.asarray(cap, dtype=t.dtype)
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        gx = np.zeros_like(net.data)
+        gx[:half, :] += g * c * (1.0 - np.square(t))
+        return gx
+
+    return _make(t * c, [(net, vjp)], "coupling_log_scale")
+
+
+def affine_coupling(
+    x: Tensor,
+    half: int,
+    parity: int,
+    layers: Sequence[ConvLayer],
+    cap: float,
+    speaker: Tensor | None = None,
+    speaker_layer: ConvLayer | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Forward map of an affine coupling block and its log-scales.
+
+    The kept half of ``x`` passes through; the moved half becomes
+    ``moved * exp(log_s) + shift``, with ``log_s`` and ``shift`` from
+    :func:`coupling_net` and :func:`coupling_log_scale`. Records three
+    nodes, the network, the log-scales and this join, where the chain of
+    slices, tanh, scale, exp, product, sum and concat recorded about 17.
+    The join's parents are (log-scales, network); the gradient of ``x``
+    reaches ``x`` through the network node (see :func:`coupling_net`).
+    """
+    kept_rows, moved_rows = _coupling_rows(half, parity)
+    join_grads: list = []
+    net = coupling_net(x, half, parity, layers, speaker, speaker_layer, join_grads)
+    log_s = coupling_log_scale(net, half, cap)
+    e = np.exp(log_s.data)
+    moved = x.data[moved_rows, :]
+    changed = moved * e + net.data[half:, :]
+    kept = x.data[kept_rows, :]
+    y = np.concatenate([kept, changed] if parity == 0 else [changed, kept], axis=0)
+
+    def vjp(g: np.ndarray) -> list:
+        g_changed = g[moved_rows, :]
+        if x.requires_grad:
+            join_grads.append((np.array(g[kept_rows, :], copy=True), g_changed * e))
+        g_net = np.zeros_like(net.data)
+        g_net[half:, :] += g_changed
+        return [g_changed * moved * e, g_net]
+
+    return _make_fused(y, (log_s, net), vjp, "affine_coupling"), log_s
 
 
 def conv1d_upsampled(x: Tensor, weight: Tensor, bias: Tensor, factor: int) -> Tensor:
@@ -537,7 +737,7 @@ def conv1d_upsampled(x: Tensor, weight: Tensor, bias: Tensor, factor: int) -> Te
         [
             (weight, vjp_weight),
             (x, vjp_x),
-            (bias, lambda g: g.sum(axis=(1,), keepdims=True).reshape(bias.data.shape)),
+            (bias, lambda g: _bias_grad(g, bias.data.shape)),
         ],
         "conv1d_upsampled",
     )

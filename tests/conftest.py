@@ -7,7 +7,11 @@ is printed so the acceptance status is readable at a glance. The
 ``upsampled_chain`` that of the fused upsampling convolution,
 ``upsample_cols`` the zero-stuffed input that the upsampling convolution
 never builds, and ``per_utterance_step`` the oracle of a training step with
-frozen encodings and one alignment search per batch. ``pad_cols`` and
+frozen encodings and one alignment search per batch. ``coupling_chain`` and
+``coupling_inverse_chain`` are the oracles of a coupling block's forward and
+inverse maps, ``kld_chain`` and ``duration_chain`` those of the fused KL and
+duration losses, and ``log_density_chain`` the Gaussian log-density the KL
+chain is built on. ``pad_cols`` and
 ``frame_cols`` are single ops those chains are made of.
 ``alignment_score`` and ``durations_to_assignment`` are the oracles of the
 alignment search tests. ``report_by_waves`` is the oracle of
@@ -177,6 +181,106 @@ def _upsample_cols(x, factor: int):
         return g[:, ::factor]
 
     return tz._make(out, [(x, vjp)], "upsample_cols")
+
+
+def _coupling_scale_shift(block, kept, speaker):
+    """Log-scales and shifts of a coupling block as the chain of conv1,
+    speaker projection and add, relu, conv2, relu, proj, two slices, tanh
+    and scale."""
+    from pptts.model import LOG_SCALE_CAP
+
+    h = block.conv1(kept)
+    if speaker is not None:
+        h = h + block.speaker_proj(speaker)
+    out = block.proj(block.conv2(h.relu()).relu())
+    return out[: block.half, :].tanh() * LOG_SCALE_CAP, out[block.half :, :]
+
+
+def _coupling_halves(block, x):
+    if block.parity == 0:
+        return x[: block.half, :], x[block.half :, :]
+    return x[block.half :, :], x[: block.half, :]
+
+
+def _coupling_join(block, kept, changed):
+    from pptts import tensor as tz
+
+    pair = [kept, changed] if block.parity == 0 else [changed, kept]
+    return tz.concat(pair, axis=0)
+
+
+def _coupling_chain(block, x, speaker):
+    """``CouplingBlock.forward`` as the chain of about 17 graph nodes: two
+    slices of ``x``, the conditioning network's ops, tanh, scale, exp,
+    product, sum, concat and the log-scale sum."""
+    kept, moved = _coupling_halves(block, x)
+    log_s, shift = _coupling_scale_shift(block, kept, speaker)
+    moved = moved * log_s.exp() + shift
+    return _coupling_join(block, kept, moved), log_s.sum()
+
+
+def _coupling_inverse_chain(block, y, speaker):
+    """``CouplingBlock.inverse`` as a chain of single ops."""
+    kept, moved = _coupling_halves(block, y)
+    log_s, shift = _coupling_scale_shift(block, kept, speaker)
+    moved = (moved - shift) * (-log_s).exp()
+    return _coupling_join(block, kept, moved), -log_s.sum()
+
+
+def _log_density_chain(x, stats):
+    """Elementwise log N(x; mean, std) as a chain of single ops."""
+    from pptts.losses import LossError
+
+    if x.shape != stats.mean.shape:
+        raise LossError(f"value shape {x.shape} does not match stats shape {stats.mean.shape}")
+    centered = (x - stats.mean) / stats.std
+    return (centered**2 + float(np.log(2.0 * np.pi))) * -0.5 - stats.std.log()
+
+
+def _kld_chain(post, z, z_p, frame_prior, logdet_forward):
+    """``losses.kld_prior_loss`` as a chain of single ops."""
+    log_q = _log_density_chain(z, post)
+    log_p = _log_density_chain(z_p, frame_prior)
+    return ((log_q - log_p).sum() - logdet_forward) * (1.0 / float(z.size))
+
+
+def _duration_chain(predicted_logdur, target_durations):
+    """``losses.duration_loss`` as a chain of single ops: difference,
+    square, sum and scale."""
+    targets = np.asarray(target_durations)
+    log_targets = np.log(targets.astype(np.float64)).astype(predicted_logdur.dtype)
+    return ((predicted_logdur - log_targets) ** 2).mean()
+
+
+@pytest.fixture
+def coupling_chain():
+    """Oracle for byte-equality tests of ``tensor.affine_coupling``; has the
+    signature of ``CouplingBlock.forward`` so it can be patched in for it."""
+    return _coupling_chain
+
+
+@pytest.fixture
+def coupling_inverse_chain():
+    """Oracle of ``CouplingBlock.inverse``, with its signature."""
+    return _coupling_inverse_chain
+
+
+@pytest.fixture
+def log_density_chain():
+    """log N(x; mean, std) of a ``Stats``, the chain ``kld_chain`` uses."""
+    return _log_density_chain
+
+
+@pytest.fixture
+def kld_chain():
+    """Oracle of ``losses.kld_prior_loss``, with its signature."""
+    return _kld_chain
+
+
+@pytest.fixture
+def duration_chain():
+    """Oracle of ``losses.duration_loss``, with its signature."""
+    return _duration_chain
 
 
 def _alignment_score(grid, assignment) -> float:

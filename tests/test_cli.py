@@ -201,6 +201,16 @@ class TestParsing:
         assert code == 1
         assert "text_vocab_size must be 28" in capsys.readouterr().err
 
+    def test_non_numeric_fmin_exits_one(self, workspace, capsys):
+        code = run(
+            "codebook", "--manifest", workspace["manifest"],
+            "--out", workspace["root"] / "cb6.txt", "--set", 'feature.fmin="low"',
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "fmin must be a finite number, got 'low'" in err
+
     def test_unknown_config_key_exits_one(self, workspace, capsys):
         code = run(
             "codebook", "--manifest", workspace["manifest"],

@@ -1,5 +1,6 @@
 """NumPy kernels against brute-force oracles."""
 
+import importlib.util
 import itertools
 import os
 import subprocess
@@ -365,5 +366,42 @@ def test_graph_census_script_runs():
     # Two upsampling stages (hop 64 = 8 * 8) per utterance, batch 4; the
     # frozen decoder never runs in a fine-tune step.
     assert rows["conv1d_upsampled"] == [8, 0]
-    assert not {"pad_cols", "frame_cols"} & set(rows)
+    # Two flow blocks per utterance; the coupling chains stay fused.
+    assert rows["coupling_net"] == [8, 8] and rows["kld_prior"] == [4, 4]
+    assert not {"pad_cols", "frame_cols", "concat"} & set(rows)
     assert rows["total"] == [sum(col) for col in zip(*(v for k, v in rows.items() if k != "total"))]
+
+
+def _ab_steps(root: Path):
+    spec = importlib.util.spec_from_file_location("ab_steps", root / "benchmarks" / "ab_steps.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("stage", ["finetune", "pretrain"])
+def test_ab_steps_script_runs_a_a(stage):
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src"
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "ab_steps.py"), str(src), str(src),
+         "--stage", stage, "--steps", "3", "--warmup", "1", "--utts", "8", "--k", "4"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = dict(line.split() for line in proc.stdout.splitlines()[1:])
+    assert rows["steps"] == "3"
+    assert float(rows["a_ms_median"]) > 0 and float(rows["b_ms_median"]) > 0
+    assert float(rows["ratio_q1"]) <= float(rows["ratio_b_over_a_median"]) <= float(rows["ratio_q3"])
+
+
+def test_ab_steps_refuses_different_losses(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    ab = _ab_steps(root)
+    for name in ("pptts_a", "pptts_b"):
+        ab.load_tree(root / "src", name)
+    ab.make_corpus("pptts_a", "finetune", tmp_path, seed=1, utts=0)
+    a, b = (ab.Trainer(name, "finetune", tmp_path, seed=1, k=0) for name in ("pptts_a", "pptts_b"))
+    b.optimizer.lr *= 2
+    with pytest.raises(ValueError, match="step 2: losses differ"):
+        ab.compare(a, b, steps=2, warmup=0)

@@ -8,7 +8,6 @@ from pptts.features import linear_spectrogram, log_mel, mel_of_waveform
 from pptts.losses import (
     LossError,
     duration_loss,
-    gaussian_log_density,
     kld_prior_loss,
     reconstruction_loss,
 )
@@ -25,12 +24,14 @@ def stats_of(mean, std):
 
 
 class TestGaussianLogDensity:
-    def test_matches_direct_formula(self):
+    """The log-density of the KL oracle chain."""
+
+    def test_matches_direct_formula(self, log_density_chain):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 6))
         mean = rng.normal(size=(4, 6))
         std = rng.uniform(0.2, 3.0, size=(4, 6))
-        got = gaussian_log_density(Tensor(x), stats_of(mean, std)).data
+        got = log_density_chain(Tensor(x), stats_of(mean, std)).data
         want = (
             -0.5 * ((x - mean) / std) ** 2
             - 0.5 * np.log(2 * np.pi)
@@ -38,21 +39,21 @@ class TestGaussianLogDensity:
         )
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_standard_normal_at_zero(self):
-        got = gaussian_log_density(
+    def test_standard_normal_at_zero(self, log_density_chain):
+        got = log_density_chain(
             Tensor(np.zeros((1, 1))), stats_of([[0.0]], [[1.0]])
         )
         assert got.data[0, 0] == pytest.approx(-0.5 * np.log(2 * np.pi), rel=1e-15)
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, log_density_chain):
         with pytest.raises(LossError):
-            gaussian_log_density(
+            log_density_chain(
                 Tensor(np.zeros((2, 3))), stats_of(np.zeros((2, 4)), np.ones((2, 4)))
             )
 
-    def test_gradient_flows(self):
+    def test_gradient_flows(self, log_density_chain):
         x = Tensor(np.array([[1.5]]), requires_grad=True)
-        out = gaussian_log_density(x, stats_of([[0.0]], [[1.0]])).sum()
+        out = log_density_chain(x, stats_of([[0.0]], [[1.0]])).sum()
         out.backward()
         # d/dx [-x^2/2] = -x
         assert x.grad[0, 0] == pytest.approx(-1.5, rel=1e-12)
@@ -166,6 +167,77 @@ class TestDurationLoss:
         duration_loss(pred2, np.array([1])).backward()
         # d/dp mean((p-0)^2) = 2p
         assert pred2.grad[0] == pytest.approx(2.0, rel=1e-12)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.strides, a.tobytes()
+
+
+def _kld_run(kld, dtype, trained_posterior, seed=0):
+    """Loss and leaf gradients of ``kld`` on statistics made as in training:
+    the posterior's std is an ``exp`` node that also scales the sample
+    ``z``, ``z_p`` and the logdet are computed nodes."""
+    rng = np.random.default_rng(seed)
+    shape = (4, 9)
+
+    def leaf(*size, grad=True, scale=1.0):
+        return Tensor(rng.normal(scale=scale, size=size).astype(dtype), requires_grad=grad)
+
+    mean, log_std = leaf(*shape, grad=trained_posterior), leaf(*shape, grad=trained_posterior, scale=0.5)
+    std = log_std.exp()
+    z = mean + std * Tensor(rng.normal(size=shape).astype(dtype))
+    base = leaf(*shape)
+    z_p = base * Tensor(np.asarray(1.25, dtype))
+    prior_mean, prior_log_std = leaf(*shape), leaf(*shape, scale=0.5)
+    logdet_leaf = leaf()
+    logdet = logdet_leaf.sum()
+    loss = kld(Stats(mean, std), z, z_p, Stats(prior_mean, prior_log_std.exp()), logdet)
+    (loss * Tensor(np.asarray(0.75, dtype))).backward()
+    leaves = (mean, log_std, base, prior_mean, prior_log_std, logdet_leaf)
+    return loss, [loss.data] + [t.grad for t in leaves]
+
+
+class TestFusedLosses:
+    """``kld_prior_loss`` and ``duration_loss`` give the bytes of the chains
+    of single ops they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trained_posterior", [True, False])
+    def test_kld_bytes_match_op_chain(self, dtype, trained_posterior, kld_chain):
+        _, want = _kld_run(kld_chain, dtype, trained_posterior)
+        loss, got = _kld_run(kld_prior_loss, dtype, trained_posterior)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert _bits(g) == _bits(w)
+        assert (got[1] is None) != trained_posterior
+        assert loss._op == "kld_prior"
+        if trained_posterior:
+            assert loss._parents[0]._op == "sub"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_duration_bytes_match_op_chain(self, dtype, duration_chain):
+        rng = np.random.default_rng(1)
+        pred_data = rng.normal(size=7).astype(dtype)
+        targets = rng.integers(1, 9, size=7)
+        runs = []
+        for loss_fn in (duration_chain, duration_loss):
+            leaf = Tensor(pred_data, requires_grad=True)
+            loss = loss_fn(leaf * Tensor(np.asarray(0.5, dtype)), targets)
+            (loss * Tensor(np.asarray(1.5, dtype))).backward()
+            runs.append((loss, [loss.data, leaf.grad]))
+        (_, want), (loss, got) = runs
+        for g, w in zip(got, want):
+            assert _bits(g) == _bits(w)
+        assert loss._op == "duration_mse"
+
+    def test_std_shape_mismatch(self):
+        post = Stats(Tensor(np.zeros((2, 3))), Tensor(np.ones((2, 1))))
+        z = Tensor(np.zeros((2, 3)))
+        with pytest.raises(LossError, match="stats shapes"):
+            kld_prior_loss(post, z, z, stats_of(np.zeros((2, 3)), np.ones((2, 3))),
+                           Tensor(np.asarray(0.0)))
 
 
 class TestMelPathConsistency:

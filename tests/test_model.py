@@ -6,6 +6,7 @@ import pytest
 from pptts.config import AudioConfig, ModelConfig
 from pptts.data import text_to_phonemes
 from pptts.model import (
+    CouplingBlock,
     ModelError,
     SynthesisModel,
     upsample_factors,
@@ -176,6 +177,112 @@ class TestFlow:
     def test_odd_channels_rejected(self):
         with pytest.raises(ValueError):
             micro_config(latent_channels=7)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.strides, a.tobytes()
+
+
+def _coupling_case(parity, speaker, dtype, seed=0, zero_proj=False):
+    """A coupling block with random weights (a zero-initialized ``proj``
+    if asked), an input, a speaker embedding or None, and the upstream
+    gradients of the block's output, its input and its log-determinant."""
+    rng = np.random.default_rng(seed)
+    model = make_model(multi_speaker=speaker != "none", dtype=np.dtype(dtype).name)
+    block = model.flow.blocks[parity]
+    for name, p in block.named_parameters():
+        if not (zero_proj and name.startswith("proj.")):
+            p.data = rng.normal(scale=0.5, size=p.data.shape).astype(dtype)
+    x = rng.normal(size=(8, 9)).astype(dtype)
+    spk = None if speaker == "none" else rng.normal(size=(6, 1)).astype(dtype)
+    upstream = [rng.normal(size=shape).astype(dtype) for shape in ((8, 9), (8, 9), ())]
+    return block, x, spk, upstream
+
+
+def _coupling_run(forward, block, x_data, spk_data, speaker, x_grad, upstream):
+    """Forward and backward of ``forward(block, x, speaker)`` for an ``x``
+    that also feeds a second term, whose gradient reaches ``x`` first as
+    the decoder's reaches the posterior sample; returns the outputs and the
+    gradients of the input leaf, the speaker and every block parameter."""
+    block.zero_grad()
+    leaf = Tensor(x_data, requires_grad=x_grad)
+    x = leaf * Tensor(np.asarray(1.5, x_data.dtype))
+    spk = None if spk_data is None else Tensor(spk_data, requires_grad=speaker == "trained")
+    y, logdet = forward(block, x, spk)
+    up_y, up_x, up_ld = (Tensor(u) for u in upstream)
+    loss = ((y * up_y).sum() + logdet * up_ld) + (x * up_x).sum()
+    loss.backward()
+    grads = [leaf.grad, None if spk is None else spk.grad]
+    return [y.data, logdet.data], grads + [p.grad for p in block.parameters()]
+
+
+class TestCouplingFusedOps:
+    """``CouplingBlock.forward`` records the nodes of ``tensor.affine_coupling``
+    with the bytes of the chain of single ops it replaces."""
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("speaker", ["none", "fixed", "trained"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_bytes_match_op_chain(self, parity, speaker, dtype, x_grad, coupling_chain):
+        block, x, spk, upstream = _coupling_case(parity, speaker, dtype)
+        args = (block, x, spk, speaker, x_grad, upstream)
+        want_out, want = _coupling_run(coupling_chain, *args)
+        got_out, got = _coupling_run(CouplingBlock.forward, *args)
+        for g, w in zip(got_out + got, want_out + want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert _bits(g) == _bits(w)
+        assert (got[0] is None) != x_grad
+        assert (got[1] is None) != (speaker == "trained")
+        assert all(g is not None for g in got[2:])
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("speaker", ["none", "trained"])
+    def test_bytes_match_at_zero_initialized_proj(self, parity, speaker, coupling_chain):
+        """A fresh block maps x to itself, and most of its gradients are
+        signed zeros: they must come out with the chain's signs."""
+        block, x, spk, upstream = _coupling_case(parity, speaker, np.float32, 3, zero_proj=True)
+        args = (block, x, spk, speaker, True, upstream)
+        want_out, want = _coupling_run(coupling_chain, *args)
+        got_out, got = _coupling_run(CouplingBlock.forward, *args)
+        assert np.array_equal(got_out[0], 1.5 * x)
+        for g, w in zip(got_out + got, want_out + want):
+            if w is not None:
+                assert _bits(g) == _bits(w)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("speaker", ["none", "trained"])
+    def test_inverse_matches_op_chain(self, parity, speaker, coupling_inverse_chain):
+        """The inverse computes its network with the forward's nodes: same
+        output bytes as the chain, and gradients equal up to the order of
+        one sum."""
+        block, x, spk, upstream = _coupling_case(parity, speaker, np.float64, 4)
+        args = (block, x, spk, speaker, True, upstream)
+        want_out, want = _coupling_run(coupling_inverse_chain, *args)
+        got_out, got = _coupling_run(CouplingBlock.inverse, *args)
+        for g, w in zip(got_out, want_out):
+            assert _bits(g) == _bits(w)
+        for g, w in zip(got, want):
+            if w is not None:
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14)
+
+    def test_three_nodes_and_a_sum_per_block(self):
+        block, x, spk, _ = _coupling_case(1, "trained", np.float32)
+        x = Tensor(x, requires_grad=True)
+        spk = Tensor(spk, requires_grad=True)
+        y, logdet = block.forward(x, spk)
+        log_s, net = y._parents
+        assert (y._op, log_s._op, net._op, logdet._op) == (
+            "affine_coupling", "coupling_log_scale", "coupling_net", "sum"
+        )
+        assert logdet._parents == (log_s,) and log_s._parents == (net,)
+        sp = block.speaker_proj
+        want = [
+            x, block.proj.weight, block.conv2.weight, block.conv1.weight,
+            block.conv1.bias, sp.weight, spk, sp.bias, block.conv2.bias, block.proj.bias,
+        ]
+        assert [id(p) for p in net._parents] == [id(p) for p in want]
 
 
 class TestTokenEncoders:

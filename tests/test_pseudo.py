@@ -355,6 +355,10 @@ class TestCodebookIO:
             ("n_mels=3", "n_mels=0", "n_mels must be >= 1"),
             ("win_length=200", "win_length=300", "win_length must be <= n_fft"),
             ("hop_length=64", "hop_length=6.4", "hop_length must be an integer, got 6.4"),
+            ("fmin=31.7", 'fmin="low"', "fmin must be a finite number, got 'low'"),
+            ("fmin=31.7", "fmin=NaN", "fmin must be a finite number, got nan"),
+            ("fmin=31.7", "fmin=true", "fmin must be a finite number, got True"),
+            ("fmax=3999.9", "fmax=4000.5", "fmin and fmax must satisfy 0 <= fmin < fmax"),
         ],
     )
     def test_malformed_audio_field(self, tmp_path, field, swap, message):

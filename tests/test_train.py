@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from pptts import features as features_module
 from pptts.audio import read_wav
 from pptts.data import load_manifest
 from pptts.features import build_provider, compute_linear_spectrogram, compute_mel
-from pptts.model import SynthesisModel
+from pptts import losses as losses_module
+from pptts.model import CouplingBlock, SynthesisModel
 from pptts.pseudo import codebook_hash, merge_runs, quantize, train_codebook
 from pptts.synthetic import generate_synthetic_corpus
 from pptts.train import (
@@ -39,6 +41,7 @@ from pptts.train import (
 )
 from pptts import train as train_module
 from pptts.nn import AdamW, Conv1d
+from pptts.tensor import Tensor
 
 
 AUDIO = AudioConfig(
@@ -305,12 +308,14 @@ class TestTrainingStep:
         assert after == before
 
     def test_pretrain_step_gradients_match_op_chain(
-        self, corpus, codebook, provider, monkeypatch, conv1d_chain, upsampled_chain
+        self, corpus, codebook, provider, op_chains
     ):
         """Every gradient of a batched step is byte-equal to the one the
-        five-node convolution chain and the twelve-node upsampling chain
-        give; the multi-speaker model adds the circularly padded reference
-        encoder and the 1-tap speaker projections."""
+        chains of single ops give: the five-node convolution, the
+        twelve-node upsampling convolution, the coupling block, the KL and
+        the duration loss. The multi-speaker model adds the circularly
+        padded reference encoder and the 1-tap speaker projections, and its
+        speaker embedding requires grad."""
         cfg = micro_run_config("pretrain")
         items = prepare_corpus(corpus, cfg, "pretrain", codebook, provider)
 
@@ -324,8 +329,7 @@ class TestTrainingStep:
             return metrics, {n: p.grad for n, p in model.named_parameters()}
 
         fused_metrics, fused = step()
-        monkeypatch.setattr(Conv1d, "__call__", conv1d_chain)
-        monkeypatch.setattr(Conv1d, "upsampled", upsampled_chain)
+        op_chains()
         chain_metrics, chain = step()
         assert fused_metrics == chain_metrics
         assert fused.keys() == chain.keys()
@@ -333,6 +337,99 @@ class TestTrainingStep:
             assert grad is not None, name
             assert fused[name].tobytes() == grad.tobytes(), name
             assert fused[name].strides == grad.strides, name
+
+    def test_finetune_steps_match_op_chain(self, corpus, op_chains):
+        """Three multi-speaker fine-tune steps on frozen encodings give the
+        bytes of every gradient, parameter and AdamW moment that the chains
+        of single ops give; the first flow block's input needs no
+        gradient there."""
+        cfg = micro_run_config("finetune")
+        items = prepare_corpus(corpus, cfg, "finetune")
+
+        def run():
+            model, opt, part = _multi_speaker_finetune()
+            encoded = encode_frozen(model, items)
+            history = []
+            for step in range(1, 4):
+                picks = [(step + k) % len(items) for k in range(4)]
+                batch = [encoded[i] for i in picks]
+                metrics = training_step(model, opt, batch, cfg.train, step, part, False)
+                history.append((metrics, _snapshot(model, opt)))
+            return history
+
+        fused = run()
+        op_chains()
+        for (metrics, got), (want_metrics, want) in zip(fused, run()):
+            assert metrics == want_metrics
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key] == want[key], key
+            assert got["grad flow.blocks.1.speaker_proj.weight"] is not None
+
+
+def _graph_nodes(root):
+    """Every node of the graph that ends in ``root`` (leaves excluded)."""
+    nodes, seen, stack = [], {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        if node._op:
+            nodes.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
+class TestStepGraph:
+    def test_finetune_step_records_fused_flow_and_losses(self, corpus, monkeypatch):
+        """One multi-speaker fine-tune step at batch 4 records one coupling
+        network per flow block and utterance, one KL and one duration node
+        per utterance, and no tanh, exp or concat node that depends on a
+        flow parameter: the flow's elementwise chains stay fused."""
+        cfg = micro_run_config("finetune")
+        model, opt, part = _multi_speaker_finetune()
+        items = encode_frozen(model, prepare_corpus(corpus, cfg, "finetune")[:4])
+        roots = []
+        backward = Tensor.backward
+
+        def recording(self, grad=None):
+            roots.append(self)
+            return backward(self, grad)
+
+        monkeypatch.setattr(Tensor, "backward", recording)
+        training_step(model, opt, items, cfg.train, 1, part, False)
+        (root,) = roots
+        nodes = _graph_nodes(root)
+        ops = Counter(node._op for node in nodes)
+        batch, blocks = len(items), model.config.flow_blocks
+        assert ops["coupling_net"] == ops["affine_coupling"] == blocks * batch
+        assert ops["kld_prior"] == ops["duration_mse"] == batch
+        assert ops["tanh"] == ops["concat"] == 0
+        assert ops["exp"] == batch  # the text priors' std
+        flow_params = {id(p) for p in model.flow.parameters()}
+        for node in nodes:
+            if node._op == "exp":
+                ancestors = _graph_nodes(node)
+                leaves = {id(p) for n in ancestors for p in n._parents if not p._parents}
+                assert not leaves & flow_params
+
+
+@pytest.fixture
+def op_chains(
+    monkeypatch, conv1d_chain, upsampled_chain, coupling_chain, kld_chain, duration_chain
+):
+    """A call that patches every fused op of a training step with the chain
+    of single ops it replaces."""
+
+    def patch():
+        monkeypatch.setattr(Conv1d, "__call__", conv1d_chain)
+        monkeypatch.setattr(Conv1d, "upsampled", upsampled_chain)
+        monkeypatch.setattr(CouplingBlock, "forward", coupling_chain)
+        monkeypatch.setattr(losses_module, "kld_prior_loss", kld_chain)
+        monkeypatch.setattr(losses_module, "duration_loss", duration_chain)
+
+    return patch
 
 
 def _multi_speaker_finetune():
@@ -769,3 +866,34 @@ def test_text_vocab_size_is_the_character_set(size):
 def test_mel_floor_not_positive_rejected(value):
     with pytest.raises(ConfigError, match="mel_floor must be > 0"):
         config_from_dict({"feature": {"mel_floor": value}})
+
+
+RANGE = r"fmin and fmax must satisfy 0 <= fmin < fmax <= sample_rate / 2 = "
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"fmin": "low"}, "fmin must be a finite number, got 'low'"),
+        ({"fmin": float("nan")}, "fmin must be a finite number, got nan"),
+        ({"fmin": True}, "fmin must be a finite number, got True"),
+        ({"fmax": float("inf")}, "fmax must be a finite number, got inf"),
+        ({"fmax": [8000]}, "fmax must be a finite number"),
+        ({"fmin": -1.0}, RANGE + "4000, got fmin=-1.0, fmax=None"),
+        ({"fmin": 3000, "fmax": 100}, RANGE + "4000, got fmin=3000, fmax=100"),
+        ({"fmin": 100, "fmax": 100}, RANGE),
+        ({"fmax": 4000.5}, RANGE + "4000, got fmin=0.0, fmax=4000.5"),
+        ({"fmin": 4000}, RANGE + "4000, got fmin=4000, fmax=None"),
+    ],
+)
+def test_frequency_range_rejected(values, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"feature": {"sample_rate": 8000, **values}})
+
+
+@pytest.mark.parametrize(
+    "values", [{"fmin": 0, "fmax": 4000}, {"fmin": 3999.5}, {"fmin": np.float64(20.0), "fmax": 3000}]
+)
+def test_frequency_range_accepted(values):
+    cfg = config_from_dict({"feature": {"sample_rate": 8000, **values}})
+    assert cfg.feature.fmin == values["fmin"]
