@@ -19,6 +19,12 @@ standardized log-mel frames of such a corpus (288 utterances), trimmed to
 the 10,760 x 20 frames of the codebook workload at seed 1: seeding of
 k=64 centroids, and a whole fit of 32 Lloyd passes at tolerance 0.
 
+Each row runs in a fresh process that builds only that row's input (the
+codebook rows load their frames from a file the parent process wrote), so
+no row inherits the allocator state of another: a kernel that pays page
+faults on fresh temporaries pays them here as it does in a short-lived
+``pptts`` command.
+
 Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
@@ -26,7 +32,10 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -84,79 +93,96 @@ def _fit_codebook(frames: np.ndarray) -> None:
     pseudo.train_codebook(stream, k=64, seed=1, max_iters=32, tol=0.0)
 
 
-def main() -> None:
-    rng = np.random.default_rng(0)
-    corpus_dir = tempfile.TemporaryDirectory()
-    frames = _codebook_frames(random_texts(np.random.default_rng(1), 288, words=(1, 1)))
-    audio = np.asfortranarray(rng.standard_normal((16, 3456)).astype(np.float32))
-    cases = [
-        (
-            "mas_assignments 1 grid 80x600",
-            _kernels.mas_assignments,
-            ([rng.standard_normal((80, 600))],),
-        ),
-        (
-            "mas_assignments 1 grid 200x2000",
-            _kernels.mas_assignments,
-            ([rng.standard_normal((200, 2000))],),
-        ),
-        (
-            # One fine-tune batch: four utterances of 3-4 phonemes.
-            "mas_assignments 4 grids ~4x50",
-            _kernels.mas_assignments,
-            ([rng.standard_normal(shape) for shape in ((3, 45), (4, 55), (3, 40), (4, 56))],),
-        ),
-        (
-            "levenshtein 2x1500",
-            _kernels.levenshtein,
-            (
-                rng.integers(0, 64, 1500).astype(np.int64),
-                rng.integers(0, 64, 1500).astype(np.int64),
-            ),
-        ),
-        (
-            "nearest_centroids 50000x16 k=128",
-            _kernels.nearest_centroids,
-            (
-                rng.standard_normal((50_000, 16)),
-                rng.standard_normal((128, 16)),
-            ),
-        ),
-        (
-            "kmeans++ init 10760x20 k=64",
-            pseudo._kmeans_pp_init,
-            (frames, 64, np.random.default_rng(1)),
-        ),
-        ("train_codebook 10760x20 k=64 32 passes", _fit_codebook, (frames,)),
-        (
-            "post conv1d fwd+bwd F 16x3456",
-            _post_conv_step,
-            (
-                audio,
-                rng.standard_normal((1, 16 * 7)).astype(np.float32),
-                np.zeros(1, np.float32),
-                rng.standard_normal((1, 3456)).astype(np.float32),
-            ),
-        ),
-        ("relu F 16x3456", tensor.Tensor.relu, (tensor.Tensor(audio),)),
-        (
-            "log-mel 12000 samples",
-            mel_of_waveform,
-            (rng.uniform(-0.5, 0.5, 12_000).astype(np.float32), AUDIO),
-        ),
-        (
-            "synthetic corpus 256 utts 8 voices",
-            _synthetic_corpus,
-            (corpus_dir.name, random_texts(rng, 256, words=(1, 1))),
-        ),
-    ]
+def _audio(rng: np.random.Generator) -> np.ndarray:
+    """The F-ordered [16, 3456] output of the decoder's last upsampling stage."""
+    return np.asfortranarray(rng.standard_normal((16, 3456)).astype(np.float32))
 
-    header = f"{'kernel':<40} {'median (ms)':>12}"
-    print(header)
-    print("-" * len(header))
-    with corpus_dir:
-        for name, fn, args in cases:
-            print(f"{name:<40} {_median_ms(fn, args):>12.3f}")
+
+def _post_conv_args(rng, _):
+    return (
+        _audio(rng),
+        rng.standard_normal((1, 16 * 7)).astype(np.float32),
+        np.zeros(1, np.float32),
+        rng.standard_normal((1, 3456)).astype(np.float32),
+    )
+
+
+# The codebook rows' frames, saved by the parent process in its scratch directory.
+FRAMES = "frames.npy"
+
+# (row name, function, its arguments from (rng, scratch directory)).
+CASES = [
+    (
+        "mas_assignments 1 grid 80x600",
+        _kernels.mas_assignments,
+        lambda rng, _: ([rng.standard_normal((80, 600))],),
+    ),
+    (
+        "mas_assignments 1 grid 200x2000",
+        _kernels.mas_assignments,
+        lambda rng, _: ([rng.standard_normal((200, 2000))],),
+    ),
+    (
+        # One fine-tune batch: four utterances of 3-4 phonemes.
+        "mas_assignments 4 grids ~4x50",
+        _kernels.mas_assignments,
+        lambda rng, _: ([rng.standard_normal(s) for s in ((3, 45), (4, 55), (3, 40), (4, 56))],),
+    ),
+    (
+        "levenshtein 2x1500",
+        _kernels.levenshtein,
+        lambda rng, _: tuple(rng.integers(0, 64, (2, 1500)).astype(np.int64)),
+    ),
+    (
+        "nearest_centroids 50000x16 k=128",
+        _kernels.nearest_centroids,
+        lambda rng, _: (rng.standard_normal((50_000, 16)), rng.standard_normal((128, 16))),
+    ),
+    (
+        "kmeans++ init 10760x20 k=64",
+        pseudo._kmeans_pp_init,
+        lambda _, tmp: (np.load(os.path.join(tmp, FRAMES)), 64, np.random.default_rng(1)),
+    ),
+    (
+        "train_codebook 10760x20 k=64 32 passes",
+        _fit_codebook,
+        lambda _, tmp: (np.load(os.path.join(tmp, FRAMES)),),
+    ),
+    ("post conv1d fwd+bwd F 16x3456", _post_conv_step, _post_conv_args),
+    ("relu F 16x3456", tensor.Tensor.relu, lambda rng, _: (tensor.Tensor(_audio(rng)),)),
+    (
+        "log-mel 12000 samples",
+        mel_of_waveform,
+        lambda rng, _: (rng.uniform(-0.5, 0.5, 12_000).astype(np.float32), AUDIO),
+    ),
+    (
+        "synthetic corpus 256 utts 8 voices",
+        _synthetic_corpus,
+        lambda rng, tmp: (os.path.join(tmp, "corpus"), random_texts(rng, 256, words=(1, 1))),
+    ),
+]
+
+
+def main() -> None:
+    if len(sys.argv) == 4 and sys.argv[1] == "--row":
+        # A child process: time one row and print its median.
+        row, tmp = int(sys.argv[2]), sys.argv[3]
+        _, fn, build = CASES[row]
+        print(repr(_median_ms(fn, build(np.random.default_rng([0, row]), tmp))))
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        texts = random_texts(np.random.default_rng(1), 288, words=(1, 1))
+        np.save(os.path.join(tmp, FRAMES), _codebook_frames(texts))
+        header = f"{'kernel':<40} {'median (ms)':>12}"
+        print(header)
+        print("-" * len(header))
+        for row, (name, _, _) in enumerate(CASES):
+            proc = subprocess.run(
+                [sys.executable, __file__, "--row", str(row), tmp], capture_output=True, text=True
+            )
+            if proc.returncode:
+                sys.exit(f"{name}: {proc.stderr}")
+            print(f"{name:<40} {float(proc.stdout):>12.3f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -165,17 +165,27 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
     one vectorised pass over the block. Rows with another centroid inside
     the window, or with a NaN score or window, re-score every candidate.
 
+    The same scores give a lower bound on each point's distance (not
+    squared) to every centroid but the one it is assigned: the best other
+    score plus ``|x|^2``, less the window, is at most the true squared
+    distance to each other centroid, and its square root, floored at 0, is
+    the bound. It may exceed a valid bound by the half ulp of that square
+    root, which :func:`rounding_margin` covers where the bound is used. It
+    is 0 or NaN where the point or a score is not finite, and +inf when
+    there is no other centroid.
+
     Returns:
-        (ids int64 [n], squared_distances float64 [n]); ties resolve to the
-        lowest centroid index.
+        (ids int64 [n], squared_distances float64 [n], other_bound float64
+        [n]); ties resolve to the lowest centroid index.
     """
     points, centroids = _as_float_pair(points, centroids)
     n, d = points.shape
     k = centroids.shape[0]
     out = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=np.float64)
+    other = np.empty(n, dtype=np.float64)
     pairs = max(1, _NEAREST_BLOCK // max(1, d))
-    for start, block, _, score, window in _scored_blocks(points, centroids):
+    for start, block, x_sq, score, window in _scored_blocks(points, centroids):
         stop = start + len(block)
         rows = np.arange(len(block))
         ids = np.argmin(score, axis=1)
@@ -186,42 +196,24 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
         score[rows, ids] = np.inf
         runner_up = score[rows, np.argmin(score, axis=1)]
         crowded = np.flatnonzero(~(runner_up > bound))
-        score[crowded, ids[crowded]] = best[crowded]
         out[start:stop] = ids
         dist[start:stop] = np.square(block - centroids[ids]).sum(axis=1)
-        if not crowded.size:
-            continue
-        inside = ~(score[crowded] > bound[crowded, None])
-        cand_rows, cand_cols = np.divmod(np.flatnonzero(inside), k)
-        exact = np.full(inside.shape, np.inf)
-        for s in range(0, len(cand_rows), pairs):
-            r, c = cand_rows[s : s + pairs], cand_cols[s : s + pairs]
-            exact[r, c] = np.square(block[crowded[r]] - centroids[c]).sum(axis=1)
-        ids = np.argmin(exact, axis=1)
-        out[start + crowded] = ids
-        dist[start + crowded] = exact[np.arange(len(crowded)), ids]
-    return out, dist
-
-
-def other_centroid_bound(points: np.ndarray, centroids: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Lower bound on the distance (not squared) from each point to every
-    centroid except ``centroids[ids]``, from one GEMM per block.
-
-    The best other score plus ``|x|^2``, less the window of
-    :func:`_scored_blocks`, is at most the true squared distance to each
-    other centroid; the square root of it, floored at 0, is the bound. It
-    may exceed a valid bound by the half ulp of that square root, which
-    :func:`rounding_margin` covers where the bound is used. It is 0 or NaN
-    where the point or a score is not finite, and +inf when there is no
-    other centroid.
-    """
-    points, centroids = _as_float_pair(points, centroids)
-    ids = np.asarray(ids, dtype=np.int64)
-    bound = np.empty(len(points), dtype=np.float64)
-    for start, block, x_sq, score, window in _scored_blocks(points, centroids):
-        stop = start + len(block)
-        rows = np.arange(len(block))
-        score[rows, ids[start:stop]] = np.inf
-        low = score[rows, np.argmin(score, axis=1)] + x_sq - window
-        bound[start:stop] = np.sqrt(np.maximum(low, 0.0))
-    return bound
+        other[start:stop] = runner_up + x_sq - window
+        if crowded.size:
+            crowd_rows = np.arange(len(crowded))
+            rivals = score[crowded]
+            rivals[crowd_rows, ids[crowded]] = best[crowded]
+            inside = ~(rivals > bound[crowded, None])
+            cand_rows, cand_cols = np.divmod(np.flatnonzero(inside), k)
+            exact = np.full(inside.shape, np.inf)
+            for s in range(0, len(cand_rows), pairs):
+                r, c = cand_rows[s : s + pairs], cand_cols[s : s + pairs]
+                exact[r, c] = np.square(block[crowded[r]] - centroids[c]).sum(axis=1)
+            ids = np.argmin(exact, axis=1)
+            out[start + crowded] = ids
+            dist[start + crowded] = exact[crowd_rows, ids]
+            rivals[crowd_rows, ids] = np.inf
+            runner_up = rivals[crowd_rows, np.argmin(rivals, axis=1)]
+            other[start + crowded] = runner_up + x_sq[crowded] - window[crowded]
+    np.maximum(other, 0.0, out=other)
+    return out, dist, np.sqrt(other, out=other)

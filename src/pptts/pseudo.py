@@ -1,8 +1,10 @@
 """Pseudo-phoneme discovery: k-means codebook, quantization, run merging.
 
-Frames are clustered with seeded k-means++ plus full Lloyd updates; each
-frame's cluster index is its unit, and maximal runs of equal indices merge
-into one token carrying the run length as its duration.
+Frames are clustered with seeded k-means++ plus Lloyd passes in which
+distance bounds spare most frames a rescan, with the result of rescanning
+every frame every pass bit for bit; each frame's cluster index is its unit,
+and maximal runs of equal indices merge into one token carrying the run
+length as its duration.
 """
 
 from __future__ import annotations
@@ -74,10 +76,13 @@ class PseudoPhonemeSequence:
 
 
 def _collect_frames(feature_stream: Iterable[FrameFeatures]) -> tuple[np.ndarray, str]:
+    """The stream's frames as one float64 array, and its provider id.
+    Every value must be finite: the first frame that is not is named."""
     blocks = []
     provider_id = None
     dim = None
-    for feats in feature_stream:
+    total = 0
+    for item, feats in enumerate(feature_stream):
         if dim is None:
             dim = feats.values.shape[1]
             provider_id = feats.provider_id
@@ -89,38 +94,78 @@ def _collect_frames(feature_stream: Iterable[FrameFeatures]) -> tuple[np.ndarray
             raise ValueError(
                 f"mixed feature providers: {feats.provider_id!r} vs {provider_id!r}"
             )
-        blocks.append(np.asarray(feats.values, dtype=np.float64))
+        values = np.asarray(feats.values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            row = int(np.argmin(np.isfinite(values).all(axis=1)))
+            raise ValueError(
+                f"feature frame {total + row} (frame {row} of feature item {item}) "
+                "holds a value that is not finite"
+            )
+        blocks.append(values)
+        total += len(values)
     if not blocks:
         raise ValueError("empty feature stream")
     return np.concatenate(blocks, axis=0), provider_id
 
 
-# Elements per block of the k-means++ distance update. Reusing one
+# Elements per block of the exact k-means++ distance updates. Reusing one
 # cache-sized buffer avoids the page faults of fresh [n, d] temporaries,
 # which cost more than the arithmetic.
 _SEED_BLOCK = 2**16
 
 
 def _kmeans_pp_init(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: each next centroid is a frame drawn with
+    probability proportional to its squared distance ``d2`` to the nearest
+    centroid chosen so far.
+
+    ``d2`` is the running minimum of exact expressions
+    ``np.square(x - c).sum(axis=1)``, but a frame gets the exact expression
+    for a new centroid ``c`` only when a screen cannot rule out that it
+    lowers ``d2``. The screen is one GEMV: ``|x|^2 + |c|^2 - 2 x.c`` less
+    the window ``rel (|x|^2 + |c|^2) + tiny``, ``rel =
+    _kernels.rounding_margin(d)``. Each of the estimate and the exact
+    expression is within ``(d + 2) eps (|x|^2 + |c|^2)`` of the true
+    squared distance (the exact one's error is relative to that distance,
+    at most ``2 (|x|^2 + |c|^2)``), plus ``d`` half subnormal spacings lost
+    to underflow, which ``tiny`` exceeds. ``rel`` is more than twice the
+    sum of the two relative errors plus the few roundings of applying it,
+    so a screened value above ``d2`` proves the exact expression is above
+    ``d2`` too and the minimum keeps ``d2``. A NaN or infinite screened value proves
+    nothing (an overflowed estimate escapes its window), so those frames
+    get the exact expression. ``d2``, every draw's probabilities and every
+    draw are those of updating every frame exactly, bit for bit.
+    """
     n, dim = frames.shape
     centroids = np.empty((k, dim), dtype=np.float64)
+    rel = _kernels.rounding_margin(dim)
+    # |x|^2 less its share of the window; |c|^2 less its share is added per centroid.
+    base = np.einsum("ij,ij->i", frames, frames)
+    base *= 1 - rel
+    base -= np.finfo(np.float64).tiny
     rows = max(1, _SEED_BLOCK // dim)
     diff = np.empty((min(rows, n), dim))
     dist = np.empty(len(diff))
     d2 = np.full(n, np.inf)  # squared distance to the nearest chosen centroid so far
+    low = np.empty(n)  # screened squared distance to the newest centroid
     p = np.empty(n)
 
     def choose(i: int, choice: int) -> None:
+        c = centroids[i] = frames[choice]
+        np.dot(frames, -2.0 * c, out=low)
+        np.add(low, base, out=low)
+        np.add(low, (1 - rel) * float(c @ c), out=low)
+        near = np.flatnonzero(~((low > d2) & (low < np.inf)))
         # Each row's distance is sum(axis=1) over a contiguous row of d
         # squares, the reduction of np.square(frames - c).sum(axis=1).
-        centroids[i] = frames[choice]
-        for start in range(0, n, rows):
-            block = frames[start : start + rows]
-            m = len(block)
-            np.subtract(block, centroids[i], out=diff[:m])
+        for start in range(0, len(near), rows):
+            idx = near[start : start + rows]
+            m = len(idx)
+            np.take(frames, idx, axis=0, out=diff[:m], mode="clip")
+            np.subtract(diff[:m], c, out=diff[:m])
             np.square(diff[:m], out=diff[:m])
             diff[:m].sum(axis=1, out=dist[:m])
-            np.minimum(d2[start : start + m], dist[:m], out=d2[start : start + m])
+            d2[idx] = np.minimum(d2[idx], dist[:m])
 
     choose(0, int(rng.integers(n)))
     for i in range(1, k):
@@ -166,18 +211,19 @@ def _reassign(frames, centroids, moved, shift, ids, d2, lower) -> None:
       shift below ``sqrt(d) 2^-537.5`` can read 0; the absolute term
       covers it.
     - ``nextafter`` towards -inf puts each rounded ``L - step`` below the
-      true difference. :func:`_kernels.other_centroid_bound` may overshoot
-      by half an ulp, a factor ``(1 + u)`` that lowering keeps, so the true
-      squared distance to another centroid is at least ``L^2 (1 - 2u)``,
-      and its exact expression at least ``L^2 (1 - (d + 4) u) - d 2^-1075``.
+      true difference. The bound from :func:`_kernels.nearest_centroids`
+      may overshoot by half an ulp, a factor ``(1 + u)`` that lowering
+      keeps, so the true squared distance to another centroid is at least
+      ``L^2 (1 - 2u)``, and its exact expression at least
+      ``L^2 (1 - (d + 4) u) - d 2^-1075``.
     - ``fl(L^2) (1 - rel) - tiny`` stays below that after its own
       roundings. Where it is above ``d2``, the frame's centroid is the
       unique exact minimum, so the kernel would return the same id and
       distance.
 
     Every other frame, including those whose bound or distance is not
-    finite (the comparison is then false), goes back to the kernel and
-    gets a fresh bound.
+    finite (the comparison is then false), goes back to the kernel, whose
+    one scored pass gives its id, distance and a fresh bound.
     """
     dim = frames.shape[1]
     rel = _kernels.rounding_margin(dim)
@@ -193,9 +239,9 @@ def _reassign(frames, centroids, moved, shift, ids, d2, lower) -> None:
         clear = np.square(np.maximum(lower, 0.0)) * (1 - rel) - np.finfo(np.float64).tiny > d2
     rescan = np.flatnonzero(~clear)
     if rescan.size:
-        sub = frames[rescan]
-        ids[rescan], d2[rescan] = _kernels.nearest_centroids(sub, centroids)
-        lower[rescan] = _kernels.other_centroid_bound(sub, centroids, ids[rescan])
+        ids[rescan], d2[rescan], lower[rescan] = _kernels.nearest_centroids(
+            frames[rescan], centroids
+        )
 
 
 def train_codebook(
@@ -231,8 +277,7 @@ def train_codebook(
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(frames, k, rng)
     columns = np.ascontiguousarray(frames.T)
-    ids, d2 = _kernels.nearest_centroids(frames, centroids)
-    lower = _kernels.other_centroid_bound(frames, centroids, ids)
+    ids, d2, lower = _kernels.nearest_centroids(frames, centroids)
     prev_inertia = np.inf
     inertia = np.inf
     for iteration in range(max_iters):
@@ -279,7 +324,7 @@ def quantize(features: FrameFeatures, codebook: Codebook) -> np.ndarray:
         raise ValueError(
             f"feature dim {values.shape[1]} != codebook dim {codebook.dim}"
         )
-    ids, _ = _kernels.nearest_centroids(values, codebook.centroids)
+    ids, _, _ = _kernels.nearest_centroids(values, codebook.centroids)
     return ids
 
 
@@ -390,8 +435,11 @@ def _parse_audio(path: str | Path, fields: dict[str, str]) -> AudioConfig | None
         raise ConfigError(f"{path}: codebook audio config: {exc}") from None
 
 
-def _parse_row(path: str | Path, number: int, values: list[str], dim: int) -> np.ndarray:
-    """One row of ``dim`` floats; ``number`` is its line in the file."""
+def _parse_row(
+    path: str | Path, number: int, values: list[str], dim: int, dtype=np.float64
+) -> np.ndarray:
+    """One row of ``dim`` finite ``dtype`` values; ``number`` is its line
+    in the file."""
     try:
         row = np.array(values, dtype=np.float64)
     except ValueError:
@@ -400,7 +448,11 @@ def _parse_row(path: str | Path, number: int, values: list[str], dim: int) -> np
         raise ValueError(
             f"{path}: line {number} has {row.size} values, header dim is {dim}"
         )
-    return row
+    if not np.all(np.abs(row) <= np.finfo(dtype).max):
+        raise ValueError(
+            f"{path}: line {number} holds a value that is not a finite {np.dtype(dtype).name}"
+        )
+    return row.astype(dtype, copy=False)
 
 
 def _parse_stats(path: str | Path, number: int, line: str, name: str, dim: int) -> np.ndarray:
@@ -408,10 +460,7 @@ def _parse_stats(path: str | Path, number: int, line: str, name: str, dim: int) 
     label, *values = line.split()
     if label != name:
         raise ValueError(f"{path}: line {number} is not the {name!r} row")
-    row = _parse_row(path, number, values, dim)
-    if not np.all(np.abs(row) <= np.finfo(np.float32).max):
-        raise ValueError(f"{path}: line {number} holds a value that is not a finite float32")
-    row = row.astype(np.float32)
+    row = _parse_row(path, number, values, dim, np.float32)
     if name == "std" and not np.all(row > 0):
         raise ValueError(f"{path}: line {number} holds a std <= 0")
     return row

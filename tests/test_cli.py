@@ -278,6 +278,24 @@ class TestCodebookCommand:
         assert err.startswith("error: ") and f"{manifest}:1: text" in err
         assert "Traceback" not in err
 
+    def test_non_finite_precomputed_frame_exits_one(self, workspace, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        for i, entry in enumerate(load_manifest(workspace["manifest"])):
+            values = rng.normal(size=(9, 3))
+            if i == 2:
+                values[4, 0] = np.nan
+            write_feature_file(tmp_path / f"{entry.id}.ftfx", values, 25.0)
+        code = run(
+            "codebook", "--manifest", workspace["manifest"], "--out", tmp_path / "cb.txt",
+            "--k", 2, "--set", "codebook.provider=precomputed",
+            "--set", f"codebook.feature_dir={tmp_path}",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: feature frame 22 (frame 4 of feature item 2) holds a value that is not finite\n"
+        )
+
 
 class TestTokenizeCommand:
     def test_jsonl_output_and_determinism(self, workspace):

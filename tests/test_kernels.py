@@ -74,11 +74,28 @@ def broadcast_nearest(points, centroids):
     return ids, d2[np.arange(len(points)), ids]
 
 
+def masked_score_bound(points, centroids, ids):
+    """Each point's best GEMM score over every centroid but ``ids``, plus
+    ``|x|^2`` less the window, floored at 0 and square-rooted: the bound
+    re-derived from a fresh scoring of the points."""
+    bound = np.empty(len(points))
+    for start, block, x_sq, score, window in _kernels._scored_blocks(points, centroids):
+        rows = np.arange(len(block))
+        score[rows, ids[start : start + len(block)]] = np.inf
+        low = score[rows, np.argmin(score, axis=1)] + x_sq - window
+        bound[start : start + len(block)] = np.sqrt(np.maximum(low, 0.0))
+    return bound
+
+
 def assert_same_as_broadcast(points, centroids):
-    ids, d2 = _kernels.nearest_centroids(points, centroids)
+    ids, d2, other = _kernels.nearest_centroids(points, centroids)
     want_ids, want_d2 = broadcast_nearest(points, centroids)
     assert np.array_equal(ids, want_ids)
     assert d2.tobytes() == want_d2.tobytes()
+    want_other = masked_score_bound(
+        np.asarray(points, np.float64), np.asarray(centroids, np.float64), want_ids
+    )
+    assert other.tobytes() == want_other.tobytes()
 
 
 def assert_valid_alignment(assign, n, t):
@@ -229,7 +246,7 @@ class TestNearestCentroids:
         rng = np.random.default_rng(6)
         points = rng.normal(size=(200, 7))
         centroids = rng.normal(size=(11, 7))
-        ids, d2 = _kernels.nearest_centroids(points, centroids)
+        ids, d2, _ = _kernels.nearest_centroids(points, centroids)
         want_d2 = np.square(points[:, None, :] - centroids[None, :, :]).sum(axis=2)
         assert np.allclose(d2, want_d2.min(axis=1), atol=1e-9)
         # Assignments must agree wherever the argmin gap is unambiguous.
@@ -240,7 +257,7 @@ class TestNearestCentroids:
     def test_tie_goes_to_lowest_index(self):
         points = np.array([[0.0, 0.0]])
         centroids = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        ids, d2 = _kernels.nearest_centroids(points, centroids)
+        ids, d2, _ = _kernels.nearest_centroids(points, centroids)
         assert ids[0] == 0
         assert d2[0] == 1.0
 
@@ -314,15 +331,15 @@ class TestNearestCentroidsBitIdentity:
 
 
 class TestOtherCentroidBound:
-    """The bound is at most the distance to every centroid but a point's own."""
+    """The bound ``nearest_centroids`` returns is at most the distance to
+    every centroid but a point's own."""
 
     @settings(max_examples=60, deadline=None)
     @given(nearest_cases())
     def test_below_every_other_distance(self, case):
         points, centroids = case
         points = points[:8]
-        ids, _ = _kernels.nearest_centroids(points, centroids)
-        bound = _kernels.other_centroid_bound(points, centroids, ids)
+        ids, _, bound = _kernels.nearest_centroids(points, centroids)
         # The square root may round up by half an ulp (see the docstring).
         slack = 1 + Fraction(2) ** -51
         for x, own, b in zip(points, ids, bound):
@@ -333,7 +350,7 @@ class TestOtherCentroidBound:
 
     def test_single_centroid_is_unbounded(self):
         points = np.random.default_rng(14).normal(size=(5, 3))
-        bound = _kernels.other_centroid_bound(points, points[:1], np.zeros(5, np.int64))
+        _, _, bound = _kernels.nearest_centroids(points, points[:1])
         assert np.all(bound == np.inf)
 
 

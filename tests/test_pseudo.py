@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pptts import _kernels
+from pptts import _kernels, pseudo
 from pptts.config import AudioConfig
 from pptts.features import FrameFeatures
 from pptts.pseudo import (
@@ -83,7 +83,14 @@ class TestTrainCodebook:
             calls.append(len(frames))
             d2 = np.square(frames[:, None, :] - centroids[None, :, :]).sum(axis=2)
             ids = np.argmin(d2, axis=1)
-            return ids, d2[np.arange(len(frames)), ids]
+            rows = np.arange(len(frames))
+            best = d2[rows, ids]
+            # Each other exact distance, less its rounding, bounds the
+            # distance to that centroid from below.
+            d2[rows, ids] = np.inf
+            rel = _kernels.rounding_margin(frames.shape[1])
+            low = d2.min(axis=1) * (1 - rel) - np.finfo(np.float64).tiny
+            return ids, best, np.sqrt(np.maximum(low, 0.0))
 
         monkeypatch.setattr(_kernels, "nearest_centroids", broadcast_nearest)
         slow = train_codebook(feats, k=12, seed=3, max_iters=25, tol=0)
@@ -118,6 +125,15 @@ class TestTrainCodebook:
         cb = train_codebook([make_features(points)], k=1, seed=0)
         assert np.allclose(cb.centroids[0], points.mean(axis=0), atol=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected(self, bad):
+        points = np.random.default_rng(6).normal(size=(30, 3))
+        points[17, 1] = bad
+        parts = [make_features(points[:12]), make_features(points[12:])]
+        with pytest.raises(ValueError, match=r"feature frame 17 \(frame 5 of feature item 1\) "
+                           "holds a value that is not finite"):
+            train_codebook(parts, k=4, seed=0)
+
     def test_provider_mismatch_rejected(self):
         a = make_features(np.zeros((10, 2)))
         b = FrameFeatures(np.ones((10, 2), np.float32) * np.arange(10)[:, None], "other", 50.0)
@@ -147,6 +163,32 @@ def fit_cases(draw):
     parts = [frames] if cut == 0 else [frames[:cut], frames[cut:]]
     stream = [FrameFeatures(part, "test", 50.0) for part in parts]
     return stream, k, draw(st.integers(0, 2**16))
+
+
+class TestSeedingMatchesOracle:
+    """The screened k-means++ seeding draws what updating every frame's
+    exact distance draws, bit for bit."""
+
+    @staticmethod
+    def assert_same_seeds(seed_fn, frames, k, seed):
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = pseudo._kmeans_pp_init(frames, k, rng)
+        want = seed_fn(frames, k, want_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fit_cases())
+    def test_matches_exact_seeding(self, kmeans_pp_seed, case):
+        stream, k, seed = case
+        frames, _ = pseudo._collect_frames(stream)
+        self.assert_same_seeds(kmeans_pp_seed, frames, k, seed)
+
+    def test_spans_several_blocks(self, monkeypatch, kmeans_pp_seed):
+        monkeypatch.setattr(pseudo, "_SEED_BLOCK", 64)
+        rng = np.random.default_rng(6)
+        points, _, _ = blob_features(rng, k=5, per_cluster=80, dim=3, spread=1.0, separation=2.0)
+        self.assert_same_seeds(kmeans_pp_seed, points, 16, 2)
 
 
 class TestFitMatchesOracle:
@@ -343,6 +385,19 @@ class TestCodebookIO:
         lines = path.read_text().splitlines()
         lines[line] = row
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as info:
+            load_codebook(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("row", ["nan inf 0.0", "0.5 -inf 1.0", "1e309 0.0 0.0", "0.0 0.0 nan"])
+    @pytest.mark.parametrize("front_end", [True, False])
+    def test_non_finite_centroid_row(self, tmp_path, row, front_end):
+        path = tmp_path / "cb.txt"
+        save_codebook(path, self._with_front_end() if front_end else self._codebook())
+        lines = path.read_text().splitlines()
+        lines[-1] = row
+        path.write_text("\n".join(lines) + "\n")
+        message = f"line {len(lines)} holds a value that is not a finite float64"
         with pytest.raises(ValueError, match=message) as info:
             load_codebook(path)
         assert str(path) in str(info.value)
