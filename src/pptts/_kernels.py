@@ -154,66 +154,94 @@ def _as_float_pair(points: np.ndarray, centroids: np.ndarray):
     return points, centroids
 
 
+def _assign_block(block, score, window, centroids):
+    """(ids, squared distances, runner-up scores) of one block of
+    :func:`_scored_blocks`.
+
+    Every centroid within the rounding window of a row's best score is
+    re-scored with the exact expression ``sum((x - c)^2)``. Most rows have
+    one such centroid: the fast path re-scores only that GEMM winner, in one
+    vectorised pass over the block. Rows with another centroid inside the
+    window, or with a NaN score or window, re-score every candidate. The
+    runner-up is the best score of a centroid other than the row's id.
+    """
+    k, d = centroids.shape
+    rows = np.arange(len(block))
+    ids = np.argmin(score, axis=1)
+    best = score[rows, ids]
+    bound = best + window
+    # The runner-up decides whether the winner is alone in its window.
+    # (argmin and a gather take a third of the time of min(axis=1).)
+    score[rows, ids] = np.inf
+    runner_up = score[rows, np.argmin(score, axis=1)]
+    crowded = np.flatnonzero(~(runner_up > bound))
+    dist = np.square(block - centroids[ids]).sum(axis=1)
+    if crowded.size:
+        crowd_rows = np.arange(len(crowded))
+        rivals = score[crowded]
+        rivals[crowd_rows, ids[crowded]] = best[crowded]
+        inside = ~(rivals > bound[crowded, None])
+        cand_rows, cand_cols = np.divmod(np.flatnonzero(inside), k)
+        exact = np.full(inside.shape, np.inf)
+        pairs = max(1, _NEAREST_BLOCK // max(1, d))
+        for s in range(0, len(cand_rows), pairs):
+            r, c = cand_rows[s : s + pairs], cand_cols[s : s + pairs]
+            exact[r, c] = np.square(block[crowded[r]] - centroids[c]).sum(axis=1)
+        crowd_ids = np.argmin(exact, axis=1)
+        ids[crowded] = crowd_ids
+        dist[crowded] = exact[crowd_rows, crowd_ids]
+        rivals[crowd_rows, crowd_ids] = np.inf
+        runner_up[crowded] = rivals[crowd_rows, np.argmin(rivals, axis=1)]
+    return ids, dist, runner_up
+
+
 def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
     """Assign each point to its nearest centroid (squared Euclidean).
 
-    One GEMM per block ranks the centroids (:func:`_scored_blocks`). Every
-    centroid within the rounding window of a row's best score is re-scored
-    with the exact expression ``sum((x - c)^2)``, so ids and distances are
-    those of the direct [n, k, d] computation bit for bit. Most rows have
-    one such centroid: the fast path re-scores only that GEMM winner, in
-    one vectorised pass over the block. Rows with another centroid inside
-    the window, or with a NaN score or window, re-score every candidate.
+    One GEMM per block ranks the centroids (:func:`_scored_blocks`), and
+    near-ties are re-scored exactly (:func:`_assign_block`), so ids and
+    distances are those of the direct [n, k, d] computation bit for bit.
 
-    The same scores give a lower bound on each point's distance (not
-    squared) to every centroid but the one it is assigned: the best other
-    score plus ``|x|^2``, less the window, is at most the true squared
-    distance to each other centroid, and its square root, floored at 0, is
-    the bound. It may exceed a valid bound by the half ulp of that square
-    root, which :func:`rounding_margin` covers where the bound is used. It
-    is 0 or NaN where the point or a score is not finite, and +inf when
-    there is no other centroid.
+    Returns:
+        (ids int64 [n], squared_distances float64 [n]); ties resolve to the
+        lowest centroid index.
+    """
+    points, centroids = _as_float_pair(points, centroids)
+    n = len(points)
+    out = np.empty(n, dtype=np.int64)
+    dist = np.empty(n, dtype=np.float64)
+    for start, block, _, score, window in _scored_blocks(points, centroids):
+        stop = start + len(block)
+        out[start:stop], dist[start:stop], _ = _assign_block(block, score, window, centroids)
+    return out, dist
+
+
+def _nearest_with_bound(points: np.ndarray, centroids: np.ndarray):
+    """:func:`nearest_centroids` plus a lower bound on each point's
+    distance (not squared) to every centroid but the one it is assigned.
+
+    The bound comes from the same scores: the runner-up score plus
+    ``|x|^2``, less the window, is at most the true squared distance to
+    each other centroid, and its square root, floored at 0, is the bound.
+    It may exceed a valid bound by the half ulp of that square root, which
+    :func:`rounding_margin` covers where the bound is used. It is 0 or NaN
+    where the point or a score is not finite, and +inf when there is no
+    other centroid.
 
     Returns:
         (ids int64 [n], squared_distances float64 [n], other_bound float64
-        [n]); ties resolve to the lowest centroid index.
+        [n]).
     """
     points, centroids = _as_float_pair(points, centroids)
-    n, d = points.shape
-    k = centroids.shape[0]
+    n = len(points)
     out = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=np.float64)
     other = np.empty(n, dtype=np.float64)
-    pairs = max(1, _NEAREST_BLOCK // max(1, d))
     for start, block, x_sq, score, window in _scored_blocks(points, centroids):
         stop = start + len(block)
-        rows = np.arange(len(block))
-        ids = np.argmin(score, axis=1)
-        best = score[rows, ids]
-        bound = best + window
-        # The runner-up decides whether the winner is alone in its window.
-        # (argmin and a gather take a third of the time of min(axis=1).)
-        score[rows, ids] = np.inf
-        runner_up = score[rows, np.argmin(score, axis=1)]
-        crowded = np.flatnonzero(~(runner_up > bound))
-        out[start:stop] = ids
-        dist[start:stop] = np.square(block - centroids[ids]).sum(axis=1)
+        out[start:stop], dist[start:stop], runner_up = _assign_block(
+            block, score, window, centroids
+        )
         other[start:stop] = runner_up + x_sq - window
-        if crowded.size:
-            crowd_rows = np.arange(len(crowded))
-            rivals = score[crowded]
-            rivals[crowd_rows, ids[crowded]] = best[crowded]
-            inside = ~(rivals > bound[crowded, None])
-            cand_rows, cand_cols = np.divmod(np.flatnonzero(inside), k)
-            exact = np.full(inside.shape, np.inf)
-            for s in range(0, len(cand_rows), pairs):
-                r, c = cand_rows[s : s + pairs], cand_cols[s : s + pairs]
-                exact[r, c] = np.square(block[crowded[r]] - centroids[c]).sum(axis=1)
-            ids = np.argmin(exact, axis=1)
-            out[start + crowded] = ids
-            dist[start + crowded] = exact[crowd_rows, ids]
-            rivals[crowd_rows, ids] = np.inf
-            runner_up = rivals[crowd_rows, np.argmin(rivals, axis=1)]
-            other[start + crowded] = runner_up + x_sq[crowded] - window[crowded]
     np.maximum(other, 0.0, out=other)
     return out, dist, np.sqrt(other, out=other)

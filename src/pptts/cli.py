@@ -102,6 +102,7 @@ def cmd_tokenize(args) -> int:
     provider = codebook_provider(args.codebook, codebook, cfg.codebook.feature_dir)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    frames = runs = one_frame = 0
     with open(out, "w", encoding="utf-8") as fh:
         for entry in entries:
             seq = merge_runs(quantize(provider.features_for(entry), codebook))
@@ -111,8 +112,17 @@ def cmd_tokenize(args) -> int:
                 "durations": [int(d) for d in seq.durations],
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+            frames += int(seq.durations.sum())
+            runs += len(seq)
+            one_frame += int((seq.durations == 1).sum())
     _echo_config(cfg, out, is_dir=False)
     print(f"wrote {out} ({len(entries)} entries)")
+    share = one_frame / runs if runs else 0.0
+    print(
+        f"units: {len(entries)} utterances, {frames} frames, {runs} runs, "
+        f"{share:.1%} one-frame runs",
+        file=sys.stderr,
+    )
     return 0
 
 

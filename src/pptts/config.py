@@ -150,6 +150,16 @@ class CodebookConfig:
     provider: str = "builtin-mel"
     feature_dir: str | None = None  # for the precomputed provider
 
+    def __post_init__(self) -> None:
+        _require_sizes(self, "k", "max_iters")
+        # numpy's generators take only non-negative integer seeds.
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        tol = self.tol
+        real = not isinstance(tol, bool) and isinstance(tol, numbers.Real)
+        if not (real and math.isfinite(tol) and tol >= 0):
+            raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -108,10 +108,22 @@ def _collect_frames(feature_stream: Iterable[FrameFeatures]) -> tuple[np.ndarray
     return np.concatenate(blocks, axis=0), provider_id
 
 
-# Elements per block of the exact k-means++ distance updates. Reusing one
-# cache-sized buffer avoids the page faults of fresh [n, d] temporaries,
-# which cost more than the arithmetic.
+# Elements per block of the exact distance updates of the seeding and the
+# Lloyd passes. Reusing one cache-sized buffer avoids the page faults of
+# fresh [n, d] temporaries, which cost more than the arithmetic.
 _SEED_BLOCK = 2**16
+
+
+def _exact_rows(frames, idx, centers, diff, dist) -> np.ndarray:
+    """``np.square(frames[idx] - centers).sum(axis=1)`` for at most
+    ``len(diff)`` rows, in the buffers ``diff`` and ``dist``: each row's
+    distance is ``sum(axis=1)`` over a contiguous row of ``d`` squares, the
+    reduction of the kernel's exact expression."""
+    m = len(idx)
+    np.take(frames, idx, axis=0, out=diff[:m], mode="clip")
+    np.subtract(diff[:m], centers, out=diff[:m])
+    np.square(diff[:m], out=diff[:m])
+    return diff[:m].sum(axis=1, out=dist[:m])
 
 
 def _kmeans_pp_init(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -156,16 +168,9 @@ def _kmeans_pp_init(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.
         np.add(low, base, out=low)
         np.add(low, (1 - rel) * float(c @ c), out=low)
         near = np.flatnonzero(~((low > d2) & (low < np.inf)))
-        # Each row's distance is sum(axis=1) over a contiguous row of d
-        # squares, the reduction of np.square(frames - c).sum(axis=1).
         for start in range(0, len(near), rows):
             idx = near[start : start + rows]
-            m = len(idx)
-            np.take(frames, idx, axis=0, out=diff[:m], mode="clip")
-            np.subtract(diff[:m], c, out=diff[:m])
-            np.square(diff[:m], out=diff[:m])
-            diff[:m].sum(axis=1, out=dist[:m])
-            d2[idx] = np.minimum(d2[idx], dist[:m])
+            d2[idx] = np.minimum(d2[idx], _exact_rows(frames, idx, c, diff, dist))
 
     choose(0, int(rng.integers(n)))
     for i in range(1, k):
@@ -191,17 +196,63 @@ def _has_distinct(frames: np.ndarray, k: int) -> bool:
     return len(head) < len(frames) and len(np.unique(frames, axis=0)) >= k
 
 
-def _reassign(frames, centroids, moved, shift, ids, d2, lower) -> None:
+def _separated(centroids: np.ndarray, ids: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Which frames Hamerly's separation test keeps on their centroid:
+    those whose exact squared distance ``d2`` to centroid ``ids`` is
+    provably below a quarter of the squared distance from that centroid to
+    the nearest other one.
+
+    ``_kernels._nearest_with_bound(centroids, centroids)`` gives each
+    centroid ``a`` a bound ``s`` on its distance to every centroid but its
+    own id; when that id is not ``a`` (a duplicate, or a distance that
+    underflows to 0), ``a`` itself is among them and ``s`` is 0. So ``s
+    <= S (1 + u)``, ``S`` the true distance from ``a`` to the nearest other
+    centroid, the factor being the square root's half ulp. With ``u = eps /
+    2``, ``g = (d + 2) u`` and ``rel = rounding_margin(d) = 8 (d + 4) u``:
+
+    - ``h = fl(s^2) (1 - rel) / 4 - tiny``, computed, is at most ``S^2 (1 -
+      rel + 6u) / 4 - tiny``. Where the product before ``- tiny`` is below
+      ``tiny``, it rounds to no more than ``tiny``, so ``h`` is at most 0
+      and keeps no frame.
+    - A frame keeps ``a`` where ``d2 < h``. Its true squared distance ``D``
+      to ``a`` is at most ``(d2 + d 2^-1075) / (1 - g)`` (the rounding of
+      the exact expression, as in :func:`_reassign`; ``tiny`` exceeds ``d
+      2^-1075``), so ``t = sqrt(D)`` is ``theta S / 2`` with ``theta <= 1 -
+      (rel - 6u - g) / 2 < 1``.
+    - By the triangle inequality the true distance to any other centroid
+      is at least ``S - t > t``, and its exact expression at least ``(S -
+      t)^2 (1 - g) - d 2^-1075``. That exceeds ``d2 <= t^2 (1 + g) + d
+      2^-1075`` by at least ``S^2 (1 - theta - g) - 2 d 2^-1075``, which is
+      positive: ``1 - theta - g >= 2.5 (d + 4) u`` and ``S^2 > 4 tiny /
+      (1 + 6u)``.
+
+    Every other centroid's exact expression is then strictly above ``d2``,
+    so the kernel would return the same id (a tie is never kept, since the
+    kernel gives ties to the lowest index) and the same distance. A NaN
+    bound or distance, or an infinite distance, keeps no frame; with one
+    centroid ``s`` is +inf and every finite distance is kept.
+    """
+    rel = _kernels.rounding_margin(centroids.shape[1])
+    _, _, sep = _kernels._nearest_with_bound(centroids, centroids)
+    with np.errstate(over="ignore"):  # a huge separation squares to +inf, still a bound
+        half = np.square(sep) * (0.25 * (1 - rel)) - np.finfo(np.float64).tiny
+    return d2 < half[ids]
+
+
+def _reassign(frames, centroids, moved, shift, ids, d2, lower) -> np.ndarray:
     """Update ``ids``, ``d2`` and ``lower`` in place for ``centroids``, of
-    which those flagged in ``moved`` moved, the farthest by ``shift``.
+    which those flagged in ``moved`` moved, the farthest by ``shift``, and
+    return which clusters gained or lost a frame.
 
     ``d2`` holds each frame's exact squared distance to its own centroid,
     as :func:`_kernels.nearest_centroids` computes it; frames whose centroid
-    moved get it recomputed by the same expression. ``lower`` holds a lower
-    bound ``L`` on each frame's distance (not squared) to every other
-    centroid, and the triangle inequality lowers it by a ``step`` of at
-    least the largest true shift. With ``u = eps / 2`` and ``rel =
-    rounding_margin(d) = 8 (d + 4) u``:
+    moved get it recomputed by the same expression. A frame keeps its id
+    without a rescan when either of Hamerly's tests proves its centroid the
+    unique exact minimum: the separation test of :func:`_separated`, or the
+    bound test below. ``lower`` holds a lower bound ``L`` on each frame's
+    distance (not squared) to every other centroid, and the triangle
+    inequality lowers it by a ``step`` of at least the largest true shift.
+    With ``u = eps / 2`` and ``rel = rounding_margin(d) = 8 (d + 4) u``:
 
     - ``d`` squares of rounded differences, summed, round a true squared
       distance ``D`` down to no less than ``D (1 - (d + 2) u) - d 2^-1075``;
@@ -211,7 +262,7 @@ def _reassign(frames, centroids, moved, shift, ids, d2, lower) -> None:
       shift below ``sqrt(d) 2^-537.5`` can read 0; the absolute term
       covers it.
     - ``nextafter`` towards -inf puts each rounded ``L - step`` below the
-      true difference. The bound from :func:`_kernels.nearest_centroids`
+      true difference. The bound from :func:`_kernels._nearest_with_bound`
       may overshoot by half an ulp, a factor ``(1 + u)`` that lowering
       keeps, so the true squared distance to another centroid is at least
       ``L^2 (1 - 2u)``, and its exact expression at least
@@ -222,26 +273,35 @@ def _reassign(frames, centroids, moved, shift, ids, d2, lower) -> None:
       distance.
 
     Every other frame, including those whose bound or distance is not
-    finite (the comparison is then false), goes back to the kernel, whose
-    one scored pass gives its id, distance and a fresh bound.
+    finite (both tests are then false), goes back to the kernel, whose one
+    scored pass gives its id, distance and a fresh bound.
     """
     dim = frames.shape[1]
     rel = _kernels.rounding_margin(dim)
     step = (shift + np.sqrt(dim * np.finfo(np.float64).smallest_subnormal)) * (1 + rel)
     np.subtract(lower, step, out=lower)
     np.nextafter(lower, -np.inf, out=lower)
-    # A frame whose bound is no longer positive is rescanned whatever its
-    # distance, so only the others need it recomputed.
-    own = np.flatnonzero(moved[ids] & (lower > 0))
-    if own.size:
-        d2[own] = np.square(frames[own] - centroids[ids[own]]).sum(axis=1)
+    own = np.flatnonzero(moved[ids])
+    rows = max(1, _SEED_BLOCK // dim)
+    diff, dist = np.empty((min(rows, len(own)), dim)), np.empty(min(rows, len(own)))
+    for start in range(0, len(own), rows):
+        idx = own[start : start + rows]
+        d2[idx] = _exact_rows(frames, idx, centroids[ids[idx]], diff, dist)
     with np.errstate(over="ignore"):  # a huge bound squares to +inf, still a bound
         clear = np.square(np.maximum(lower, 0.0)) * (1 - rel) - np.finfo(np.float64).tiny > d2
+    clear |= _separated(centroids, ids, d2)
     rescan = np.flatnonzero(~clear)
+    changed = np.zeros(len(centroids), dtype=bool)
     if rescan.size:
-        ids[rescan], d2[rescan], lower[rescan] = _kernels.nearest_centroids(
+        new_ids, d2[rescan], lower[rescan] = _kernels._nearest_with_bound(
             frames[rescan], centroids
         )
+        old_ids = ids[rescan]
+        switched = new_ids != old_ids
+        changed[old_ids[switched]] = True
+        changed[new_ids[switched]] = True
+        ids[rescan] = new_ids
+    return changed
 
 
 def train_codebook(
@@ -255,18 +315,25 @@ def train_codebook(
     """Lloyd's algorithm with seeded k-means++ initialization.
 
     Stops when the largest centroid shift drops below ``tol`` or after
-    ``max_iters`` passes. Assignment inertia is asserted non-increasing
-    every iteration; empty clusters are reseeded to the point currently
-    farthest from its assigned centroid. ``on_iteration`` receives
-    ``(iteration, inertia)`` after each assignment pass.
+    ``max_iters`` passes (at least 1). Assignment inertia is asserted
+    non-increasing every iteration; empty clusters are reseeded to the
+    point currently farthest from its assigned centroid. ``on_iteration``
+    receives ``(iteration, inertia)`` after each assignment pass.
 
-    After the first pass, a frame goes back to
-    :func:`_kernels.nearest_centroids` only when distance bounds cannot
-    prove that its centroid is still the unique nearest (:func:`_reassign`,
-    after Hamerly's bounds); when no centroid moved, none does. Ids,
-    distances, centroids and inertia are those of assigning every frame
-    every pass, bit for bit.
+    After the first pass, a frame goes back to the kernel only when
+    neither of Hamerly's tests can prove that its centroid is still the
+    unique nearest (:func:`_reassign`); when no centroid moved, none does.
+    Each cluster's frame count and coordinate sums are kept across passes,
+    and only those of clusters whose member set changed are recomputed:
+    ``np.bincount`` over just those clusters' frames, in frame order, from
+    zero, which are the sums of a full recount. A pass in which no frame
+    changed cluster sums nothing. Ids, distances, centroids and inertia
+    are those of assigning every frame every pass, bit for bit.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     frames, provider_id = _collect_frames(feature_stream)
     n = len(frames)
     if n < k:
@@ -277,17 +344,24 @@ def train_codebook(
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(frames, k, rng)
     columns = np.ascontiguousarray(frames.T)
-    ids, d2, lower = _kernels.nearest_centroids(frames, centroids)
+    ids, d2, lower = _kernels._nearest_with_bound(frames, centroids)
+    counts = np.zeros(k, dtype=np.int64)
+    sums = np.zeros((k, frames.shape[1]))
+    changed = np.ones(k, dtype=bool)  # clusters whose member set changed
     prev_inertia = np.inf
     inertia = np.inf
     for iteration in range(max_iters):
         # bincount adds each cluster's frames in frame order starting from
         # zero, so the sums are exactly those of a sequential accumulation.
-        counts = np.bincount(ids, minlength=k)
-        sums = np.stack(
-            [np.bincount(ids, weights=column, minlength=k) for column in columns],
-            axis=1,
-        )
+        members = np.flatnonzero(changed[ids])
+        if members.size:
+            member_ids = ids[members]
+            counts[changed] = np.bincount(member_ids, minlength=k)[changed]
+            sums[changed] = np.stack(
+                [np.bincount(member_ids, weights=column[members], minlength=k)[changed]
+                 for column in columns],
+                axis=1,
+            )
         inertia = 0.0
         for start in range(0, n, _INERTIA_BLOCK):
             inertia += float(d2[start : start + _INERTIA_BLOCK].sum())
@@ -311,8 +385,9 @@ def train_codebook(
         centroids = new_centroids
         if shift < tol:
             break
+        changed = np.zeros(k, dtype=bool)
         if iteration + 1 < max_iters and moved.any():
-            _reassign(frames, centroids, moved, shift, ids, d2, lower)
+            changed = _reassign(frames, centroids, moved, shift, ids, d2, lower)
 
     return Codebook(centroids=centroids, seed=seed, provider_id=provider_id, inertia=inertia)
 
@@ -324,7 +399,7 @@ def quantize(features: FrameFeatures, codebook: Codebook) -> np.ndarray:
         raise ValueError(
             f"feature dim {values.shape[1]} != codebook dim {codebook.dim}"
         )
-    ids, _, _ = _kernels.nearest_centroids(values, codebook.centroids)
+    ids, _ = _kernels.nearest_centroids(values, codebook.centroids)
     return ids
 
 

@@ -13,7 +13,9 @@ from pptts.config import load_config
 from pptts.data import load_manifest
 from pptts.evaluate import evaluate_manifest
 from pptts.features import build_provider, write_feature_file
-from pptts.pseudo import Codebook, load_codebook, save_codebook
+from pptts.pseudo import (
+    Codebook, codebook_provider, load_codebook, merge_runs, quantize, save_codebook,
+)
 from pptts.train import build_model_from_checkpoint, load_checkpoint, run_training, save_checkpoint
 
 
@@ -253,6 +255,27 @@ class TestCodebookCommand:
         assert code == 0
         assert "k=5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("codebook.k=0", "k must be >= 1"),
+            ("codebook.tol=nan", "tol must be a finite number >= 0, got 'nan'"),
+            ("codebook.tol=-1", "tol must be a finite number >= 0, got -1"),
+            ("codebook.max_iters=0", "max_iters must be >= 1"),
+            ("codebook.max_iters=-2", "max_iters must be >= 1"),
+            ("codebook.seed=1.5", "seed must be an integer >= 0, got 1.5"),
+        ],
+    )
+    def test_invalid_codebook_section_exits_one(self, workspace, tmp_path, capsys, override, message):
+        out = tmp_path / "cb.txt"
+        code = run(
+            "codebook", "--config", workspace["config"], "--manifest", workspace["manifest"],
+            "--out", out, "--set", override,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_manifest_exits_one(self, workspace):
         assert (
             run(
@@ -320,6 +343,22 @@ class TestTokenizeCommand:
             assert all(
                 a != b for a, b in zip(rec["tokens"], rec["tokens"][1:])
             )
+
+    def test_prints_unit_statistics(self, workspace, tmp_path, capsys):
+        out = tmp_path / "tok.jsonl"
+        assert run("tokenize", "--manifest", workspace["manifest"],
+                   "--codebook", workspace["codebook"], "--out", out) == 0
+        codebook = load_codebook(workspace["codebook"])
+        provider = codebook_provider(workspace["codebook"], codebook)
+        entries = load_manifest(workspace["manifest"])
+        runs = [merge_runs(quantize(provider.features_for(e), codebook)) for e in entries]
+        durations = np.concatenate([seq.durations for seq in runs])
+        share = np.mean(durations == 1)
+        assert capsys.readouterr().err == (
+            f"units: {len(entries)} utterances, {durations.sum()} frames, {len(durations)} runs, "
+            f"{share:.1%} one-frame runs\n"
+        )
+        assert 0 < share < 1
 
     def test_sub_manifest_gets_the_full_corpus_tokens(self, workspace, tmp_path):
         # The standardization comes from the codebook, not from a fit on

@@ -2,10 +2,11 @@
 
 import dataclasses
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pptts import _kernels, pseudo
 from pptts.config import AudioConfig
@@ -92,7 +93,7 @@ class TestTrainCodebook:
             low = d2.min(axis=1) * (1 - rel) - np.finfo(np.float64).tiny
             return ids, best, np.sqrt(np.maximum(low, 0.0))
 
-        monkeypatch.setattr(_kernels, "nearest_centroids", broadcast_nearest)
+        monkeypatch.setattr(_kernels, "_nearest_with_bound", broadcast_nearest)
         slow = train_codebook(feats, k=12, seed=3, max_iters=25, tol=0)
         assert calls
         assert codebook_hash(fast) == codebook_hash(slow)
@@ -124,6 +125,13 @@ class TestTrainCodebook:
         points = np.random.default_rng(5).normal(size=(30, 2))
         cb = train_codebook([make_features(points)], k=1, seed=0)
         assert np.allclose(cb.centroids[0], points.mean(axis=0), atol=1e-9)
+
+    @pytest.mark.parametrize("k, max_iters", [(0, 10), (-1, 10), (2, 0), (2, -2)])
+    def test_k_and_passes_below_one_rejected(self, k, max_iters):
+        points = np.random.default_rng(7).normal(size=(20, 2))
+        name = "k" if k < 1 else "max_iters"
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            train_codebook([make_features(points)], k=k, seed=0, max_iters=max_iters)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_frame_rejected(self, bad):
@@ -165,6 +173,29 @@ def fit_cases(draw):
     return stream, k, draw(st.integers(0, 2**16))
 
 
+def _stream(frames):
+    return [FrameFeatures(frames, "test", 50.0)]
+
+
+def _two_tight_groups():
+    """Two groups of 10 frames, around 0 and around 1, whose distances
+    inside a group square to 0. The third and fourth k-means++ seeds are
+    drawn uniformly; at k = 4 two clusters empty at once and are reseeded
+    to the same frame, so two centroids coincide (separation 0)."""
+    rng = np.random.default_rng(0)
+    return np.vstack([1e-170 * rng.standard_normal((10, 2)), 1 + 1e-170 * rng.standard_normal((10, 2))])
+
+
+# (stream, k, seed) cases of ``fit_cases`` that each fit must meet.
+FIT_EXAMPLES = [
+    (_stream(_two_tight_groups()), 4, 0),
+    # One centroid: no other one, so every separation is infinite.
+    (_stream(np.random.default_rng(2).standard_normal((30, 3))), 1, 2),
+    # |x|^2 dwarfs the distances: every bound and separation comes out 0.
+    (_stream(1e6 + 1e-3 * np.random.default_rng(3).standard_normal((60, 4))), 5, 3),
+]
+
+
 class TestSeedingMatchesOracle:
     """The screened k-means++ seeding draws what updating every frame's
     exact distance draws, bit for bit."""
@@ -198,6 +229,9 @@ class TestFitMatchesOracle:
     @pytest.mark.parametrize("schedule", [dict(max_iters=32, tol=0.0), dict()])
     @settings(max_examples=150, deadline=None)
     @given(case=fit_cases())
+    @example(case=FIT_EXAMPLES[0])
+    @example(case=FIT_EXAMPLES[1])
+    @example(case=FIT_EXAMPLES[2])
     def test_matches_every_frame_every_pass(self, lloyd_fit, schedule, case):
         stream, k, seed = case
         values = []
@@ -225,13 +259,14 @@ class TestFitMatchesOracle:
         feats = [make_features(points)]
         want, _, history = lloyd_fit(feats, 12, 4, max_iters=40, tol=0.0)
         calls = []
-        nearest = _kernels.nearest_centroids
+        nearest = _kernels._nearest_with_bound
 
         def counting(frames, centroids):
-            calls.append(len(frames))
+            if frames is not centroids:  # not the separations of the centroids
+                calls.append(len(frames))
             return nearest(frames, centroids)
 
-        monkeypatch.setattr(_kernels, "nearest_centroids", counting)
+        monkeypatch.setattr(_kernels, "_nearest_with_bound", counting)
         sent = []  # frames sent to the kernel by each pass
 
         def on_iteration(i, _):
@@ -248,6 +283,104 @@ class TestFitMatchesOracle:
         still = [t for t in range(2, len(sent)) if np.array_equal(history[t - 1], history[t - 2])]
         assert still, "the fit did not converge"
         assert all(sent[t] == 0 for t in still)
+        # With the bound test alone the fit sent 1804 frames here; the
+        # separation test keeps some of those on their centroid.
+        assert sum(sent) < 1804
+
+    def test_passes_sum_only_changed_clusters(self, monkeypatch, lloyd_fit, kmeans_pp_seed):
+        rng = np.random.default_rng(5)
+        points, _, _ = blob_features(rng, k=8, per_cluster=60, dim=6, spread=1.0, separation=3.0)
+        feats = [make_features(points)]
+        frames, _ = pseudo._collect_frames(feats)
+        _, _, history = lloyd_fit(feats, 12, 4, max_iters=40, tol=0.0)
+        seeds = kmeans_pp_seed(frames, 12, np.random.default_rng(4))
+        # The ids each pass sums over: pass t assigns to history[t - 1].
+        assigned = [_kernels.nearest_centroids(frames, c)[0] for c in [seeds] + history[:-1]]
+        counted = []
+        bincount = np.bincount
+
+        def counting(x, weights=None, minlength=0):
+            if weights is None:
+                counted.append(len(x))
+            return bincount(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        summed = []  # frames handed to np.bincount by each pass
+
+        def on_iteration(i, _):
+            summed.append(sum(counted))
+            counted.clear()
+
+        train_codebook(feats, 12, 4, max_iters=40, tol=0.0, on_iteration=on_iteration)
+        want = [len(frames)]
+        for before, after in zip(assigned, assigned[1:]):
+            switched = before != after
+            changed = np.zeros(12, dtype=bool)
+            changed[before[switched]] = changed[after[switched]] = True
+            want.append(int(changed[after].sum()))
+        assert summed == want
+        assert 0 in summed and any(0 < count < len(frames) for count in summed)
+
+
+class TestSeparationTest:
+    """Every frame that ``pseudo._separated`` keeps on its centroid has
+    every other centroid strictly farther, in exact arithmetic and in the
+    kernel's exact expression."""
+
+    @staticmethod
+    def assert_kept_frames_separated(frames, centroids):
+        ids, d2 = _kernels.nearest_centroids(frames, centroids)
+        kept = pseudo._separated(centroids, ids, d2)
+        computed = np.square(frames[:, None, :] - centroids[None, :, :]).sum(axis=2)
+        for x, own, row in zip(frames[kept], ids[kept], computed[kept]):
+            exact = [sum((Fraction(u) - Fraction(v)) ** 2 for u, v in zip(x, c)) for c in centroids]
+            for j in range(len(centroids)):
+                if j != own:
+                    assert exact[j] > exact[own]
+                    assert row[j] > row[own]
+        return kept
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, 1.0, -3e3, 1e6]),
+        spread=st.sampled_from([1e-160, 1e-3, 1.0, 50.0]),
+        reach=st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
+        duplicates=st.booleans(),
+    )
+    def test_kept_frames_have_every_other_centroid_farther(
+        self, d, k, seed, offset, spread, reach, duplicates
+    ):
+        rng = np.random.default_rng(seed)
+        centroids = offset + spread * rng.standard_normal((k, d))
+        if duplicates:
+            centroids = centroids[rng.integers(0, max(1, k // 2), size=k)]
+        # Frames near a centroid, at the midpoint of two (an exact tie when
+        # it rounds to one), and just off that midpoint.
+        near = centroids[rng.integers(0, k, size=6)] + reach * spread * rng.standard_normal((6, d))
+        pairs = centroids[rng.integers(0, k, size=(4, 2))]
+        mid = (pairs[:, 0] + pairs[:, 1]) / 2
+        frames = np.vstack([near, mid, np.nextafter(mid, pairs[:, 0])])
+        self.assert_kept_frames_separated(frames, centroids)
+
+    def test_ties_and_near_ties_go_to_the_kernel(self):
+        centroids = np.array([[0.0], [2.0]])
+        frames = np.array([[1.0], [np.nextafter(1.0, 0.0)], [np.nextafter(1.0, 2.0)], [0.5], [1.5]])
+        kept = self.assert_kept_frames_separated(frames, centroids)
+        assert kept.tolist() == [False, False, False, True, True]
+
+    def test_duplicated_centroids_keep_none_of_their_frames(self):
+        centroids = np.array([[0.0, 0.0], [3.0, 1.0], [0.0, 0.0]])
+        frames = np.array([[0.0, 0.0], [0.1, 0.0], [3.0, 1.1]])
+        kept = self.assert_kept_frames_separated(frames, centroids)
+        assert kept.tolist() == [False, False, True]
+
+    def test_single_centroid_keeps_every_finite_frame(self):
+        frames = np.random.default_rng(8).normal(size=(5, 3))
+        ids, d2 = _kernels.nearest_centroids(frames, frames[:1])
+        assert pseudo._separated(frames[:1], ids, d2).all()
 
 
 class TestQuantize:

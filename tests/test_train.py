@@ -841,7 +841,7 @@ def test_removed_adversarial_options_rejected(key, value):
     )] + [
         ("feature", key)
         for key in ("sample_rate", "n_fft", "hop_length", "win_length", "n_mels")
-    ],
+    ] + [("codebook", "k"), ("codebook", "max_iters")],
 )
 @pytest.mark.parametrize("value", [0, -2])
 def test_sizes_below_one_rejected(section, key, value):
@@ -854,6 +854,23 @@ def test_sizes_below_one_rejected(section, key, value):
 def test_non_integer_sizes_rejected(section, key, value):
     with pytest.raises(ConfigError, match=f"{key} must be an integer"):
         config_from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9, "nan", True, None])
+def test_codebook_tol_not_finite_or_negative_rejected(value):
+    with pytest.raises(ConfigError, match=r"tol must be a finite number >= 0, got "):
+        config_from_dict({"codebook": {"tol": value}})
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, "x", None])
+def test_codebook_seed_not_a_non_negative_integer_rejected(value):
+    with pytest.raises(ConfigError, match=r"seed must be an integer >= 0, got "):
+        config_from_dict({"codebook": {"seed": value}})
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 1e-6, np.float64(0.5)])
+def test_codebook_tol_accepted(value):
+    assert config_from_dict({"codebook": {"tol": value}}).codebook.tol == value
 
 
 @pytest.mark.parametrize("size", [27, 29])
