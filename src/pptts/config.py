@@ -22,14 +22,45 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-def _require_sizes(section, *names: str) -> None:
-    for name in names:
-        value = getattr(section, name)
-        # A float size passes the range check and fails deep in numpy.
-        if not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1")
+# An int field is >= 1 and a float field >= 0 unless named here. Seeds feed
+# numpy, which takes 0; a mel floor of 0 lets log-mels of silence reach -inf.
+# AudioConfig checks fmin and fmax against the sample rate.
+_INT_MIN = {"seed": 0, "checkpoint_interval": 0}
+_POSITIVE = {"mel_floor", "scratch_lr_multiplier"}
+_RANGED = {"fmin", "fmax"}
+
+
+def _check_fields(section) -> None:
+    """Check the type and bound of every field of a config section against
+    its annotation. A ``| None`` field also takes null, and a bool never
+    counts as a number."""
+    label = next(name for name, cls in _SECTIONS.items() if cls is type(section))
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if kind == "int":
+            low = _INT_MIN.get(f.name, 1)
+            need = f"an integer >= {low}"
+            ok = number and isinstance(value, numbers.Integral) and value >= low
+        elif kind == "float":
+            need = "a finite number"
+            # An int is finite; math.isfinite would overflow on a huge one.
+            ok = number and (isinstance(value, numbers.Integral) or math.isfinite(value))
+            if f.name in _POSITIVE:
+                need, ok = need + " > 0", ok and value > 0
+            elif f.name not in _RANGED:
+                need, ok = need + " >= 0", ok and value >= 0
+        elif kind == "bool":
+            need, ok = "true or false", isinstance(value, bool)
+        elif kind == "str":
+            need, ok = "a string", isinstance(value, str)
+        else:
+            raise TypeError(f"no rule for the {f.type} field {f.name}")
+        if optional:
+            need, ok = need + " or null", ok or value is None
+        if not ok:
+            raise ConfigError(f"[{label}]: {f.name} must be {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,19 +78,12 @@ class AudioConfig:
     mel_floor: float = 1e-5
 
     def __post_init__(self) -> None:
-        _require_sizes(self, "sample_rate", "n_fft", "hop_length", "win_length", "n_mels")
+        _check_fields(self)
         if self.win_length > self.n_fft:
-            raise ConfigError("win_length must be <= n_fft")
-        # Also refuses NaN. A floor of 0 or below lets log-mels of silence
-        # reach -inf.
-        if not self.mel_floor > 0:
-            raise ConfigError("mel_floor must be > 0")
+            raise ConfigError(f"win_length must be <= n_fft, got {self.win_length} > {self.n_fft}")
         # A null fmax is the Nyquist frequency.
         nyquist = self.sample_rate / 2
         fmax = nyquist if self.fmax is None else self.fmax
-        for name, value in (("fmin", self.fmin), ("fmax", fmax)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not 0 <= self.fmin < fmax <= nyquist:
             raise ConfigError(
                 f"fmin and fmax must satisfy 0 <= fmin < fmax <= sample_rate / 2 = {nyquist:g}, "
@@ -89,11 +113,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
-        _require_sizes(
-            self, "latent_channels", "hidden_channels", "flow_blocks", "flow_hidden",
-            "duration_hidden", "decoder_channels", "text_vocab_size", "pseudo_vocab_size",
-            "speaker_embed_dim",
-        )
+        _check_fields(self)
         # Text ids are the indices of DEFAULT_CHARACTERS: a smaller table
         # fails on the first text that uses a dropped character, and rows
         # past it never train.
@@ -103,9 +123,9 @@ class ModelConfig:
                 f"character set, got {self.text_vocab_size}"
             )
         if self.latent_channels % 2 != 0:
-            raise ConfigError("latent_channels must be even")
+            raise ConfigError(f"latent_channels must be even, got {self.latent_channels}")
         if self.dtype not in ("float32", "float64"):
-            raise ConfigError("dtype must be float32 or float64")
+            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 @dataclass(frozen=True)
@@ -129,16 +149,9 @@ class TrainConfig:
     scratch_lr_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.stage not in ("pretrain", "finetune"):
             raise ConfigError(f"unknown train stage {self.stage!r}")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.log_interval < 1:
-            raise ConfigError("log_interval must be >= 1")
-        if self.scratch_lr_multiplier <= 0:
-            raise ConfigError("scratch_lr_multiplier must be > 0")
 
 
 @dataclass(frozen=True)
@@ -151,14 +164,7 @@ class CodebookConfig:
     feature_dir: str | None = None  # for the precomputed provider
 
     def __post_init__(self) -> None:
-        _require_sizes(self, "k", "max_iters")
-        # numpy's generators take only non-negative integer seeds.
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        tol = self.tol
-        real = not isinstance(tol, bool) and isinstance(tol, numbers.Real)
-        if not (real and math.isfinite(tol) and tol >= 0):
-            raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -169,27 +175,19 @@ class RunConfig:
     codebook: CodebookConfig = field(default_factory=CodebookConfig)
 
 
-_SECTIONS = {
-    "feature": AudioConfig,
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "codebook": CodebookConfig,
-}
+# Section name -> class, in the order of RunConfig's fields.
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def _build_section(cls: type, values: dict[str, Any], section: str):
     if not isinstance(values, dict):
         raise ConfigError(f"[{section}] must be an object, got {values!r}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(values) - known
+    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(
             f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
         )
-    try:
-        return cls(**values)
-    except TypeError as exc:  # a value of the wrong type, met by a range check
-        raise ConfigError(f"[{section}]: {exc}") from None
+    return cls(**values)
 
 
 def config_from_dict(raw: dict[str, Any]) -> RunConfig:
@@ -223,9 +221,7 @@ def merge_overrides(cfg: RunConfig, overrides: dict[str, dict[str, Any]]) -> Run
     """Apply ``{section: {key: value}}`` overrides (command-line flags win)."""
     raw = config_to_dict(cfg)
     for section, values in overrides.items():
-        if section not in raw:
-            raise ConfigError(f"unknown config section {section!r}")
-        raw[section].update(values)
+        raw.setdefault(section, {}).update(values)
     return config_from_dict(raw)
 
 

@@ -16,6 +16,8 @@ the phoneme vocabulary. Everything else is shared between modes.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,10 @@ MODES = ("pretrain", "finetune")
 
 class ModelError(ValueError):
     """Invalid model usage (wrong mode, bad shapes, out-of-range tokens)."""
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass
@@ -456,6 +462,10 @@ class SynthesisModel(Module):
         seed: int = 0,
     ) -> SynthesisResult:
         """Text tokens -> waveform (deterministic given the seed)."""
+        if not (_is_finite(length_scale) and length_scale > 0):
+            raise ModelError(f"length_scale must be a finite number > 0, got {length_scale!r}")
+        if not (_is_finite(noise_scale) and noise_scale >= 0):
+            raise ModelError(f"noise_scale must be a finite number >= 0, got {noise_scale!r}")
         if ref_mel is not None and not self.config.multi_speaker:
             raise ModelError("reference mel given to a single-speaker model")
         with T.no_grad():

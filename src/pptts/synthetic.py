@@ -12,6 +12,8 @@ construction.
 
 from __future__ import annotations
 
+import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +96,7 @@ def _render_phone(
         if amp > 1e-4:
             wave += amp * np.sin(2.0 * np.pi * freq * t)
         m += 1
-    peak = np.max(np.abs(wave))
+    peak = np.max(np.abs(wave), initial=0.0)  # a phone shorter than one sample is empty
     if peak > 0:
         wave *= _PEAK / peak
     ramp = int(round(_RAMP_S * sample_rate))
@@ -196,6 +198,15 @@ def generate_synthetic_corpus(
         raise ValueError("n_utts must be >= 1")
     if n_speakers < 1:
         raise ValueError("n_speakers must be >= 1")
+    integral = isinstance(sample_rate, numbers.Integral) and not isinstance(sample_rate, bool)
+    if not (integral and sample_rate >= 1):
+        raise ValueError(f"sample_rate must be an integer >= 1, got {sample_rate!r}")
+    # A phone is scaled by 1 +/- jitter, which must stay positive.
+    for name, jitter in (("formant_jitter", formant_jitter), ("duration_jitter", duration_jitter)):
+        if not (isinstance(jitter, numbers.Real) and math.isfinite(jitter) and 0 <= jitter < 1):
+            raise ValueError(
+                f"{name} must be a finite number with 0 <= {name} < 1, got {jitter!r}"
+            )
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)

@@ -447,6 +447,10 @@ def _checkpoint_header(path: Path, raw: bytes) -> dict:
             raise _header_error(path, f"{key!r} is missing or not a {kind.__name__}")
     if not isinstance(header.get("seed", 0), int):
         raise _header_error(path, "'seed' is not an int")
+    if not isinstance(header.get("from_scratch", False), bool):
+        raise _header_error(path, "'from_scratch' is not a bool")
+    if not isinstance(header.get("codebook_hash"), (str, type(None))):
+        raise _header_error(path, "'codebook_hash' is not a string or null")
     opt = header.get("optimizer")
     if opt is not None and not (
         isinstance(opt, dict)
@@ -528,7 +532,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         audio=audio,
         mode=header["mode"],
         stage=header["stage"],
-        from_scratch=bool(header.get("from_scratch", False)),
+        from_scratch=header.get("from_scratch", False),
         codebook_hash=header.get("codebook_hash"),
         seed=int(header.get("seed", 0)),
         params=params,
@@ -653,7 +657,7 @@ def run_training(
                     )
             _load_params(model, ckpt.params, require_all=True)
         partition = partition_parameters(model, "pretrain")
-    elif stage == "finetune":
+    else:  # finetune, the only other stage a TrainConfig takes
         if tcfg.from_scratch:
             if init_ckpt is not None:
                 raise TrainError("from_scratch and an initial checkpoint are exclusive")
@@ -666,8 +670,6 @@ def run_training(
             _check_ckpt_compat(cfg, ckpt)
             model = init_finetune_from_pretrained(ckpt, seed=tcfg.seed)
             partition = partition_parameters(model, "finetune")
-    else:
-        raise TrainError(f"unknown stage {tcfg.stage!r}")
 
     items = prepare_corpus(entries, cfg, stage, codebook, provider)
     apply_partition(model, partition)

@@ -222,6 +222,24 @@ class TestParsing:
         assert "error" in capsys.readouterr().err
 
 
+class TestMakeSyntheticCommand:
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sample-rate", "0", "sample_rate must be an integer >= 1, got 0"),
+            ("--formant-jitter", "-1", "formant_jitter must be a finite number with 0 <= "),
+            ("--formant-jitter", "nan", "formant_jitter must be a finite number with 0 <= "),
+        ],
+    )
+    def test_invalid_flag_exits_one_before_writing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "corpus"
+        code = run("make-synthetic", "--out-dir", out, "--n-utts", 1, flag, value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestCodebookCommand:
     def test_reports_stats_and_echoes_config(self, workspace, capsys):
         out = workspace["root"] / "cb_echo.txt"
@@ -258,12 +276,34 @@ class TestCodebookCommand:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ("codebook.k=0", "k must be >= 1"),
-            ("codebook.tol=nan", "tol must be a finite number >= 0, got 'nan'"),
-            ("codebook.tol=-1", "tol must be a finite number >= 0, got -1"),
-            ("codebook.max_iters=0", "max_iters must be >= 1"),
-            ("codebook.max_iters=-2", "max_iters must be >= 1"),
-            ("codebook.seed=1.5", "seed must be an integer >= 0, got 1.5"),
+            pytest.param(
+                "codebook.k=0", "[codebook]: k must be an integer >= 1, got 0",
+                id="codebook.k=0-k must be >= 1",
+            ),
+            pytest.param(
+                "codebook.tol=nan", "[codebook]: tol must be a finite number >= 0, got 'nan'",
+                id="codebook.tol=nan-tol must be a finite number >= 0, got 'nan'",
+            ),
+            pytest.param(
+                "codebook.tol=-1", "[codebook]: tol must be a finite number >= 0, got -1",
+                id="codebook.tol=-1-tol must be a finite number >= 0, got -1",
+            ),
+            pytest.param(
+                "codebook.max_iters=0", "[codebook]: max_iters must be an integer >= 1, got 0",
+                id="codebook.max_iters=0-max_iters must be >= 1",
+            ),
+            pytest.param(
+                "codebook.max_iters=-2", "[codebook]: max_iters must be an integer >= 1, got -2",
+                id="codebook.max_iters=-2-max_iters must be >= 1",
+            ),
+            pytest.param(
+                "codebook.seed=1.5", "[codebook]: seed must be an integer >= 0, got 1.5",
+                id="codebook.seed=1.5-seed must be an integer >= 0, got 1.5",
+            ),
+            (
+                "feature.center=False",
+                "[feature]: center must be true or false, got 'False'",
+            ),
         ],
     )
     def test_invalid_codebook_section_exits_one(self, workspace, tmp_path, capsys, override, message):
@@ -475,6 +515,38 @@ class TestTrainingCommands:
         assert "Traceback" not in err
         assert not (out_dir / "model_final.ckpt").exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (
+                "model.multi_speaker=False",
+                "[model]: multi_speaker must be true or false, got 'False'",
+            ),
+            (
+                'train.learning_rate="abc"',
+                "[train]: learning_rate must be a finite number >= 0, got 'abc'",
+            ),
+            ("train.seed=1.5", "[train]: seed must be an integer >= 0, got 1.5"),
+            ("train.batch_size=1.5", "[train]: batch_size must be an integer >= 1, got 1.5"),
+            (
+                "train.checkpoint_interval=-3",
+                "[train]: checkpoint_interval must be an integer >= 0, got -3",
+            ),
+        ],
+    )
+    def test_mistyped_setting_exits_one_before_training(
+        self, workspace, tmp_path, capsys, override, message
+    ):
+        out_dir = tmp_path / "pre"
+        code = run(
+            "pretrain", "--config", workspace["config"],
+            "--manifest", workspace["manifest"], "--codebook", workspace["codebook"],
+            "--out-dir", out_dir, "--iterations", 1, "--set", override,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_pretrain_outputs(self, workspace):
         pre_dir = workspace["pre_ckpt"].parent
         assert (pre_dir / "config.json").exists()
@@ -595,6 +667,18 @@ class TestSynthesizeCommand:
             )
             == 1
         )
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan"])
+    def test_length_scale_not_positive_exits_one(self, workspace, tmp_path, capsys, scale):
+        out = tmp_path / "s.wav"
+        code = run(
+            "synthesize", "--ckpt", workspace["fine_ckpt"], "--text", "abcd",
+            "--out", out, "--length-scale", scale,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: length_scale must be a finite number > 0, got {float(scale)!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "bias,message", [(float("nan"), "non-finite"), (1e4, "exceeds"), (15.0, "exceeds")]

@@ -6,6 +6,8 @@ flips are fed to its reader. A header that claims more bytes than the file
 holds must be refused before that many bytes are allocated.
 """
 
+import json
+import re
 import struct
 import tracemalloc
 
@@ -19,7 +21,7 @@ from pptts.features import read_feature_file, write_feature_file
 from pptts.model import SynthesisModel
 from pptts.nn import AdamW
 from pptts.pseudo import Codebook, load_codebook, save_codebook
-from pptts.train import load_checkpoint, save_checkpoint
+from pptts.train import TrainError, load_checkpoint, save_checkpoint
 
 
 def _write_wav(path):
@@ -132,3 +134,45 @@ def test_claimed_size_checked_before_reading(valid_files, kind):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _with_header_fields(valid, **fields):
+    """The valid checkpoint with ``fields`` merged into its JSON header."""
+    header_len = struct.unpack("<I", valid[12:16])[0]
+    header = json.loads(valid[16 : 16 + header_len])
+    for key, value in fields.items():
+        if isinstance(value, dict):
+            header[key] = {**header[key], **value}
+        else:
+            header[key] = value
+    raw = json.dumps(header, sort_keys=True).encode()
+    return valid[:12] + struct.pack("<I", len(raw)) + raw + valid[16 + header_len :]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"from_scratch": "no"}, "'from_scratch' is not a bool"),
+        ({"from_scratch": 0}, "'from_scratch' is not a bool"),
+        ({"codebook_hash": 5}, "'codebook_hash' is not a string or null"),
+        ({"codebook_hash": ["ab"]}, "'codebook_hash' is not a string or null"),
+        ({"config": {"multi_speaker": "False"}}, r"\[model\]: multi_speaker must be true or false"),
+        ({"audio": {"center": "False"}}, r"\[feature\]: center must be true or false"),
+    ],
+)
+def test_checkpoint_header_values_typed(valid_files, fields, message):
+    root, files = valid_files
+    path = root / "typed.checkpoint"
+    path.write_bytes(_with_header_fields(files["checkpoint"], **fields))
+    with pytest.raises(TrainError, match=f"{re.escape(str(path))}: .*{message}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_provenance_loads_as_written(valid_files):
+    root, files = valid_files
+    path = root / "provenance.checkpoint"
+    path.write_bytes(
+        _with_header_fields(files["checkpoint"], from_scratch=True, codebook_hash="ab12")
+    )
+    ckpt = load_checkpoint(path)
+    assert ckpt.from_scratch is True and ckpt.codebook_hash == "ab12"

@@ -507,6 +507,29 @@ class TestSynthesize:
         assert result.wave.shape == (result.durations.sum() * AUDIO.hop_length,)
         assert result.wave.dtype == np.float32
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"length_scale": -1.0}, "length_scale must be a finite number > 0, got -1.0"),
+            ({"length_scale": 0}, "length_scale must be a finite number > 0, got 0"),
+            ({"length_scale": float("nan")}, "length_scale must be a finite number > 0, got nan"),
+            ({"length_scale": float("inf")}, "length_scale must be a finite number > 0, got inf"),
+            ({"length_scale": "1"}, "length_scale must be a finite number > 0, got '1'"),
+            ({"noise_scale": -0.5}, "noise_scale must be a finite number >= 0, got -0.5"),
+            ({"noise_scale": float("nan")}, "noise_scale must be a finite number >= 0, got nan"),
+            ({"noise_scale": float("-inf")}, "noise_scale must be a finite number >= 0, got -inf"),
+        ],
+    )
+    def test_scales_checked_before_any_work(self, kwargs, message, monkeypatch):
+        model = self._trained_ish()
+
+        def never(*args):
+            raise AssertionError("text_encode ran")
+
+        monkeypatch.setattr(model, "text_encode", never)
+        with pytest.raises(ModelError, match=message):
+            model.synthesize(text_to_phonemes("hello"), **kwargs)
+
     def test_length_scale_monotone(self):
         model = self._trained_ish()
         seq = text_to_phonemes("hello world")

@@ -540,9 +540,18 @@ class TestCodebookIO:
         [
             ("n_fft=256", "", "lacks the 'n_fft' field"),
             ("center=false", "center=maybe", "center='maybe' is not a value"),
-            ("n_mels=3", "n_mels=0", "n_mels must be >= 1"),
+            # Versions that let a config bool be a string wrote this header.
+            ("center=false", 'center="False"', "center must be true or false, got 'False'"),
+            pytest.param(
+                "n_mels=3", "n_mels=0", r"\[feature\]: n_mels must be an integer >= 1, got 0",
+                id="n_mels=3-n_mels=0-n_mels must be >= 1",
+            ),
             ("win_length=200", "win_length=300", "win_length must be <= n_fft"),
-            ("hop_length=64", "hop_length=6.4", "hop_length must be an integer, got 6.4"),
+            pytest.param(
+                "hop_length=64", "hop_length=6.4",
+                r"\[feature\]: hop_length must be an integer >= 1, got 6.4",
+                id="hop_length=64-hop_length=6.4-hop_length must be an integer, got 6.4",
+            ),
             ("fmin=31.7", 'fmin="low"', "fmin must be a finite number, got 'low'"),
             ("fmin=31.7", "fmin=NaN", "fmin must be a finite number, got nan"),
             ("fmin=31.7", "fmin=true", "fmin must be a finite number, got True"),

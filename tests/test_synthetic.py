@@ -142,6 +142,36 @@ class TestCorpus:
         with pytest.raises(ValueError):
             generate_synthetic_corpus(seed=0, n_utts=0, n_speakers=1, out_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sample_rate": 0}, "sample_rate must be an integer >= 1, got 0"),
+            ({"sample_rate": -8000}, "sample_rate must be an integer >= 1, got -8000"),
+            ({"sample_rate": 8000.0}, "sample_rate must be an integer >= 1, got 8000.0"),
+            ({"sample_rate": True}, "sample_rate must be an integer >= 1, got True"),
+            (
+                {"formant_jitter": -1.0},
+                "formant_jitter must be a finite number with 0 <= formant_jitter < 1, got -1.0",
+            ),
+            ({"formant_jitter": float("nan")}, "formant_jitter must be .*, got nan"),
+            ({"formant_jitter": 1.0}, "formant_jitter must be .*, got 1.0"),
+            ({"duration_jitter": float("inf")}, "duration_jitter must be .*, got inf"),
+            ({"duration_jitter": -0.01}, "duration_jitter must be .*, got -0.01"),
+        ],
+    )
+    def test_invalid_rendering_settings_rejected_before_writing(self, tmp_path, kwargs, message):
+        out = tmp_path / "corpus"
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic_corpus(seed=0, n_utts=1, n_speakers=1, out_dir=out, **kwargs)
+        assert not out.exists()
+
+    def test_jitter_just_below_one_accepted(self, tmp_path):
+        manifest = generate_synthetic_corpus(
+            seed=0, n_utts=2, n_speakers=1, out_dir=tmp_path, sample_rate=8000,
+            formant_jitter=0.999, duration_jitter=0.999,
+        )
+        assert all(e.duration_s > 0 for e in load_manifest(manifest))
+
     def test_audio_paths_resolved(self, tmp_path, monkeypatch):
         # A relative output directory reached through a symlink: each
         # manifest path must still be absolute and free of the link, as
