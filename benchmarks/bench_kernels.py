@@ -9,6 +9,8 @@ acceptance sizes: the F-ordered [16, 3456] output of the last upsampling
 stage (a 54-frame utterance at hop 64). ``post conv1d`` is the decoder's
 last convolution (16 channels to 1, 7 taps, padding 3), forward plus
 backward to the weight, bias and input; ``relu`` is one forward.
+``quantize`` assigns one utterance's float32 frames to a k=9 codebook,
+the per-utterance call of tokenizing and of scoring a synthesis request.
 ``log-mel`` is ``mel_of_waveform`` (STFT, filterbank, log) of 1.5 s of
 audio at the acceptance sizes: 8 kHz, n_fft 256, hop 64, window 128,
 20 mels. Evaluating one utterance runs it once per wave. ``synthetic
@@ -140,6 +142,14 @@ CASES = [
         "nearest_centroids 50000x16 k=128",
         _kernels.nearest_centroids,
         lambda rng, _: (rng.standard_normal((50_000, 16)), rng.standard_normal((128, 16))),
+    ),
+    (
+        "quantize 200x20 k=9",
+        pseudo.quantize,
+        lambda rng, _: (
+            FrameFeatures(rng.standard_normal((200, 20)).astype(np.float32), "bench", 50.0),
+            pseudo.Codebook(rng.standard_normal((9, 20)), seed=0, provider_id="bench"),
+        ),
     ),
     (
         "kmeans++ init 10760x20 k=64",

@@ -143,17 +143,6 @@ def _scored_blocks(points: np.ndarray, centroids: np.ndarray):
         yield start, block, x_sq, score, rel * (x_sq + c_sq_max) + tiny
 
 
-def _as_float_pair(points: np.ndarray, centroids: np.ndarray):
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
-    if points.shape[1] != centroids.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: points D={points.shape[1]}, "
-            f"centroids D={centroids.shape[1]}"
-        )
-    return points, centroids
-
-
 def _assign_block(block, score, window, centroids):
     """(ids, squared distances, runner-up scores) of one block of
     :func:`_scored_blocks`.
@@ -196,29 +185,12 @@ def _assign_block(block, score, window, centroids):
 
 
 def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
-    """Assign each point to its nearest centroid (squared Euclidean).
+    """Assign each point to its nearest centroid (squared Euclidean), and
+    bound its distance (not squared) to every centroid but that one.
 
     One GEMM per block ranks the centroids (:func:`_scored_blocks`), and
     near-ties are re-scored exactly (:func:`_assign_block`), so ids and
     distances are those of the direct [n, k, d] computation bit for bit.
-
-    Returns:
-        (ids int64 [n], squared_distances float64 [n]); ties resolve to the
-        lowest centroid index.
-    """
-    points, centroids = _as_float_pair(points, centroids)
-    n = len(points)
-    out = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
-    for start, block, _, score, window in _scored_blocks(points, centroids):
-        stop = start + len(block)
-        out[start:stop], dist[start:stop], _ = _assign_block(block, score, window, centroids)
-    return out, dist
-
-
-def _nearest_with_bound(points: np.ndarray, centroids: np.ndarray):
-    """:func:`nearest_centroids` plus a lower bound on each point's
-    distance (not squared) to every centroid but the one it is assigned.
 
     The bound comes from the same scores: the runner-up score plus
     ``|x|^2``, less the window, is at most the true squared distance to
@@ -230,9 +202,15 @@ def _nearest_with_bound(points: np.ndarray, centroids: np.ndarray):
 
     Returns:
         (ids int64 [n], squared_distances float64 [n], other_bound float64
-        [n]).
+        [n]); ties resolve to the lowest centroid index.
     """
-    points, centroids = _as_float_pair(points, centroids)
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
+    if points.shape[1] != centroids.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: points D={points.shape[1]}, "
+            f"centroids D={centroids.shape[1]}"
+        )
     n = len(points)
     out = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=np.float64)

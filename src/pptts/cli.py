@@ -21,6 +21,7 @@ from .audio import read_wav, write_wav
 from .config import ConfigError, RunConfig, config_from_dict, load_config, merge_overrides, write_config
 from .data import DEFAULT_CHARACTERS, load_manifest, text_to_phonemes
 from .features import BuiltinMelProvider, build_provider, mel_of_waveform
+from .model import check_synthesis_scales
 from .pseudo import codebook_provider, load_codebook, merge_runs, quantize, save_codebook, train_codebook
 from .synthetic import generate_synthetic_corpus
 
@@ -105,16 +106,12 @@ def cmd_tokenize(args) -> int:
     frames = runs = one_frame = 0
     with open(out, "w", encoding="utf-8") as fh:
         for entry in entries:
-            seq = merge_runs(quantize(provider.features_for(entry), codebook))
-            record = {
-                "id": entry.id,
-                "tokens": [int(t) for t in seq.tokens],
-                "durations": [int(d) for d in seq.durations],
-            }
+            tokens, durations = merge_runs(quantize(provider.features_for(entry), codebook))
+            record = {"id": entry.id, "tokens": tokens.tolist(), "durations": durations.tolist()}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-            frames += int(seq.durations.sum())
-            runs += len(seq)
-            one_frame += int((seq.durations == 1).sum())
+            frames += int(durations.sum())
+            runs += len(tokens)
+            one_frame += int((durations == 1).sum())
     _echo_config(cfg, out, is_dir=False)
     print(f"wrote {out} ({len(entries)} entries)")
     share = one_frame / runs if runs else 0.0
@@ -173,6 +170,7 @@ def cmd_finetune(args) -> int:
 def cmd_synthesize(args) -> int:
     if not args.text or not args.text.strip():
         raise UsageError("--text must not be empty")
+    check_synthesis_scales(args.noise_scale, args.length_scale)
     ckpt = tr.load_checkpoint(args.ckpt)
     if ckpt.mode != "finetune":
         raise UsageError(

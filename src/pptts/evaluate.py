@@ -11,7 +11,7 @@ from ._kernels import levenshtein
 from .audio import read_wav
 from .data import ManifestEntry, text_to_phonemes
 from .features import FrameFeatures, PrecomputedProvider, mel_of_waveform
-from .model import SynthesisModel
+from .model import SynthesisModel, check_synthesis_scales
 from .pseudo import Codebook, merge_runs, quantize
 
 
@@ -69,7 +69,7 @@ def token_roundtrip_accuracy(
     expected = np.asarray(expected_tokens, dtype=np.int64).ravel()
     if expected.size == 0:
         raise EvalError("expected token sequence is empty")
-    got = merge_runs(quantize(features, codebook)).tokens
+    got, _ = merge_runs(quantize(features, codebook))
     if got.size == 0:
         raise EvalError("generated wave produced no tokens")
     dist = levenshtein(got, expected)
@@ -124,6 +124,7 @@ def evaluate_manifest(
             "generated audio has no precomputed features; score token "
             "accuracy with the builtin-mel provider"
         )
+    check_synthesis_scales(noise_scale, length_scale)
     multi = model.config.multi_speaker
     report = EvalReport()
     for index, entry in enumerate(entries):
@@ -157,7 +158,7 @@ def evaluate_manifest(
                 else:
                     ref_feats = provider.features_for_wave(ref_wave)
                     gen_feats = provider.features_for_wave(result.wave)
-                expected = merge_runs(quantize(ref_feats, codebook)).tokens
+                expected, _ = merge_runs(quantize(ref_feats, codebook))
                 record["token_acc"] = token_roundtrip_accuracy(gen_feats, expected, codebook)
             report.records.append(record)
         except (EvalError, ValueError, OSError) as exc:

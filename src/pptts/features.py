@@ -287,21 +287,12 @@ class PrecomputedProvider:
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self._dim: int | None = None
 
     def features_for(self, entry: ManifestEntry) -> FrameFeatures:
         path = self.directory / f"{entry.id}.ftfx"
         if not path.exists():
             raise FileNotFoundError(f"no precomputed features for {entry.id}: {path}")
-        feats = read_feature_file(path)
-        if self._dim is None:
-            self._dim = feats.values.shape[1]
-        elif feats.values.shape[1] != self._dim:
-            raise ValueError(
-                f"{entry.id}: feature dim {feats.values.shape[1]} differs from "
-                f"corpus dim {self._dim}"
-            )
-        return feats
+        return read_feature_file(path)
 
 
 FeatureProvider = BuiltinMelProvider | PrecomputedProvider

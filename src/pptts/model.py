@@ -51,6 +51,16 @@ def _is_finite(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
+def check_synthesis_scales(noise_scale, length_scale) -> None:
+    """Refuse a sampling temperature or duration multiplier that
+    :meth:`SynthesisModel.synthesize` cannot use; callers that read audio
+    for a request call this first."""
+    if not (_is_finite(length_scale) and length_scale > 0):
+        raise ModelError(f"length_scale must be a finite number > 0, got {length_scale!r}")
+    if not (_is_finite(noise_scale) and noise_scale >= 0):
+        raise ModelError(f"noise_scale must be a finite number >= 0, got {noise_scale!r}")
+
+
 @dataclass
 class Stats:
     """Diagonal Gaussian statistics, channels-first ``[C, frames]``."""
@@ -462,10 +472,7 @@ class SynthesisModel(Module):
         seed: int = 0,
     ) -> SynthesisResult:
         """Text tokens -> waveform (deterministic given the seed)."""
-        if not (_is_finite(length_scale) and length_scale > 0):
-            raise ModelError(f"length_scale must be a finite number > 0, got {length_scale!r}")
-        if not (_is_finite(noise_scale) and noise_scale >= 0):
-            raise ModelError(f"noise_scale must be a finite number >= 0, got {noise_scale!r}")
+        check_synthesis_scales(noise_scale, length_scale)
         if ref_mel is not None and not self.config.multi_speaker:
             raise ModelError("reference mel given to a single-speaker model")
         with T.no_grad():

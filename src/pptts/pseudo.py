@@ -25,7 +25,6 @@ from .features import BuiltinMelProvider, FeatureProvider, FrameFeatures, Precom
 # Inertia adds the sums of consecutive blocks of this many frames, in order.
 # The fixed summation order keeps reported inertia reproducible bit for bit.
 _INERTIA_BLOCK = 8192
-_V1_MAGIC = "PPCB1"
 _CODEBOOK_MAGIC = "PPCB2"
 
 
@@ -54,25 +53,6 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
-
-
-@dataclass(frozen=True)
-class PseudoPhonemeSequence:
-    """Merged cluster indices with per-token run lengths (frames)."""
-
-    tokens: np.ndarray  # int64, no two adjacent equal
-    durations: np.ndarray  # int64, all >= 1
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.durations):
-            raise ValueError("tokens and durations must have equal length")
-        if len(self.durations) and np.any(self.durations < 1):
-            raise ValueError("durations must be positive")
-        if len(self.tokens) > 1 and np.any(self.tokens[1:] == self.tokens[:-1]):
-            raise ValueError("adjacent tokens must differ")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 def _collect_frames(feature_stream: Iterable[FrameFeatures]) -> tuple[np.ndarray, str]:
@@ -202,7 +182,7 @@ def _separated(centroids: np.ndarray, ids: np.ndarray, d2: np.ndarray) -> np.nda
     provably below a quarter of the squared distance from that centroid to
     the nearest other one.
 
-    ``_kernels._nearest_with_bound(centroids, centroids)`` gives each
+    ``_kernels.nearest_centroids(centroids, centroids)`` gives each
     centroid ``a`` a bound ``s`` on its distance to every centroid but its
     own id; when that id is not ``a`` (a duplicate, or a distance that
     underflows to 0), ``a`` itself is among them and ``s`` is 0. So ``s
@@ -233,7 +213,7 @@ def _separated(centroids: np.ndarray, ids: np.ndarray, d2: np.ndarray) -> np.nda
     centroid ``s`` is +inf and every finite distance is kept.
     """
     rel = _kernels.rounding_margin(centroids.shape[1])
-    _, _, sep = _kernels._nearest_with_bound(centroids, centroids)
+    _, _, sep = _kernels.nearest_centroids(centroids, centroids)
     with np.errstate(over="ignore"):  # a huge separation squares to +inf, still a bound
         half = np.square(sep) * (0.25 * (1 - rel)) - np.finfo(np.float64).tiny
     return d2 < half[ids]
@@ -262,7 +242,7 @@ def _reassign(frames, centroids, moved, shift, ids, d2, lower) -> np.ndarray:
       shift below ``sqrt(d) 2^-537.5`` can read 0; the absolute term
       covers it.
     - ``nextafter`` towards -inf puts each rounded ``L - step`` below the
-      true difference. The bound from :func:`_kernels._nearest_with_bound`
+      true difference. The bound from :func:`_kernels.nearest_centroids`
       may overshoot by half an ulp, a factor ``(1 + u)`` that lowering
       keeps, so the true squared distance to another centroid is at least
       ``L^2 (1 - 2u)``, and its exact expression at least
@@ -293,9 +273,7 @@ def _reassign(frames, centroids, moved, shift, ids, d2, lower) -> np.ndarray:
     rescan = np.flatnonzero(~clear)
     changed = np.zeros(len(centroids), dtype=bool)
     if rescan.size:
-        new_ids, d2[rescan], lower[rescan] = _kernels._nearest_with_bound(
-            frames[rescan], centroids
-        )
+        new_ids, d2[rescan], lower[rescan] = _kernels.nearest_centroids(frames[rescan], centroids)
         old_ids = ids[rescan]
         switched = new_ids != old_ids
         changed[old_ids[switched]] = True
@@ -344,7 +322,7 @@ def train_codebook(
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(frames, k, rng)
     columns = np.ascontiguousarray(frames.T)
-    ids, d2, lower = _kernels._nearest_with_bound(frames, centroids)
+    ids, d2, lower = _kernels.nearest_centroids(frames, centroids)
     counts = np.zeros(k, dtype=np.int64)
     sums = np.zeros((k, frames.shape[1]))
     changed = np.ones(k, dtype=bool)  # clusters whose member set changed
@@ -399,25 +377,23 @@ def quantize(features: FrameFeatures, codebook: Codebook) -> np.ndarray:
         raise ValueError(
             f"feature dim {values.shape[1]} != codebook dim {codebook.dim}"
         )
-    ids, _ = _kernels.nearest_centroids(values, codebook.centroids)
+    ids, _, _ = _kernels.nearest_centroids(values, codebook.centroids)
     return ids
 
 
-def merge_runs(ids: np.ndarray) -> PseudoPhonemeSequence:
-    """Collapse maximal runs of equal indices into (token, run length)."""
+def merge_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse maximal runs of equal indices into int64 ``(tokens,
+    durations)``: no two adjacent tokens are equal and every duration is
+    at least 1."""
     ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return PseudoPhonemeSequence(tokens=empty, durations=empty.copy())
-    boundaries = np.flatnonzero(np.diff(ids) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(ids)]))
-    return PseudoPhonemeSequence(tokens=ids[starts], durations=ends - starts)
+    starts = np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))
+    return ids[starts], np.diff(starts, append=len(ids))
 
 
-def expand_runs(seq: PseudoPhonemeSequence) -> np.ndarray:
+def expand_runs(runs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Inverse of merge_runs: repeat each token by its duration."""
-    return np.repeat(seq.tokens, seq.durations)
+    tokens, durations = runs
+    return np.repeat(tokens, durations)
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +518,13 @@ def _parse_stats(path: str | Path, number: int, line: str, name: str, dim: int) 
 
 
 def load_codebook(path: str | Path) -> Codebook:
-    """Read a ``PPCB2`` file, or a ``PPCB1`` file of the same layout
-    without the front end."""
+    """Read a ``PPCB2`` file as :func:`save_codebook` writes it."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if not header or header[0] not in (_V1_MAGIC, _CODEBOOK_MAGIC):
+        if not header or header[0] != _CODEBOOK_MAGIC:
             raise ValueError(f"{path}: not a codebook file")
         k, dim, seed, fields = _parse_header(path, header[1:])
-        audio = _parse_audio(path, fields) if header[0] == _CODEBOOK_MAGIC else None
+        audio = _parse_audio(path, fields)
         lines = [(number, line) for number, line in enumerate(fh, start=2) if line.strip()]
     mean = std = None
     if audio is not None:
@@ -582,8 +557,8 @@ def codebook_provider(
         raise ValueError(f"{path}: unknown feature provider {codebook.provider_id!r}")
     if codebook.mean is None:
         raise ValueError(
-            f"{path}: codebook records no audio config or feature standardization "
-            "(a PPCB1 file?); re-run `pptts codebook` to write one that does"
+            f"{path}: codebook records no audio config or feature standardization; "
+            "re-run `pptts codebook` to write one that does"
         )
     provider = BuiltinMelProvider(codebook.audio)
     provider.mean, provider.std = codebook.mean, codebook.std
@@ -591,12 +566,13 @@ def codebook_provider(
 
 
 def codebook_hash(codebook: Codebook) -> str:
-    """SHA-256 over the ``PPCB1`` header line and the float64 centroids,
-    then the audio fields and the float32 mean and std of a codebook that
-    records them. A codebook without a front end hashes as its ``PPCB1``
-    file always has."""
+    """SHA-256 over the identity line and the float64 centroids, then the
+    audio fields and the float32 mean and std of a codebook that records
+    them."""
     digest = hashlib.sha256()
-    digest.update((_identity(codebook, _V1_MAGIC) + "\n").encode())
+    # Checkpoint headers store this hash, so it keeps the magic of the first
+    # file format: a new magic would orphan every saved checkpoint.
+    digest.update((_identity(codebook, "PPCB1") + "\n").encode())
     digest.update(np.ascontiguousarray(codebook.centroids, dtype="<f8").tobytes())
     if codebook.audio is not None:
         digest.update(_audio_fields(codebook.audio).encode())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import string
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,14 @@ def generate_synthetic_corpus(
     integral = isinstance(sample_rate, numbers.Integral) and not isinstance(sample_rate, bool)
     if not (integral and sample_rate >= 1):
         raise ValueError(f"sample_rate must be an integer >= 1, got {sample_rate!r}")
+    # Every unjittered sound, the shortest phone and the inter-word silence
+    # included, must hold at least one sample.
+    shortest = min(_SILENCE_S, *(_phone_params(c)[2] for c in string.ascii_lowercase))
+    if round(shortest * sample_rate) < 1:
+        raise ValueError(
+            f"sample_rate {sample_rate} Hz is too low: a {shortest:g} s sound "
+            "would render as zero samples"
+        )
     # A phone is scaled by 1 +/- jitter, which must stay positive.
     for name, jitter in (("formant_jitter", formant_jitter), ("duration_jitter", duration_jitter)):
         if not (isinstance(jitter, numbers.Real) and math.isfinite(jitter) and 0 <= jitter < 1):

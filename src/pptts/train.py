@@ -172,7 +172,7 @@ def prepare_corpus(
         mel = compute_mel(spec, cfg.feature)
         if stage == "pretrain":
             feats = provider.features_for_mel(mel) if reuse_mel else provider.features_for(entry)
-            tokens = merge_runs(quantize(feats, codebook)).tokens
+            tokens, _ = merge_runs(quantize(feats, codebook))
         else:
             tokens = text_to_phonemes(entry.text)
         if tokens.size > spec.shape[0]:

@@ -435,7 +435,7 @@ def _report_by_waves(
         if provider.normalize:
             vals = (vals - provider.mean) / provider.std
         feats = FrameFeatures(vals, provider.provider_id, provider.frame_rate_hz)
-        return merge_runs(quantize(feats, codebook)).tokens
+        return merge_runs(quantize(feats, codebook))[0]
 
     records, errors = [], []
     for index, entry in enumerate(entries):
@@ -552,7 +552,7 @@ def _lloyd_fit(feature_stream, k: int, seed: int, max_iters: int = 100, tol: flo
     values, history = [], []
     inertia = np.inf
     for iteration in range(max_iters):
-        ids, d2 = _kernels.nearest_centroids(frames, centroids)
+        ids, d2, _ = _kernels.nearest_centroids(frames, centroids)
         counts = np.bincount(ids, minlength=k)
         sums = np.stack(
             [np.bincount(ids, weights=frames[:, j], minlength=k) for j in range(dim)],

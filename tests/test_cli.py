@@ -8,6 +8,8 @@ import pytest
 
 import numpy as np
 
+from pptts import cli, evaluate
+from pptts.audio import read_wav
 from pptts.cli import main
 from pptts.config import load_config
 from pptts.data import load_manifest
@@ -392,7 +394,7 @@ class TestTokenizeCommand:
         provider = codebook_provider(workspace["codebook"], codebook)
         entries = load_manifest(workspace["manifest"])
         runs = [merge_runs(quantize(provider.features_for(e), codebook)) for e in entries]
-        durations = np.concatenate([seq.durations for seq in runs])
+        durations = np.concatenate([d for _, d in runs])
         share = np.mean(durations == 1)
         assert capsys.readouterr().err == (
             f"units: {len(entries)} utterances, {durations.sum()} frames, {len(durations)} runs, "
@@ -459,12 +461,12 @@ class TestTokenizeCommand:
 
 @pytest.fixture(scope="module")
 def v1_codebook(workspace):
-    """The workspace codebook in the PPCB1 layout, which records no audio
-    config and no standardization."""
+    """The workspace codebook without its front end, as a PPCB1 file held
+    it: no audio config and no standardization."""
     cb = load_codebook(workspace["codebook"])
     path = workspace["root"] / "codebook_v1.txt"
     rows = "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in cb.centroids)
-    path.write_text(f"PPCB1 k={cb.k} dim={cb.dim} seed={cb.seed} provider={cb.provider_id}\n" + rows)
+    path.write_text(f"PPCB2 k={cb.k} dim={cb.dim} seed={cb.seed} provider={cb.provider_id}\n" + rows)
     return path
 
 
@@ -680,6 +682,23 @@ class TestSynthesizeCommand:
         assert err == f"error: length_scale must be a finite number > 0, got {float(scale)!r}\n"
         assert not out.exists()
 
+    def test_bad_scale_refused_before_reading_the_reference(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        reads = []
+        monkeypatch.setattr(cli, "read_wav", lambda path: reads.append(path) or read_wav(path))
+        ref = load_manifest(workspace["manifest"])[0].audio_path
+        out = tmp_path / "s.wav"
+        code = run(
+            "synthesize", "--ckpt", workspace["fine_ckpt"], "--text", "abcd",
+            "--out", out, "--ref-wav", ref, "--noise-scale", "-1",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: noise_scale must be a finite number >= 0, got -1.0\n"
+        )
+        assert reads == [] and not out.exists()
+
     @pytest.mark.parametrize(
         "bias,message", [(float("nan"), "non-finite"), (1e4, "exceeds"), (15.0, "exceeds")]
     )
@@ -783,6 +802,27 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {codebook}: ") and "no precomputed features" in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--length-scale", "--noise-scale"])
+    def test_bad_scale_refused_once_before_reading_audio(
+        self, workspace, tmp_path, capsys, monkeypatch, flag
+    ):
+        reads = []
+        monkeypatch.setattr(
+            evaluate, "read_wav", lambda path: reads.append(path) or read_wav(path)
+        )
+        out = tmp_path / "r.json"
+        code = run(
+            "eval", "--ckpt", workspace["fine_ckpt"], "--manifest", workspace["manifest"],
+            "--codebook", workspace["codebook"], "--out", out, flag, "-1",
+        )
+        assert code == 1
+        name = flag[2:].replace("-", "_")
+        bound = "> 0" if name == "length_scale" else ">= 0"
+        assert capsys.readouterr().err == (
+            f"error: {name} must be a finite number {bound}, got -1.0\n"
+        )
+        assert reads == [] and not out.exists()
 
     def test_pretrain_checkpoint_exits_one(self, workspace):
         assert (

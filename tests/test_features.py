@@ -22,6 +22,7 @@ from pptts.features import (
     write_feature_file,
     FrameFeatures,
 )
+from pptts.pseudo import train_codebook
 
 
 CFG = AudioConfig(sample_rate=8000, n_fft=256, hop_length=64, win_length=256, n_mels=20)
@@ -303,9 +304,9 @@ class TestPrecomputedProvider:
         write_feature_file(tmp_path / "a.ftfx", np.zeros((3, 8), np.float32), 50.0)
         write_feature_file(tmp_path / "b.ftfx", np.zeros((3, 9), np.float32), 50.0)
         provider = PrecomputedProvider(tmp_path)
-        provider.features_for(ManifestEntry("a", "x.wav", "s", 1.0))
-        with pytest.raises(ValueError, match="dim"):
-            provider.features_for(ManifestEntry("b", "x.wav", "s", 1.0))
+        entries = [ManifestEntry(i, "x.wav", "s", 1.0) for i in ("a", "b")]
+        with pytest.raises(ValueError, match="inconsistent feature dims: 9 vs 8"):
+            train_codebook((provider.features_for(e) for e in entries), k=1, seed=0)
 
 
 class TestBuildProvider:

@@ -88,13 +88,10 @@ def masked_score_bound(points, centroids, ids):
 
 
 def assert_same_as_broadcast(points, centroids):
-    ids, d2, other = _kernels._nearest_with_bound(points, centroids)
+    ids, d2, other = _kernels.nearest_centroids(points, centroids)
     want_ids, want_d2 = broadcast_nearest(points, centroids)
     assert np.array_equal(ids, want_ids)
     assert d2.tobytes() == want_d2.tobytes()
-    public_ids, public_d2 = _kernels.nearest_centroids(points, centroids)
-    assert np.array_equal(public_ids, want_ids)
-    assert public_d2.tobytes() == want_d2.tobytes()
     want_other = masked_score_bound(
         np.asarray(points, np.float64), np.asarray(centroids, np.float64), want_ids
     )
@@ -249,7 +246,7 @@ class TestNearestCentroids:
         rng = np.random.default_rng(6)
         points = rng.normal(size=(200, 7))
         centroids = rng.normal(size=(11, 7))
-        ids, d2 = _kernels.nearest_centroids(points, centroids)
+        ids, d2, _ = _kernels.nearest_centroids(points, centroids)
         want_d2 = np.square(points[:, None, :] - centroids[None, :, :]).sum(axis=2)
         assert np.allclose(d2, want_d2.min(axis=1), atol=1e-9)
         # Assignments must agree wherever the argmin gap is unambiguous.
@@ -260,7 +257,7 @@ class TestNearestCentroids:
     def test_tie_goes_to_lowest_index(self):
         points = np.array([[0.0, 0.0]])
         centroids = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        ids, d2 = _kernels.nearest_centroids(points, centroids)
+        ids, d2, _ = _kernels.nearest_centroids(points, centroids)
         assert ids[0] == 0
         assert d2[0] == 1.0
 
@@ -334,7 +331,7 @@ class TestNearestCentroidsBitIdentity:
 
 
 class TestOtherCentroidBound:
-    """The bound ``_nearest_with_bound`` returns is at most the distance to
+    """The bound ``nearest_centroids`` returns is at most the distance to
     every centroid but a point's own."""
 
     @settings(max_examples=60, deadline=None)
@@ -342,7 +339,7 @@ class TestOtherCentroidBound:
     def test_below_every_other_distance(self, case):
         points, centroids = case
         points = points[:8]
-        ids, _, bound = _kernels._nearest_with_bound(points, centroids)
+        ids, _, bound = _kernels.nearest_centroids(points, centroids)
         # The square root may round up by half an ulp (see the docstring).
         slack = 1 + Fraction(2) ** -51
         for x, own, b in zip(points, ids, bound):
@@ -353,7 +350,7 @@ class TestOtherCentroidBound:
 
     def test_single_centroid_is_unbounded(self):
         points = np.random.default_rng(14).normal(size=(5, 3))
-        _, _, bound = _kernels._nearest_with_bound(points, points[:1])
+        _, _, bound = _kernels.nearest_centroids(points, points[:1])
         assert np.all(bound == np.inf)
 
 
@@ -368,7 +365,7 @@ def test_bench_kernels_script_runs():
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == [
         "mas_assignments", "mas_assignments", "mas_assignments", "levenshtein",
-        "nearest_centroids", "kmeans++", "train_codebook", "train_codebook", "post", "relu", "log-mel",
+        "nearest_centroids", "quantize", "kmeans++", "train_codebook", "train_codebook", "post", "relu", "log-mel",
         "synthetic",
     ]
     assert all(float(row[-1]) > 0 for row in rows)

@@ -13,7 +13,6 @@ from pptts.config import AudioConfig
 from pptts.features import FrameFeatures
 from pptts.pseudo import (
     Codebook,
-    PseudoPhonemeSequence,
     codebook_hash,
     expand_runs,
     load_codebook,
@@ -93,7 +92,7 @@ class TestTrainCodebook:
             low = d2.min(axis=1) * (1 - rel) - np.finfo(np.float64).tiny
             return ids, best, np.sqrt(np.maximum(low, 0.0))
 
-        monkeypatch.setattr(_kernels, "_nearest_with_bound", broadcast_nearest)
+        monkeypatch.setattr(_kernels, "nearest_centroids", broadcast_nearest)
         slow = train_codebook(feats, k=12, seed=3, max_iters=25, tol=0)
         assert calls
         assert codebook_hash(fast) == codebook_hash(slow)
@@ -259,14 +258,14 @@ class TestFitMatchesOracle:
         feats = [make_features(points)]
         want, _, history = lloyd_fit(feats, 12, 4, max_iters=40, tol=0.0)
         calls = []
-        nearest = _kernels._nearest_with_bound
+        nearest = _kernels.nearest_centroids
 
         def counting(frames, centroids):
             if frames is not centroids:  # not the separations of the centroids
                 calls.append(len(frames))
             return nearest(frames, centroids)
 
-        monkeypatch.setattr(_kernels, "_nearest_with_bound", counting)
+        monkeypatch.setattr(_kernels, "nearest_centroids", counting)
         sent = []  # frames sent to the kernel by each pass
 
         def on_iteration(i, _):
@@ -286,6 +285,34 @@ class TestFitMatchesOracle:
         # With the bound test alone the fit sent 1804 frames here; the
         # separation test keeps some of those on their centroid.
         assert sum(sent) < 1804
+
+    def test_fit_calls_the_kernel_by_module_attribute(self, monkeypatch):
+        # Profilers wrap ``_kernels.nearest_centroids`` by attribute, so the
+        # fit must look it up there on every pass: once for the frames sent
+        # to it and once for the separations of the centroids.
+        rng = np.random.default_rng(5)
+        points, _, _ = blob_features(rng, k=8, per_cluster=60, dim=6, spread=1.0, separation=3.0)
+        kernel = _kernels.nearest_centroids
+        calls = []
+
+        def wrapped(frames, centroids):
+            calls.append("separations" if frames is centroids else len(frames))
+            return kernel(frames, centroids)
+
+        monkeypatch.setattr(_kernels, "nearest_centroids", wrapped)
+        passes = []
+
+        def on_iteration(i, _):
+            passes.append(list(calls))
+            calls.clear()
+
+        # This fit is still moving its centroids after 10 passes.
+        train_codebook([make_features(points)], 12, 4, max_iters=10, tol=0.0,
+                       on_iteration=on_iteration)
+        assert len(passes) == 10
+        assert passes[0] == [len(points)]
+        for later in passes[1:]:
+            assert later.count("separations") == 1
 
     def test_passes_sum_only_changed_clusters(self, monkeypatch, lloyd_fit, kmeans_pp_seed):
         rng = np.random.default_rng(5)
@@ -329,7 +356,7 @@ class TestSeparationTest:
 
     @staticmethod
     def assert_kept_frames_separated(frames, centroids):
-        ids, d2 = _kernels.nearest_centroids(frames, centroids)
+        ids, d2, _ = _kernels.nearest_centroids(frames, centroids)
         kept = pseudo._separated(centroids, ids, d2)
         computed = np.square(frames[:, None, :] - centroids[None, :, :]).sum(axis=2)
         for x, own, row in zip(frames[kept], ids[kept], computed[kept]):
@@ -379,7 +406,7 @@ class TestSeparationTest:
 
     def test_single_centroid_keeps_every_finite_frame(self):
         frames = np.random.default_rng(8).normal(size=(5, 3))
-        ids, d2 = _kernels.nearest_centroids(frames, frames[:1])
+        ids, d2, _ = _kernels.nearest_centroids(frames, frames[:1])
         assert pseudo._separated(frames[:1], ids, d2).all()
 
 
@@ -405,21 +432,21 @@ class TestQuantize:
 
 class TestRuns:
     def test_merge_example(self):
-        seq = merge_runs(np.array([3, 3, 5, 5, 5, 2]))
-        assert seq.tokens.tolist() == [3, 5, 2]
-        assert seq.durations.tolist() == [2, 3, 1]
+        tokens, durations = merge_runs(np.array([3, 3, 5, 5, 5, 2]))
+        assert tokens.tolist() == [3, 5, 2]
+        assert durations.tolist() == [2, 3, 1]
 
     def test_no_adjacent_duplicates(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             ids = rng.integers(0, 4, size=rng.integers(1, 40))
-            seq = merge_runs(ids)
-            assert np.all(np.diff(seq.tokens) != 0)
+            tokens, _ = merge_runs(ids)
+            assert np.all(np.diff(tokens) != 0)
 
     def test_empty(self):
-        seq = merge_runs(np.array([], dtype=np.int64))
-        assert len(seq.tokens) == 0 and len(seq.durations) == 0
-        assert expand_runs(seq).size == 0
+        runs = merge_runs(np.array([], dtype=np.int64))
+        assert len(runs[0]) == 0 and len(runs[1]) == 0
+        assert expand_runs(runs).size == 0
 
     @settings(max_examples=200)
     @given(st.lists(st.integers(0, 9), min_size=0, max_size=60))
@@ -429,8 +456,8 @@ class TestRuns:
 
     def test_durations_sum(self):
         ids = np.array([1, 1, 2, 2, 2, 1])
-        seq = merge_runs(ids)
-        assert seq.durations.sum() == len(ids)
+        _, durations = merge_runs(ids)
+        assert durations.sum() == len(ids)
 
 
 class TestCodebookIO:
@@ -487,17 +514,38 @@ class TestCodebookIO:
         with pytest.raises(ValueError, match="together"):
             save_codebook(tmp_path / "cb.txt", cb)
 
-    def test_v1_file_loads_with_its_hash(self, tmp_path):
+    def test_ppcb1_file_is_refused(self, tmp_path):
         cb = self._codebook()
-        header = f"PPCB1 k=4 dim=3 seed=9 provider={cb.provider_id}\n"
         path = tmp_path / "cb.txt"
-        path.write_text(header + "".join(" ".join(repr(float(v)) for v in row) + "\n"
-                                         for row in cb.centroids))
-        back = load_codebook(path)
-        assert back.centroids.tobytes() == cb.centroids.tobytes()
-        assert (back.audio, back.mean, back.std) == (None, None, None)
-        digest = hashlib.sha256(header.encode() + cb.centroids.astype("<f8").tobytes())
-        assert codebook_hash(back) == codebook_hash(cb) == digest.hexdigest()
+        save_codebook(path, cb)
+        path.write_text(path.read_text().replace("PPCB2", "PPCB1", 1))
+        with pytest.raises(ValueError, match="not a codebook file") as info:
+            load_codebook(path)
+        assert str(path) in str(info.value)
+
+    def test_hash_is_pinned(self):
+        # Checkpoint headers store this digest: a change to it orphans
+        # every saved checkpoint.
+        cb = Codebook(np.array([[0.0, -1.5, 2.25], [1e-3, 3.0, -0.125]]), 9, "test")
+        assert codebook_hash(cb) == (
+            "81f87c811340b36b0c7d7d68cff503b38b0b32ef136602fda6e4611210d58881"
+        )
+        digest = hashlib.sha256(
+            b"PPCB1 k=2 dim=3 seed=9 provider=test\n" + cb.centroids.astype("<f8").tobytes()
+        )
+        assert codebook_hash(cb) == digest.hexdigest()
+        audio = AudioConfig(
+            sample_rate=8000, n_fft=256, hop_length=64, win_length=200, center=False,
+            n_mels=3, fmin=31.7, fmax=3999.9, mel_floor=1.234567e-7,
+        )
+        front = dataclasses.replace(
+            cb, provider_id="builtin-mel", audio=audio,
+            mean=np.array([0.5, -2.0, 7.25], dtype=np.float32),
+            std=np.array([1.0, 0.25, 3.0], dtype=np.float32),
+        )
+        assert codebook_hash(front) == (
+            "e363ac7b92211005e749fd7a7e2e8492252e2885eafc7d13844a7b3e51f1e6bd"
+        )
 
     @pytest.mark.parametrize(
         "line, row, message",
@@ -575,11 +623,11 @@ class TestCodebookIO:
     @pytest.mark.parametrize(
         "header, message",
         [
-            ("PPCB1 k=1 dim=1 seed=0", "lacks the 'provider' field"),
-            ("PPCB1 k=1 dim=1 provider=x", "lacks the 'seed' field"),
-            ("PPCB1 k=1 dim=1 seed=0 provider=x junk", "malformed codebook header field 'junk'"),
-            ("PPCB1 k=one dim=1 seed=0 provider=x", "k='one' is not an integer"),
-            ("PPCB1 k=0 dim=1 seed=0 provider=x", "k=0 must be >= 1"),
+            ("PPCB2 k=1 dim=1 seed=0", "lacks the 'provider' field"),
+            ("PPCB2 k=1 dim=1 provider=x", "lacks the 'seed' field"),
+            ("PPCB2 k=1 dim=1 seed=0 provider=x junk", "malformed codebook header field 'junk'"),
+            ("PPCB2 k=one dim=1 seed=0 provider=x", "k='one' is not an integer"),
+            ("PPCB2 k=0 dim=1 seed=0 provider=x", "k=0 must be >= 1"),
         ],
     )
     def test_malformed_header(self, tmp_path, header, message):
@@ -592,8 +640,8 @@ class TestCodebookIO:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("PPCB1 k=2 dim=2 seed=0 provider=x\n0.0 1.0\n2.0\n", "line 3 has 1 values"),
-            ("PPCB1 k=1 dim=2 seed=0 provider=x\n0.0 abc\n", "line 2 is not a row of numbers"),
+            ("PPCB2 k=2 dim=2 seed=0 provider=x\n0.0 1.0\n2.0\n", "line 3 has 1 values"),
+            ("PPCB2 k=1 dim=2 seed=0 provider=x\n0.0 abc\n", "line 2 is not a row of numbers"),
         ],
     )
     def test_malformed_body(self, tmp_path, text, message):
@@ -620,17 +668,3 @@ class TestCodebookIO:
         assert codebook_hash(load_codebook(path)) == h1
         bumped = Codebook(cb.centroids + 1e-12, cb.seed, cb.provider_id)
         assert codebook_hash(bumped) != h1
-
-
-class TestPseudoSequence:
-    def test_validates_shapes(self):
-        with pytest.raises(ValueError):
-            PseudoPhonemeSequence(
-                tokens=np.array([1, 2]), durations=np.array([1])
-            )
-
-    def test_validates_positive_durations(self):
-        with pytest.raises(ValueError):
-            PseudoPhonemeSequence(
-                tokens=np.array([1]), durations=np.array([0])
-            )

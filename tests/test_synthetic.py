@@ -157,6 +157,7 @@ class TestCorpus:
             ({"formant_jitter": 1.0}, "formant_jitter must be .*, got 1.0"),
             ({"duration_jitter": float("inf")}, "duration_jitter must be .*, got inf"),
             ({"duration_jitter": -0.01}, "duration_jitter must be .*, got -0.01"),
+            ({"sample_rate": 8}, "sample_rate 8 Hz is too low: a 0.06 s sound"),
         ],
     )
     def test_invalid_rendering_settings_rejected_before_writing(self, tmp_path, kwargs, message):

@@ -185,7 +185,7 @@ class TestPrepareCorpus:
         want = []
         for entry in corpus:
             spec = compute_linear_spectrogram(read_wav(entry.audio_path)[0], AUDIO)
-            tokens = merge_runs(quantize(provider.features_for(entry), codebook)).tokens
+            tokens, _ = merge_runs(quantize(provider.features_for(entry), codebook))
             want.append((spec, compute_mel(spec, AUDIO), tokens))
         reads, mels = [], []
 
