@@ -3,11 +3,12 @@
 
 Loads the ``pptts`` package of two source trees into one process, under the
 names ``pptts_a`` and ``pptts_b`` (the package imports itself only
-relatively, so each tree's modules bind to their own copy). Both build the
-same corpus, model and optimizer at the sizes of the ``perfbench`` workload
-of the stage, then training steps alternate between them: A then B on even
-steps, B then A on odd ones. Every step's loss metrics must be equal in
-both trees, so the comparison holds only for changes that keep the bits.
+relatively, so each tree's modules bind to their own copy). Both set up the
+same stage with ``train.start_run`` at the sizes of the ``perfbench``
+workload of the stage, so both trees must have that function. Training
+steps then alternate between them: A then B on even steps, B then A on odd
+ones. Every step's loss metrics must be equal in both trees, so the
+comparison holds only for changes that keep the bits.
 
 Prints the median step time of each tree and the median, quartiles and win
 share of the per-step ratio B / A. Host speed swings move both halves of a
@@ -69,11 +70,11 @@ def load_tree(src: str | Path, name: str):
 
 
 class Trainer:
-    """One tree's model, optimizer and prepared items for one stage."""
+    """One tree's training run of one stage, set up by ``train.start_run``."""
 
     def __init__(self, pkg_name: str, stage: str, corpus: Path, seed: int, k: int):
         mod = {m: importlib.import_module(f"{pkg_name}.{m}") for m in (
-            "config", "data", "features", "model", "nn", "pseudo", "synthetic", "train",
+            "config", "data", "features", "model", "pseudo", "train",
         )}
         cfg_mod, train = mod["config"], mod["train"]
         self.train = train
@@ -97,38 +98,21 @@ class Trainer:
             codebook = mod["pseudo"].train_codebook(
                 (provider.features_for(e) for e in entries), k=k, seed=seed
             )
-            model = mod["model"].SynthesisModel(model_cfg, audio, "pretrain", seed=seed)
-            items = train.prepare_corpus(entries, cfg, stage, codebook, provider)
+            self.run = train.start_run(entries, cfg, codebook, provider=provider)
         else:
             entries = mod["data"].load_manifest(corpus / "labeled" / "manifest.jsonl")
             pre = mod["model"].SynthesisModel(model_cfg, audio, "pretrain", seed=seed)
             path = corpus / f"{pkg_name}.ckpt"
             train.save_checkpoint(pre, path, stage="pretrain", seed=seed)
-            model = train.init_finetune_from_pretrained(train.load_checkpoint(path), seed=seed)
-            items = train.prepare_corpus(entries, cfg, stage)
-        partition = train.partition_parameters(model, stage)
-        train.apply_partition(model, partition)
-        if train.encoders_frozen(model, partition):
-            items = train.encode_frozen(model, items)
-        named = dict(model.named_parameters())
-        lr_scales = None
-        if partition.finetuned and tcfg.scratch_lr_multiplier != 1.0:
-            lr_scales = {n: tcfg.scratch_lr_multiplier for n in partition.scratch}
-        self.optimizer = mod["nn"].AdamW(
-            [(n, named[n]) for n in sorted(partition.trainable)],
-            lr=tcfg.learning_rate, weight_decay=tcfg.weight_decay, lr_scales=lr_scales,
-        )
-        self.model, self.partition, self.items = model, partition, items
-        self.include_recon = stage == "pretrain"
+            self.run = train.start_run(entries, cfg, init_ckpt=path)
 
     def step(self, index: int) -> tuple[dict[str, float], float]:
         """Loss metrics and wall time in ms of training step ``index``."""
-        n = len(self.items)
-        batch = [self.items[(index * BATCH + j) % n] for j in range(min(BATCH, n))]
+        run = self.run
+        batch = run.next_batch(BATCH)
         t0 = time.perf_counter()
         metrics = self.train.training_step(
-            self.model, self.optimizer, batch, self.tcfg, index, self.partition,
-            self.include_recon,
+            run.model, run.optimizer, batch, self.tcfg, index, run.frozen
         )
         return metrics, (time.perf_counter() - t0) * 1e3
 
@@ -196,6 +180,8 @@ def main(argv=None) -> int:
     names = ["pptts_a", "pptts_b"]
     for tree, name in zip((args.a, args.b), names):
         load_tree(tree, name)
+        if not hasattr(importlib.import_module(f"{name}.train"), "start_run"):
+            parser.error(f"{tree}: pptts.train has no start_run, so its stages cannot be set up")
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp)
         make_corpus(names[0], args.stage, corpus, args.seed, args.utts)

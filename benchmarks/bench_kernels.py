@@ -3,12 +3,13 @@
 two of the decoder's audio-rate layers from ``pptts.tensor``, and one pass
 of the audio front end from ``pptts.features``.
 
-Prints one row per kernel with the median wall time of one call. The layer
-rows take the input the decoder gives them in a pretrain step at the
-acceptance sizes: the F-ordered [16, 3456] output of the last upsampling
-stage (a 54-frame utterance at hop 64). ``post conv1d`` is the decoder's
-last convolution (16 channels to 1, 7 taps, padding 3), forward plus
-backward to the weight, bias and input; ``relu`` is one forward.
+Prints one row per kernel with the median wall time of one call, over at
+least 7 calls and at least 0.5 s of timed calls. The layer rows take the
+input the decoder gives them in a pretrain step at the acceptance sizes:
+the F-ordered [16, 3456] output of the last upsampling stage (a 54-frame
+utterance at hop 64). ``post conv1d`` is the decoder's last convolution
+(16 channels to 1, 7 taps, padding 3), forward plus backward to the
+weight, bias and input; ``relu`` is one forward.
 ``quantize`` assigns one utterance's float32 frames to a k=9 codebook,
 the per-utterance call of tokenizing and of scoring a synthesis request.
 ``log-mel`` is ``mel_of_waveform`` (STFT, filterbank, log) of 1.5 s of
@@ -55,11 +56,14 @@ from pptts.synthetic import generate_synthetic_corpus, random_texts
 AUDIO = AudioConfig(sample_rate=8000, n_fft=256, hop_length=64, win_length=128, n_mels=20)
 
 
-def _median_ms(fn, args, repeats: int = 7) -> float:
-    """Median wall time of one call after one warm-up call, in milliseconds."""
+def _median_ms(fn, args, min_calls: int = 7, min_s: float = 0.5) -> float:
+    """Median wall time of one call in milliseconds, after one warm-up call,
+    over at least ``min_calls`` calls and at least ``min_s`` seconds, so a
+    sub-millisecond row takes its median over thousands of calls."""
     fn(*args)
     samples = []
-    for _ in range(repeats):
+    deadline = time.perf_counter() + min_s
+    while len(samples) < min_calls or time.perf_counter() < deadline:
         t0 = time.perf_counter()
         fn(*args)
         samples.append((time.perf_counter() - t0) * 1e3)

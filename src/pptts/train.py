@@ -49,36 +49,15 @@ class TrainError(ValueError):
     """Raised for invalid training setups or broken checkpoints."""
 
 
-# -- parameter partitioning -------------------------------------------------
+def _transfer_split(model: SynthesisModel) -> tuple[frozenset[str], frozenset[str]]:
+    """The frozen and the scratch parameter names of a transfer fine-tune.
 
-
-@dataclass(frozen=True)
-class ParameterPartition:
-    """Disjoint split of parameter names by training treatment."""
-
-    frozen: frozenset[str]
-    finetuned: frozenset[str]
-    scratch: frozenset[str]
-
-    @property
-    def trainable(self) -> frozenset[str]:
-        return self.finetuned | self.scratch
-
-
-def partition_parameters(model: SynthesisModel, stage: str) -> ParameterPartition:
-    """Assign every model parameter to frozen / finetuned / scratch.
-
-    Pre-training (and the from-scratch baseline) trains everything. For
-    fine-tuning the assignment is by name prefix; an unrecognized prefix is
-    an error rather than a silent default.
+    The assignment is by name prefix; the flow's names are in neither set.
+    A pseudo token encoder or an unrecognized prefix is an error rather than
+    a silent default.
     """
-    names = [name for name, _ in model.named_parameters()]
-    if stage == "pretrain":
-        return ParameterPartition(frozenset(), frozenset(), frozenset(names))
-    if stage != "finetune":
-        raise TrainError(f"unknown stage {stage!r}")
-    frozen, finetuned, scratch = set(), set(), set()
-    for name in names:
+    frozen, scratch = set(), set()
+    for name, _ in model.named_parameters():
         if name.startswith("pseudo_encoder."):
             raise TrainError(
                 "pseudo token encoder has no role in fine-tuning; "
@@ -86,24 +65,11 @@ def partition_parameters(model: SynthesisModel, stage: str) -> ParameterPartitio
             )
         if name.startswith(_FROZEN_PREFIXES):
             frozen.add(name)
-        elif name.startswith(_FINETUNED_PREFIXES):
-            finetuned.add(name)
         elif name.startswith(_SCRATCH_PREFIXES):
             scratch.add(name)
-        else:
+        elif not name.startswith(_FINETUNED_PREFIXES):
             raise TrainError(f"parameter {name!r} has no fine-tuning assignment")
-    return ParameterPartition(frozenset(frozen), frozenset(finetuned), frozenset(scratch))
-
-
-def apply_partition(model: SynthesisModel, partition: ParameterPartition) -> None:
-    """Mark frozen parameters non-trainable and write-protect their data."""
-    for name, param in model.named_parameters():
-        if name in partition.frozen:
-            param.requires_grad = False
-            param.grad = None
-            param.data.setflags(write=False)
-        else:
-            param.requires_grad = True
+    return frozenset(frozen), frozenset(scratch)
 
 
 # -- corpus preparation -----------------------------------------------------
@@ -185,20 +151,6 @@ def prepare_corpus(
 
 
 # -- loss computation -------------------------------------------------------
-
-
-def encoders_frozen(model: SynthesisModel, partition: ParameterPartition) -> bool:
-    """Whether the posterior encoder, and the reference encoder of a
-    multi-speaker model, are frozen, so that their outputs for an utterance
-    never change during the run."""
-    encoders = {"posterior.": model.posterior}
-    if model.config.multi_speaker:
-        encoders["reference."] = model.reference
-    return all(
-        name in partition.frozen
-        for prefix, encoder in encoders.items()
-        for name, _ in encoder.named_parameters(prefix)
-    )
 
 
 def encode_frozen(
@@ -303,17 +255,21 @@ def training_step(
     items: list[PreparedUtterance],
     cfg,
     step_index: int,
-    partition: ParameterPartition,
-    include_recon: bool,
+    frozen: frozenset[str],
 ) -> dict[str, float]:
     """One optimizer update over a batch. Returns scalar loss metrics.
 
-    Items may carry the outputs of :func:`encode_frozen` only under a
-    partition for which :func:`encoders_frozen` holds.
+    ``frozen`` names the parameters the stage keeps fixed. The mel
+    reconstruction term applies whenever the decoder trains. Items may carry
+    the outputs of :func:`encode_frozen` only if every encoder parameter is
+    frozen.
     """
-    encoded = any(item.post is not None for item in items)
-    if encoded and not encoders_frozen(model, partition):
+    if any(item.post is not None for item in items) and any(
+        name.startswith(("posterior.", "reference.")) and name not in frozen
+        for name, _ in model.named_parameters()
+    ):
         raise TrainError("frozen encodings given for trainable encoders")
+    include_recon = not any(name.startswith("decoder.") for name in frozen)
     eps = [
         _sample_eps(model, item, seeded_rng(cfg.seed, step_index, j))
         for j, item in enumerate(items)
@@ -329,7 +285,7 @@ def training_step(
     optimizer.zero_grad()
     total.backward()
     params = dict(model.named_parameters())
-    for name in partition.frozen:
+    for name in frozen:
         if params[name].grad is not None:
             raise TrainError(f"gradient reached frozen parameter {name!r}")
     optimizer.step()
@@ -597,6 +553,115 @@ def init_finetune_from_pretrained(ckpt: Checkpoint, seed: int) -> SynthesisModel
 # -- training loop ----------------------------------------------------------
 
 
+def _check_ckpt_compat(cfg: RunConfig, ckpt: Checkpoint) -> None:
+    """Refuse a checkpoint whose configs differ from the run's, naming each field."""
+    diffs = [
+        f"[{section}]: {f.name} is {getattr(saved, f.name)} in the checkpoint, "
+        f"{getattr(wanted, f.name)} in the config"
+        for section, saved, wanted in (
+            ("model", ckpt.config, cfg.model), ("feature", ckpt.audio, cfg.feature)
+        )
+        for f in dataclasses.fields(saved)
+        if getattr(saved, f.name) != getattr(wanted, f.name)
+    ]
+    if diffs:
+        raise TrainError(
+            "checkpoint does not match the config: " + "; ".join(diffs)
+            + "; re-run with the checkpoint's settings"
+        )
+
+
+@dataclass
+class Run:
+    """One training stage set up by :func:`start_run`. ``optimizer`` holds
+    every parameter not named in ``frozen``; ``order`` and ``epoch`` are
+    the batch-order state of :meth:`next_batch`."""
+
+    model: SynthesisModel
+    optimizer: AdamW
+    items: list[PreparedUtterance]
+    frozen: frozenset[str]
+    seed: int
+    order: list[int] = dataclasses.field(default_factory=list)
+    epoch: int = 0
+
+    def next_batch(self, size: int) -> list[PreparedUtterance]:
+        """The next ``size`` items (at most the corpus), popped from a
+        per-epoch shuffled order seeded from the run seed."""
+        picks = []
+        while len(picks) < min(size, len(self.items)):
+            if not self.order:
+                rng = seeded_rng(self.seed, 1_000_003, self.epoch)
+                self.order = list(rng.permutation(len(self.items)))
+                self.epoch += 1
+            picks.append(self.order.pop())
+        return [self.items[i] for i in picks]
+
+
+def start_run(
+    entries: list[ManifestEntry],
+    cfg: RunConfig,
+    codebook: Codebook | None = None,
+    init_ckpt: str | Path | None = None,
+    provider=None,
+) -> Run:
+    """Build the model, items and optimizer of one training stage.
+
+    Pre-training and the from-scratch fine-tune train every parameter. A
+    transfer fine-tune, from a pre-training checkpoint, freezes the names of
+    :func:`_transfer_split` (no gradient, read-only data, outputs encoded
+    here once) and trains its scratch names at ``scratch_lr_multiplier``
+    times the learning rate. Pre-training needs ``codebook`` and the
+    ``provider`` it was fitted with (see :func:`prepare_corpus`).
+    """
+    tcfg = cfg.train
+    frozen = scratch = frozenset()
+    if tcfg.stage == "pretrain":
+        if tcfg.from_scratch:
+            raise TrainError("from_scratch only applies to the finetune stage")
+        model = SynthesisModel(cfg.model, cfg.feature, "pretrain", seed=tcfg.seed)
+        if init_ckpt is not None:
+            ckpt = load_checkpoint(init_ckpt)
+            if ckpt.mode != "pretrain":
+                raise TrainError("initial checkpoint is not a pre-training checkpoint")
+            _check_ckpt_compat(cfg, ckpt)
+            if codebook is not None and ckpt.codebook_hash not in (None, codebook_hash(codebook)):
+                warnings.warn(
+                    "resuming with a different codebook than the checkpoint "
+                    "was trained with; pseudo token targets will not line up",
+                    stacklevel=2,
+                )
+            _load_params(model, ckpt.params, require_all=True)
+    elif tcfg.from_scratch:  # finetune, the only other stage a TrainConfig takes
+        if init_ckpt is not None:
+            raise TrainError("from_scratch and an initial checkpoint are exclusive")
+        model = SynthesisModel(cfg.model, cfg.feature, "finetune", seed=tcfg.seed)
+    else:
+        if init_ckpt is None:
+            raise TrainError("fine-tuning requires an initial checkpoint")
+        ckpt = load_checkpoint(init_ckpt)
+        _check_ckpt_compat(cfg, ckpt)
+        model = init_finetune_from_pretrained(ckpt, seed=tcfg.seed)
+        frozen, scratch = _transfer_split(model)
+
+    items = prepare_corpus(entries, cfg, tcfg.stage, codebook, provider)
+    named = dict(model.named_parameters())
+    for name in frozen:
+        named[name].requires_grad = False
+        named[name].grad = None
+        named[name].data.setflags(write=False)
+    if frozen:  # frozen encoders give each item the same outputs at every step
+        items = encode_frozen(model, items)
+    multiplier = tcfg.scratch_lr_multiplier
+    optimizer = AdamW(
+        [(n, named[n]) for n in sorted(named) if n not in frozen],
+        lr=tcfg.learning_rate,
+        weight_decay=tcfg.weight_decay,
+        lr_scales={n: multiplier for n in scratch} if multiplier != 1.0 else None,
+    )
+    return Run(model, optimizer, items, frozen, tcfg.seed)
+
+
 @dataclass
 class TrainResult:
     model: SynthesisModel
@@ -607,16 +672,6 @@ class TrainResult:
     elapsed_s: float = 0.0
 
 
-def _check_ckpt_compat(cfg: RunConfig, ckpt: Checkpoint) -> None:
-    if ckpt.config != cfg.model:
-        raise TrainError(
-            "model config does not match checkpoint (channel/size mismatch); "
-            "re-run with the checkpoint's model settings"
-        )
-    if ckpt.audio != cfg.feature:
-        raise TrainError("feature config does not match checkpoint")
-
-
 def run_training(
     entries: list[ManifestEntry],
     cfg: RunConfig,
@@ -625,74 +680,16 @@ def run_training(
     init_ckpt: str | Path | None = None,
     provider=None,
 ) -> TrainResult:
-    """Run one full training stage and write metrics + checkpoints.
+    """Run one full training stage (see :func:`start_run`) and write
+    metrics + checkpoints.
 
-    Pre-training needs ``codebook`` and ``provider``, the feature provider
-    the codebook was fitted with (see :func:`prepare_corpus`).
-
-    Batches cycle through a per-epoch shuffled order seeded from the run
-    seed, so reruns with identical inputs produce identical parameter bytes
-    and metric values.
+    Reruns with identical inputs produce identical parameter bytes and
+    metric values.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tcfg = cfg.train
-    stage = tcfg.stage
-
-    if stage == "pretrain":
-        if tcfg.from_scratch:
-            raise TrainError("from_scratch only applies to the finetune stage")
-        model = SynthesisModel(cfg.model, cfg.feature, "pretrain", seed=tcfg.seed)
-        if init_ckpt is not None:
-            ckpt = load_checkpoint(init_ckpt)
-            if ckpt.mode != "pretrain":
-                raise TrainError("initial checkpoint is not a pre-training checkpoint")
-            _check_ckpt_compat(cfg, ckpt)
-            if codebook is not None and ckpt.codebook_hash is not None:
-                if ckpt.codebook_hash != codebook_hash(codebook):
-                    warnings.warn(
-                        "resuming with a different codebook than the checkpoint "
-                        "was trained with; pseudo token targets will not line up",
-                        stacklevel=2,
-                    )
-            _load_params(model, ckpt.params, require_all=True)
-        partition = partition_parameters(model, "pretrain")
-    else:  # finetune, the only other stage a TrainConfig takes
-        if tcfg.from_scratch:
-            if init_ckpt is not None:
-                raise TrainError("from_scratch and an initial checkpoint are exclusive")
-            model = SynthesisModel(cfg.model, cfg.feature, "finetune", seed=tcfg.seed)
-            partition = partition_parameters(model, "pretrain")  # train everything
-        else:
-            if init_ckpt is None:
-                raise TrainError("fine-tuning requires an initial checkpoint")
-            ckpt = load_checkpoint(init_ckpt)
-            _check_ckpt_compat(cfg, ckpt)
-            model = init_finetune_from_pretrained(ckpt, seed=tcfg.seed)
-            partition = partition_parameters(model, "finetune")
-
-    items = prepare_corpus(entries, cfg, stage, codebook, provider)
-    apply_partition(model, partition)
-    # Frozen encoders give each item the same outputs at every step.
-    if encoders_frozen(model, partition):
-        items = encode_frozen(model, items)
-
-    named = dict(model.named_parameters())
-    trainable = [(n, named[n]) for n in sorted(partition.trainable)]
-    # Fresh heads may take larger steps than carried-over weights, but only
-    # when the two kinds actually coexist (true fine-tuning).
-    lr_scales = None
-    if partition.finetuned and tcfg.scratch_lr_multiplier != 1.0:
-        lr_scales = {n: tcfg.scratch_lr_multiplier for n in partition.scratch}
-    optimizer = AdamW(
-        trainable,
-        lr=tcfg.learning_rate,
-        weight_decay=tcfg.weight_decay,
-        lr_scales=lr_scales,
-    )
-
-    # Reconstruction applies whenever the decoder participates in training.
-    include_recon = stage == "pretrain" or tcfg.from_scratch
+    run = start_run(entries, cfg, codebook, init_ckpt, provider)
 
     metrics_path = out_dir / "metrics.jsonl"
     ckpt_path = out_dir / "model_final.ckpt"
@@ -700,26 +697,16 @@ def run_training(
 
     def save(path: Path) -> None:
         save_checkpoint(
-            model, path, stage=stage, seed=tcfg.seed, codebook_hash=cb_hash,
-            optimizer=optimizer, from_scratch=tcfg.from_scratch,
+            run.model, path, stage=tcfg.stage, seed=tcfg.seed, codebook_hash=cb_hash,
+            optimizer=run.optimizer, from_scratch=tcfg.from_scratch,
         )
 
-    order: list[int] = []
-    epoch = 0
     t0 = time.perf_counter()
     last_metrics: dict[str, float] = {}
     with open(metrics_path, "w", encoding="utf-8") as log:
         for it in range(1, tcfg.iterations + 1):
-            picks = []
-            while len(picks) < min(tcfg.batch_size, len(items)):
-                if not order:
-                    rng = seeded_rng(tcfg.seed, 1_000_003, epoch)
-                    order = list(rng.permutation(len(items)))
-                    epoch += 1
-                picks.append(order.pop())
-            batch = [items[i] for i in picks]
             last_metrics = training_step(
-                model, optimizer, batch, tcfg, it, partition, include_recon
+                run.model, run.optimizer, run.next_batch(tcfg.batch_size), tcfg, it, run.frozen
             )
             if it % tcfg.log_interval == 0:
                 # Metric lines carry no wall-clock values so reruns with the
@@ -735,10 +722,10 @@ def run_training(
 
     save(ckpt_path)
     return TrainResult(
-        model=model,
+        model=run.model,
         checkpoint_path=ckpt_path,
         metrics_path=metrics_path,
-        decoder_calls=model.decoder.calls,
+        decoder_calls=run.model.decoder.calls,
         final_metrics=last_metrics,
         elapsed_s=time.perf_counter() - t0,
     )

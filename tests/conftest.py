@@ -335,7 +335,7 @@ def conv1d_chain():
     return _conv1d_chain
 
 
-def _per_utterance_step(model, optimizer, items, cfg, step_index, partition, include_recon):
+def _per_utterance_step(model, optimizer, items, cfg, step_index, frozen):
     """``train.training_step`` as a loop that runs every encoder and one
     alignment search per utterance; encodings stored on the items are
     ignored."""
@@ -344,6 +344,7 @@ def _per_utterance_step(model, optimizer, items, cfg, step_index, partition, inc
     from pptts.model import Stats
     from pptts.seeding import seeded_rng
 
+    include_recon = not any(name.startswith("decoder.") for name in frozen)
     terms = []
     for j, item in enumerate(items):
         rng = seeded_rng(cfg.seed, step_index, j)

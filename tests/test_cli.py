@@ -549,6 +549,24 @@ class TestTrainingCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("model.multi_speaker=true", "[model]: multi_speaker is False in the checkpoint, True"),
+            ("model.flow_hidden=16", "[model]: flow_hidden is 12 in the checkpoint, 16"),
+            ("feature.n_mels=16", "[feature]: n_mels is 10 in the checkpoint, 16 in the config"),
+        ],
+    )
+    def test_checkpoint_mismatch_names_the_field(self, workspace, tmp_path, capsys, override,
+                                                 message):
+        code = run(
+            "finetune", "--config", workspace["config"], "--manifest", workspace["manifest"],
+            "--init-ckpt", workspace["pre_ckpt"], "--out-dir", tmp_path / "fine", "--set", override,
+        )
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == 1 and line.startswith("error: ") and message in line
+        assert not (tmp_path / "fine" / "model_final.ckpt").exists()
+
     def test_pretrain_outputs(self, workspace):
         pre_dir = workspace["pre_ckpt"].parent
         assert (pre_dir / "config.json").exists()

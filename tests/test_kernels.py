@@ -419,6 +419,6 @@ def test_ab_steps_refuses_different_losses(tmp_path):
         ab.load_tree(root / "src", name)
     ab.make_corpus("pptts_a", "finetune", tmp_path, seed=1, utts=0)
     a, b = (ab.Trainer(name, "finetune", tmp_path, seed=1, k=0) for name in ("pptts_a", "pptts_b"))
-    b.optimizer.lr *= 2
+    b.run.optimizer.lr *= 2
     with pytest.raises(ValueError, match="step 2: losses differ"):
         ab.compare(a, b, steps=2, warmup=0)

@@ -1,4 +1,4 @@
-"""Two-stage training: partitioning, corpus prep, steps, checkpoints, loop."""
+"""Two-stage training: stage set-up, corpus prep, steps, checkpoints, loop."""
 
 import dataclasses
 import json
@@ -25,18 +25,19 @@ from pptts import losses as losses_module
 from pptts.model import CouplingBlock, SynthesisModel
 from pptts.pseudo import codebook_hash, merge_runs, quantize, train_codebook
 from pptts.synthetic import generate_synthetic_corpus
+from pptts.seeding import seeded_rng
 from pptts.train import (
     Checkpoint,
+    Run,
     TrainError,
-    apply_partition,
     build_model_from_checkpoint,
     encode_frozen,
     init_finetune_from_pretrained,
     load_checkpoint,
-    partition_parameters,
     prepare_corpus,
     run_training,
     save_checkpoint,
+    start_run,
     training_step,
 )
 from pptts import train as train_module
@@ -67,7 +68,7 @@ def micro_model_config(**kw):
     return ModelConfig(**base)
 
 
-def micro_run_config(stage, **train_kw):
+def micro_run_config(stage, multi_speaker=False, **train_kw):
     train = dict(
         stage=stage,
         iterations=4,
@@ -81,7 +82,7 @@ def micro_run_config(stage, **train_kw):
     train.update(train_kw)
     return RunConfig(
         feature=AUDIO,
-        model=micro_model_config(),
+        model=micro_model_config(multi_speaker=multi_speaker),
         train=TrainConfig(**train),
         codebook=CodebookConfig(k=8, seed=0),
     )
@@ -98,69 +99,123 @@ def corpus(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def codebook(corpus):
-    provider = build_provider("builtin-mel", AUDIO, entries=corpus, normalize=True)
-    return train_codebook(
-        (provider.features_for(e) for e in corpus), k=8, seed=0
-    )
-
-
-@pytest.fixture(scope="module")
 def provider(corpus):
     return build_provider("builtin-mel", AUDIO, entries=corpus, normalize=True)
 
 
+@pytest.fixture(scope="module")
+def codebook(corpus, provider):
+    return train_codebook((provider.features_for(e) for e in corpus), k=8, seed=0)
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """Checkpoints of fresh micro models: ``pretrain``, the multi-speaker
+    ``pretrain-multi`` (seed 1 both) and ``finetune``."""
+    out = tmp_path_factory.mktemp("ckpts")
+    paths = {}
+    for name, mode, multi in (
+        ("pretrain", "pretrain", False),
+        ("pretrain-multi", "pretrain", True),
+        ("finetune", "finetune", False),
+    ):
+        paths[name] = out / f"{name}.ckpt"
+        model = SynthesisModel(micro_model_config(multi_speaker=multi), AUDIO, mode, seed=1)
+        save_checkpoint(model, paths[name], stage=mode)
+    return paths
+
+
+# Row: (stage, multi_speaker, from_scratch, initial checkpoint, scratch lr
+# multiplier, prefixes of the frozen names, prefixes of the lr-scaled names).
+STAGES = {
+    "pretrain": ("pretrain", False, False, None, 5.0, (), ()),
+    "pretrain-resumed": ("pretrain", False, False, "pretrain", 5.0, (), ()),
+    "from-scratch": ("finetune", True, True, None, 5.0, (), ()),
+    "transfer-multi-speaker": (
+        "finetune", True, False, "pretrain-multi", 5.0,
+        ("posterior.", "decoder.", "reference."), ("text_encoder.", "duration."),
+    ),
+    "transfer-multiplier-1": (
+        "finetune", False, False, "pretrain", 1.0, ("posterior.", "decoder."), (),
+    ),
+}
+
+
 class TestPartition:
-    def test_pretrain_trains_everything(self):
-        model = SynthesisModel(micro_model_config(), AUDIO, "pretrain")
-        part = partition_parameters(model, "pretrain")
-        assert not part.frozen and not part.finetuned
-        assert part.scratch == {n for n, _ in model.named_parameters()}
+    @pytest.mark.parametrize("row", STAGES)
+    def test_stage_table(self, row, corpus, codebook, provider, checkpoints):
+        stage, multi, from_scratch, init, mult, frozen_at, scaled_at = STAGES[row]
+        cfg = micro_run_config(stage, multi, from_scratch=from_scratch, scratch_lr_multiplier=mult)
+        run = start_run(corpus, cfg, codebook, init and checkpoints[init], provider)
+        named = dict(run.model.named_parameters())
+        assert run.frozen == {n for n in named if n.startswith(frozen_at)}
+        scaled = {n for n in named if n.startswith(scaled_at)}
+        assert {n.split(".")[0] + "." for n in run.frozen} == set(frozen_at)
+        assert {n.split(".")[0] + "." for n in scaled} == set(scaled_at)
+        assert run.optimizer.lr_scales == {n: mult for n in scaled}
+        assert [n for n, _ in run.optimizer.params] == sorted(set(named) - run.frozen)
+        for name, param in named.items():
+            trains = name not in run.frozen
+            assert param.requires_grad is param.data.flags.writeable is trains, name
+            assert trains or param.grad is None, name
+        transfer = bool(frozen_at)
+        assert all((item.post is not None) is transfer for item in run.items)
+        assert all((item.speaker is not None) is (transfer and multi) for item in run.items)
+        if stage == "pretrain" and init:
+            saved = load_checkpoint(checkpoints[init]).params
+            assert all(saved[n].tobytes() == p.data.tobytes() for n, p in named.items())
 
-    def test_finetune_split_by_prefix(self):
-        model = SynthesisModel(
-            micro_model_config(multi_speaker=True), AUDIO, "finetune"
+    @pytest.mark.parametrize(
+        "stage,from_scratch,init,match",
+        [
+            ("pretrain", True, None, "from_scratch only applies to the finetune stage"),
+            ("finetune", True, "pretrain", "exclusive"),
+            ("finetune", False, None, "requires an initial checkpoint"),
+            ("pretrain", False, "finetune", "not a pre-training checkpoint"),
+        ],
+    )
+    def test_refused(self, stage, from_scratch, init, match, corpus, codebook, provider,
+                     checkpoints):
+        cfg = micro_run_config(stage, from_scratch=from_scratch)
+        with pytest.raises(TrainError, match=match):
+            start_run(corpus, cfg, codebook, init and checkpoints[init], provider)
+
+    def test_pseudo_encoder_rejected_in_finetune(self, corpus, checkpoints, monkeypatch):
+        monkeypatch.setattr(
+            train_module, "init_finetune_from_pretrained",
+            lambda ckpt, seed: build_model_from_checkpoint(ckpt),
         )
-        part = partition_parameters(model, "finetune")
-        for name in part.frozen:
-            assert name.startswith(("posterior.", "decoder.", "reference."))
-        for name in part.finetuned:
-            assert name.startswith("flow.")
-        for name in part.scratch:
-            assert name.startswith(("text_encoder.", "duration."))
-        all_names = {n for n, _ in model.named_parameters()}
-        assert part.frozen | part.finetuned | part.scratch == all_names
-        # Each bucket is non-empty for a multi-speaker fine-tuning model.
-        assert part.frozen and part.finetuned and part.scratch
+        with pytest.raises(TrainError, match="pseudo token encoder"):
+            start_run(corpus, micro_run_config("finetune"), init_ckpt=checkpoints["pretrain"])
 
-    def test_reference_frozen_when_multi_speaker(self):
-        model = SynthesisModel(
-            micro_model_config(multi_speaker=True), AUDIO, "finetune"
-        )
-        part = partition_parameters(model, "finetune")
-        ref = {n for n in part.frozen if n.startswith("reference.")}
-        assert ref
+    def test_unknown_prefix_rejected_in_finetune(self, corpus, checkpoints, monkeypatch):
+        def with_extra(ckpt, seed):
+            model = init_finetune_from_pretrained(ckpt, seed)
+            model.extra = Tensor(np.zeros(1, np.float32), requires_grad=True)
+            return model
 
-    def test_pseudo_encoder_rejected_in_finetune(self):
-        model = SynthesisModel(micro_model_config(), AUDIO, "pretrain")
-        with pytest.raises(TrainError):
-            partition_parameters(model, "finetune")
+        monkeypatch.setattr(train_module, "init_finetune_from_pretrained", with_extra)
+        with pytest.raises(TrainError, match="'extra' has no fine-tuning assignment"):
+            start_run(corpus, micro_run_config("finetune"), init_ckpt=checkpoints["pretrain"])
 
     def test_unknown_stage(self):
-        model = SynthesisModel(micro_model_config(), AUDIO, "pretrain")
-        with pytest.raises(TrainError):
-            partition_parameters(model, "warmup")
+        with pytest.raises(ConfigError, match="unknown train stage 'warmup'"):
+            TrainConfig(stage="warmup")
 
-    def test_apply_partition_write_protects(self):
-        model = SynthesisModel(micro_model_config(), AUDIO, "finetune")
-        part = partition_parameters(model, "finetune")
-        apply_partition(model, part)
-        named = dict(model.named_parameters())
-        frozen_name = sorted(part.frozen)[0]
-        assert not named[frozen_name].requires_grad
-        assert not named[frozen_name].data.flags.writeable
-        trainable_name = sorted(part.trainable)[0]
-        assert named[trainable_name].requires_grad
+
+class TestNextBatch:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_batches_pop_from_the_end_of_each_epoch_order(self, seed):
+        run = Run(None, None, list("abcde"), frozenset(), seed)
+        o0, o1 = (list(seeded_rng(seed, 1_000_003, e).permutation(5)) for e in (0, 1))
+        want = [[o0[4], o0[3]], [o0[2], o0[1]], [o0[0], o1[4]]]
+        assert [run.next_batch(2) for _ in range(3)] == [["abcde"[i] for i in b] for b in want]
+        assert run.epoch == 2 and run.order == o1[:4]
+
+    def test_batch_larger_than_corpus_takes_each_item_once(self):
+        run = Run(None, None, list("abcde"), frozenset(), 3)
+        assert sorted(run.next_batch(8)) == list("abcde")
+        assert run.epoch == 1 and run.order == []
 
 
 class TestPrepareCorpus:
@@ -254,57 +309,35 @@ class TestPrepareCorpus:
 
 
 class TestTrainingStep:
-    def test_only_trainable_parameters_change(self, corpus, codebook, provider):
-        cfg = micro_run_config("pretrain")
-        items = prepare_corpus(corpus, cfg, "pretrain", codebook, provider)
-        pre_ckpt = SynthesisModel(cfg.model, AUDIO, "pretrain", seed=1)
-        model = init_finetune_from_pretrained(
-            _save_load_roundtrip(pre_ckpt), seed=2
-        )
-        part = partition_parameters(model, "finetune")
-        apply_partition(model, part)
-        named = dict(model.named_parameters())
+    def test_only_trainable_parameters_change(self, corpus, checkpoints):
+        cfg = micro_run_config("finetune", learning_rate=1e-2)
+        run = start_run(corpus, cfg, init_ckpt=checkpoints["pretrain"])
+        named = dict(run.model.named_parameters())
         before = {n: p.data.tobytes() for n, p in named.items()}
-        fine_items = prepare_corpus(corpus, cfg, "finetune")
-        opt = AdamW(
-            [(n, named[n]) for n in sorted(part.trainable)], lr=1e-2
-        )
-        metrics = training_step(
-            model, opt, fine_items[:2], cfg.train, 1, part, include_recon=False
-        )
+        metrics = training_step(run.model, run.optimizer, run.items[:2], cfg.train, 1, run.frozen)
         assert set(metrics) == {"loss_total", "loss_kld", "loss_dur"}
-        after = {n: p.data.tobytes() for n, p in dict(model.named_parameters()).items()}
-        for name in part.frozen:
+        after = {n: p.data.tobytes() for n, p in named.items()}
+        for name in run.frozen:
             assert after[name] == before[name], name
-        changed = [n for n in part.trainable if after[n] != before[n]]
+        changed = [n for n in named if n not in run.frozen and after[n] != before[n]]
         assert changed, "no trainable parameter moved"
 
     def test_recon_included_in_pretrain(self, corpus, codebook, provider):
         cfg = micro_run_config("pretrain")
-        items = prepare_corpus(corpus, cfg, "pretrain", codebook, provider)
-        model = SynthesisModel(cfg.model, AUDIO, "pretrain", seed=0)
-        part = partition_parameters(model, "pretrain")
-        apply_partition(model, part)
-        opt = AdamW(list(model.named_parameters()), lr=1e-3)
-        metrics = training_step(
-            model, opt, items[:1], cfg.train, 1, part, include_recon=True
-        )
+        run = start_run(corpus, cfg, codebook, provider=provider)
+        metrics = training_step(run.model, run.optimizer, run.items[:1], cfg.train, 1, run.frozen)
         assert "loss_recon" in metrics
-        assert model.decoder.calls == 1
+        assert run.model.decoder.calls == 1
 
     def test_non_finite_loss_leaves_weights_untouched(self, corpus, codebook, provider):
         cfg = micro_run_config("pretrain")
-        items = prepare_corpus(corpus, cfg, "pretrain", codebook, provider)
-        model = SynthesisModel(cfg.model, AUDIO, "pretrain", seed=0)
-        part = partition_parameters(model, "pretrain")
-        apply_partition(model, part)
-        named = dict(model.named_parameters())
+        run = start_run(corpus, cfg, codebook, provider=provider)
+        named = dict(run.model.named_parameters())
         named["duration.proj.bias"].data[...] = np.nan
         before = {n: p.data.tobytes() for n, p in named.items()}
-        opt = AdamW(list(named.items()), lr=1e-3)
         with pytest.raises(TrainError, match="non-finite loss"):
-            training_step(model, opt, items[:1], cfg.train, 1, part, include_recon=True)
-        after = {n: p.data.tobytes() for n, p in model.named_parameters()}
+            training_step(run.model, run.optimizer, run.items[:1], cfg.train, 1, run.frozen)
+        after = {n: p.data.tobytes() for n, p in named.items()}
         assert after == before
 
     def test_pretrain_step_gradients_match_op_chain(
@@ -324,8 +357,7 @@ class TestTrainingStep:
                 micro_model_config(multi_speaker=True), AUDIO, "pretrain", seed=0
             )
             opt = AdamW(list(model.named_parameters()), lr=1e-3)
-            part = partition_parameters(model, "pretrain")
-            metrics = training_step(model, opt, items[:3], cfg.train, 1, part, True)
+            metrics = training_step(model, opt, items[:3], cfg.train, 1, frozenset())
             return metrics, {n: p.grad for n, p in model.named_parameters()}
 
         fused_metrics, fused = step()
@@ -338,33 +370,15 @@ class TestTrainingStep:
             assert fused[name].tobytes() == grad.tobytes(), name
             assert fused[name].strides == grad.strides, name
 
-    def test_finetune_steps_match_op_chain(self, corpus, op_chains):
+    def test_finetune_steps_match_op_chain(self, corpus, checkpoints, op_chains):
         """Three multi-speaker fine-tune steps on frozen encodings give the
         bytes of every gradient, parameter and AdamW moment that the chains
         of single ops give; the first flow block's input needs no
         gradient there."""
-        cfg = micro_run_config("finetune")
-        items = prepare_corpus(corpus, cfg, "finetune")
-
-        def run():
-            model, opt, part = _multi_speaker_finetune()
-            encoded = encode_frozen(model, items)
-            history = []
-            for step in range(1, 4):
-                picks = [(step + k) % len(items) for k in range(4)]
-                batch = [encoded[i] for i in picks]
-                metrics = training_step(model, opt, batch, cfg.train, step, part, False)
-                history.append((metrics, _snapshot(model, opt)))
-            return history
-
-        fused = run()
+        fused = _multi_speaker_finetune_steps(corpus, checkpoints, training_step)
         op_chains()
-        for (metrics, got), (want_metrics, want) in zip(fused, run()):
-            assert metrics == want_metrics
-            assert got.keys() == want.keys()
-            for key in want:
-                assert got[key] == want[key], key
-            assert got["grad flow.blocks.1.speaker_proj.weight"] is not None
+        chain = _multi_speaker_finetune_steps(corpus, checkpoints, training_step)
+        _assert_same_history(fused, chain, "grad flow.blocks.1.speaker_proj.weight")
 
 
 def _graph_nodes(root):
@@ -382,14 +396,13 @@ def _graph_nodes(root):
 
 
 class TestStepGraph:
-    def test_finetune_step_records_fused_flow_and_losses(self, corpus, monkeypatch):
+    def test_finetune_step_records_fused_flow_and_losses(self, corpus, checkpoints, monkeypatch):
         """One multi-speaker fine-tune step at batch 4 records one coupling
         network per flow block and utterance, one KL and one duration node
         per utterance, and no tanh, exp or concat node that depends on a
         flow parameter: the flow's elementwise chains stay fused."""
-        cfg = micro_run_config("finetune")
-        model, opt, part = _multi_speaker_finetune()
-        items = encode_frozen(model, prepare_corpus(corpus, cfg, "finetune")[:4])
+        run = _multi_speaker_finetune(corpus, checkpoints)
+        model, items = run.model, run.items[:4]
         roots = []
         backward = Tensor.backward
 
@@ -398,7 +411,7 @@ class TestStepGraph:
             return backward(self, grad)
 
         monkeypatch.setattr(Tensor, "backward", recording)
-        training_step(model, opt, items, cfg.train, 1, part, False)
+        training_step(model, run.optimizer, items, MS_FINETUNE.train, 1, run.frozen)
         (root,) = roots
         nodes = _graph_nodes(root)
         ops = Counter(node._op for node in nodes)
@@ -432,19 +445,26 @@ def op_chains(
     return patch
 
 
-def _multi_speaker_finetune():
-    """A multi-speaker fine-tune model, partitioned, with its optimizer."""
-    pre = SynthesisModel(micro_model_config(multi_speaker=True), AUDIO, "pretrain", seed=1)
-    model = init_finetune_from_pretrained(_save_load_roundtrip(pre), seed=2)
-    part = partition_parameters(model, "finetune")
-    apply_partition(model, part)
-    named = dict(model.named_parameters())
-    opt = AdamW(
-        [(n, named[n]) for n in sorted(part.trainable)],
-        lr=1e-2,
-        lr_scales={n: 5.0 for n in part.scratch},
-    )
-    return model, opt, part
+MS_FINETUNE = micro_run_config(
+    "finetune", multi_speaker=True, seed=2, learning_rate=1e-2, scratch_lr_multiplier=5.0
+)
+
+
+def _multi_speaker_finetune(corpus, checkpoints):
+    """A multi-speaker transfer fine-tune from a fresh pre-trained model."""
+    return start_run(corpus, MS_FINETUNE, init_ckpt=checkpoints["pretrain-multi"])
+
+
+def _multi_speaker_finetune_steps(corpus, checkpoints, step_fn):
+    """Metrics and :func:`_snapshot` after each of three steps of
+    ``step_fn`` at batch 4 in a multi-speaker transfer fine-tune."""
+    run = _multi_speaker_finetune(corpus, checkpoints)
+    history = []
+    for step in range(1, 4):
+        batch = [run.items[(step + k) % len(run.items)] for k in range(4)]
+        metrics = step_fn(run.model, run.optimizer, batch, MS_FINETUNE.train, step, run.frozen)
+        history.append((metrics, _snapshot(run.model, run.optimizer)))
+    return history
 
 
 def _snapshot(model, opt) -> dict[str, bytes | None]:
@@ -459,68 +479,56 @@ def _snapshot(model, opt) -> dict[str, bytes | None]:
     return out
 
 
+def _assert_same_history(got, want, moved):
+    """Equal metrics and :func:`_snapshot` bytes after every step, and the
+    snapshot entry ``moved`` set."""
+    assert len(got) == len(want)
+    for (metrics, snap), (want_metrics, want_snap) in zip(got, want):
+        assert metrics == want_metrics
+        assert snap.keys() == want_snap.keys()
+        for key in want_snap:
+            assert snap[key] == want_snap[key], key
+        assert snap[moved] is not None
+
+
 class TestFrozenEncodings:
-    def test_step_matches_per_utterance_oracle(self, corpus, per_utterance_step):
+    def test_step_matches_per_utterance_oracle(self, corpus, checkpoints, per_utterance_step):
         """Three multi-speaker fine-tune steps at batch 4 that reuse frozen
         encodings and align each batch in one search give the bytes of steps
         that encode and align every utterance on their own."""
-        cfg = micro_run_config("finetune")
-        items = prepare_corpus(corpus, cfg, "finetune")
-        runs = []
-        for step_fn in (training_step, per_utterance_step):
-            model, opt, part = _multi_speaker_finetune()
-            encoded = encode_frozen(model, items)
-            history = []
-            for step in range(1, 4):
-                picks = [(step + k) % len(items) for k in range(4)]
-                metrics = step_fn(
-                    model, opt, [encoded[i] for i in picks], cfg.train, step, part, False
-                )
-                history.append((metrics, _snapshot(model, opt)))
-            runs.append(history)
-        for (metrics, got), (want_metrics, want) in zip(*runs):
-            assert metrics == want_metrics
-            assert got.keys() == want.keys()
-            for key in want:
-                assert got[key] == want[key], key
-            assert got["grad flow.blocks.0.conv1.weight"] is not None
+        runs = [
+            _multi_speaker_finetune_steps(corpus, checkpoints, step_fn)
+            for step_fn in (training_step, per_utterance_step)
+        ]
+        _assert_same_history(*runs, "grad flow.blocks.0.conv1.weight")
 
-    def test_mixed_batch_matches_all_encoded_batch(self, corpus):
-        """Under the fine-tune partition, items without stored encodings run
-        the encoders inside the step; two steps on a batch that mixes both
-        kinds give the bytes of steps on a batch in which every item carries
-        its encodings."""
-        cfg = micro_run_config("finetune")
-        items = prepare_corpus(corpus, cfg, "finetune")[:4]
+    def test_mixed_batch_matches_all_encoded_batch(self, corpus, checkpoints):
+        """In a transfer fine-tune, items without stored encodings run the
+        encoders inside the step; two steps on a batch that mixes both kinds
+        give the bytes of steps on a batch in which every item carries its
+        encodings."""
+        items = prepare_corpus(corpus, MS_FINETUNE, "finetune")[:4]
         runs = []
         for mixed in (False, True):
-            model, opt, part = _multi_speaker_finetune()
-            encoded = encode_frozen(model, items)
-            batch = [items[j] if mixed and j % 2 else encoded[j] for j in range(4)]
+            run = _multi_speaker_finetune(corpus, checkpoints)
+            batch = [items[j] if mixed and j % 2 else run.items[j] for j in range(4)]
             history = []
             for step in (1, 2):
-                metrics = training_step(model, opt, batch, cfg.train, step, part, False)
-                history.append((metrics, _snapshot(model, opt)))
+                metrics = training_step(
+                    run.model, run.optimizer, batch, MS_FINETUNE.train, step, run.frozen
+                )
+                history.append((metrics, _snapshot(run.model, run.optimizer)))
             runs.append((batch, history))
         (all_encoded, want_history), (mixed_batch, got_history) = runs
         assert [item.post is None for item in all_encoded] == [False] * 4
         assert [item.post is None for item in mixed_batch] == [False, True, False, True]
-        for (metrics, got), (want_metrics, want) in zip(got_history, want_history):
-            assert metrics == want_metrics
-            assert got.keys() == want.keys()
-            for key in want:
-                assert got[key] == want[key], key
-            assert got["m flow.blocks.0.conv1.weight"] is not None
+        _assert_same_history(got_history, want_history, "m flow.blocks.0.conv1.weight")
 
     def test_finetune_run_encodes_each_item_once(
-        self, tmp_path, corpus, monkeypatch, per_utterance_step
+        self, tmp_path, corpus, checkpoints, monkeypatch, per_utterance_step
     ):
-        model_cfg = micro_model_config(multi_speaker=True)
-        ckpt = tmp_path / "pre.ckpt"
-        save_checkpoint(SynthesisModel(model_cfg, AUDIO, "pretrain", seed=1), ckpt, "pretrain")
-        cfg = dataclasses.replace(
-            micro_run_config("finetune", iterations=3, batch_size=4), model=model_cfg
-        )
+        ckpt = checkpoints["pretrain-multi"]
+        cfg = micro_run_config("finetune", True, iterations=3, batch_size=4)
         calls = {"posterior_encode": 0, "reference_encode": 0}
         for name in calls:
             real = getattr(SynthesisModel, name)
@@ -541,10 +549,7 @@ class TestFrozenEncodings:
 
     def test_from_scratch_trains_posterior_and_reference(self, tmp_path, corpus):
         """From scratch every encoder is trainable, so none may be cached."""
-        cfg = dataclasses.replace(
-            micro_run_config("finetune", from_scratch=True, iterations=1),
-            model=micro_model_config(multi_speaker=True),
-        )
+        cfg = micro_run_config("finetune", True, from_scratch=True, iterations=1)
         result = run_training(corpus, cfg, tmp_path / "scratch")
         encoders = [
             (n, p) for n, p in result.model.named_parameters()
@@ -558,13 +563,12 @@ class TestFrozenEncodings:
         cfg = micro_run_config("finetune")
         items = prepare_corpus(corpus, cfg, "finetune")[:2]
         model = SynthesisModel(micro_model_config(), AUDIO, "finetune", seed=0)
-        part = partition_parameters(model, "pretrain")
         opt = AdamW(list(model.named_parameters()), lr=1e-3)
         encoded = encode_frozen(model, items)
         with pytest.raises(TrainError, match="trainable encoders"):
-            training_step(model, opt, encoded, cfg.train, 1, part, True)
+            training_step(model, opt, encoded, cfg.train, 1, frozenset())
         with pytest.raises(TrainError, match="trainable encoders"):
-            training_step(model, opt, [items[0], encoded[1]], cfg.train, 1, part, True)
+            training_step(model, opt, [items[0], encoded[1]], cfg.train, 1, frozenset())
 
 
 def _save_load_roundtrip(model, tmp=None):
@@ -604,16 +608,12 @@ class TestCheckpointFormat:
 
     def test_optimizer_state_round_trip(self, tmp_path, corpus, codebook, provider):
         cfg = micro_run_config("pretrain", iterations=2)
-        model = SynthesisModel(cfg.model, AUDIO, "pretrain", seed=0)
-        part = partition_parameters(model, "pretrain")
-        apply_partition(model, part)
-        items = prepare_corpus(corpus, cfg, "pretrain", codebook, provider)
-        opt = AdamW(list(model.named_parameters()), lr=1e-3)
-        training_step(model, opt, items[:2], cfg.train, 1, part, True)
+        run = start_run(corpus, cfg, codebook, provider=provider)
+        training_step(run.model, run.optimizer, run.items[:2], cfg.train, 1, run.frozen)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path, stage="pretrain", optimizer=opt)
+        save_checkpoint(run.model, path, stage="pretrain", optimizer=run.optimizer)
         ckpt = load_checkpoint(path)
-        state = opt.state_dict()
+        state = run.optimizer.state_dict()
         assert ckpt.optimizer is not None
         assert ckpt.optimizer["step"] == state["step"]
         for name in state["m"]:
@@ -747,12 +747,12 @@ class TestRunTraining:
         )
         assert fine.decoder_calls == 0
         fine_params = load_checkpoint(fine.checkpoint_path).params
-        part = partition_parameters(fine.model, "finetune")
-        for name in part.frozen:
-            assert fine_params[name].tobytes() == pre_params[name].tobytes(), name
+        for name in fine_params:
+            if name.startswith(("posterior.", "decoder.")):
+                assert fine_params[name].tobytes() == pre_params[name].tobytes(), name
         moved = [
-            n for n in part.finetuned
-            if fine_params[n].tobytes() != pre_params[n].tobytes()
+            n for n in fine_params
+            if n.startswith("flow.") and fine_params[n].tobytes() != pre_params[n].tobytes()
         ]
         assert moved, "flow did not move during fine-tuning"
         for line in fine.metrics_path.read_text().splitlines():
