@@ -165,6 +165,37 @@ class TestPartition:
             saved = load_checkpoint(checkpoints[init]).params
             assert all(saved[n].tobytes() == p.data.tobytes() for n, p in named.items())
 
+    def test_finetune_split_by_prefix(self, corpus, checkpoints):
+        cfg = micro_run_config("finetune", multi_speaker=True, scratch_lr_multiplier=5.0)
+        run = start_run(corpus, cfg, init_ckpt=checkpoints["pretrain-multi"])
+        names = {n for n, _ in run.model.named_parameters()}
+        scaled = set(run.optimizer.lr_scales)
+        finetuned = names - run.frozen - scaled
+        for name in run.frozen:
+            assert name.startswith(("posterior.", "decoder.", "reference."))
+        for name in finetuned:
+            assert name.startswith("flow.")
+        for name in scaled:
+            assert name.startswith(("text_encoder.", "duration."))
+        assert not run.frozen & scaled
+        # Each group is non-empty for a multi-speaker fine-tuning model.
+        assert run.frozen and finetuned and scaled
+
+    def test_reference_frozen_when_multi_speaker(self, corpus, checkpoints):
+        cfg = micro_run_config("finetune", multi_speaker=True)
+        run = start_run(corpus, cfg, init_ckpt=checkpoints["pretrain-multi"])
+        assert {n for n in run.frozen if n.startswith("reference.")}
+
+    def test_apply_partition_write_protects(self, corpus, checkpoints):
+        run = start_run(corpus, micro_run_config("finetune"), init_ckpt=checkpoints["pretrain"])
+        named = dict(run.model.named_parameters())
+        frozen_name = sorted(run.frozen)[0]
+        assert not named[frozen_name].requires_grad
+        assert not named[frozen_name].data.flags.writeable
+        trainable_name = sorted(set(named) - run.frozen)[0]
+        assert named[trainable_name].requires_grad
+        assert named[trainable_name].data.flags.writeable
+
     @pytest.mark.parametrize(
         "stage,from_scratch,init,match",
         [
