@@ -25,15 +25,15 @@ def likelihood_grid(
     """Per-(token, frame) Gaussian log-likelihood summed over channels.
 
     Args:
-        mean, std: [n_tokens, channels] prior statistics, std > 0.
-        frames: [n_frames, channels] latent frames.
+        mean, std: [channels, n_tokens] prior statistics, std > 0.
+        frames: [channels, n_frames] latent frames.
 
     Returns:
         [n_tokens, n_frames] float64 grid.
     """
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
-    frames = np.asarray(frames, dtype=np.float64)
+    mean = np.asarray(mean, dtype=np.float64).T
+    std = np.asarray(std, dtype=np.float64).T
+    frames = np.asarray(frames, dtype=np.float64).T
     if mean.shape != std.shape:
         raise ValueError("mean/std shape mismatch")
     if mean.shape[1] != frames.shape[1]:
@@ -104,18 +104,3 @@ def alignment_to_durations(assignment: np.ndarray, n_tokens: int) -> np.ndarray:
         raise ValueError("assignment does not cover every token")
     return durations.astype(np.int64)
 
-
-def expand_prior(
-    mean: np.ndarray, std: np.ndarray, durations: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Repeat token statistics by duration to frame level.
-
-    Zero durations drop their token (inference path); total duration
-    must be positive.
-    """
-    durations = np.asarray(durations, dtype=np.int64)
-    if np.any(durations < 0):
-        raise ValueError("durations must be >= 0")
-    if durations.sum() == 0:
-        raise ValueError("total duration is zero")
-    return np.repeat(mean, durations, axis=0), np.repeat(std, durations, axis=0)

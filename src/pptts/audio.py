@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 
 
-def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
+def read_wav(path: str | Path, sample_rate: int | None = None) -> tuple[np.ndarray, int]:
     """Read a mono PCM WAV file as float32 samples in [-1, 1].
 
     Anything else, including a file whose data chunk claims more bytes
-    than follow it, raises ``ValueError`` naming the file before the
-    samples are read.
+    than follow it or, if ``sample_rate`` is given, a file at another
+    rate, raises ``ValueError`` naming the file before the samples are
+    read.
     """
     with open(path, "rb") as raw:
         try:
@@ -30,6 +31,8 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
             if fh.getsampwidth() != 2:
                 raise ValueError(f"{path}: expected 16-bit PCM")
             sr = fh.getframerate()
+            if sample_rate is not None and sr != sample_rate:
+                raise ValueError(f"{path}: sample rate {sr} != configured {sample_rate}")
             count = fh.getnframes()
             left = os.fstat(raw.fileno()).st_size - raw.tell()
             if 2 * count > left:

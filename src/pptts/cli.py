@@ -180,9 +180,7 @@ def cmd_synthesize(args) -> int:
     ids = text_to_phonemes(args.text)
     ref_mel = None
     if args.ref_wav is not None:
-        wave, sr = read_wav(args.ref_wav)
-        if sr != model.audio.sample_rate:
-            raise ValueError(f"reference sample rate {sr} != {model.audio.sample_rate}")
+        wave, _ = read_wav(args.ref_wav, model.audio.sample_rate)
         ref_mel = mel_of_waveform(wave, model.audio)
     result = model.synthesize(
         ids,

@@ -131,9 +131,7 @@ def evaluate_manifest(
         try:
             if not entry.text:
                 raise EvalError("entry has no text to synthesize")
-            ref_wave, sr = read_wav(entry.audio_path)
-            if sr != model.audio.sample_rate:
-                raise EvalError(f"sample rate {sr} != configured {model.audio.sample_rate}")
+            ref_wave, _ = read_wav(entry.audio_path, model.audio.sample_rate)
             ids = text_to_phonemes(entry.text)
             ref_mel = mel_of_waveform(ref_wave, model.audio)
             result = model.synthesize(

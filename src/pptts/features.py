@@ -236,12 +236,7 @@ class BuiltinMelProvider:
         return self.audio.sample_rate / self.audio.hop_length
 
     def _read(self, entry: ManifestEntry) -> np.ndarray:
-        wave, sr = read_wav(entry.audio_path)
-        if sr != self.audio.sample_rate:
-            raise ValueError(
-                f"{entry.id}: sample rate {sr} != configured {self.audio.sample_rate}"
-            )
-        return wave
+        return read_wav(entry.audio_path, self.audio.sample_rate)[0]
 
     def features_for_wave(self, wave: np.ndarray) -> FrameFeatures:
         """Features of an in-memory waveform."""

@@ -3,11 +3,10 @@ encoders, duration predictor, reference encoder, and the inference path.
 
 Conventions
 -----------
-Activations are channels-first tensors ``[channels, frames]``. Gaussian
-statistics keep that layout; transpose once when handing frame-major
-matrices to the alignment routines. Standard deviations come from an
-exponential parameterization with the log-std clamped so that
-``std >= 1e-5`` always holds.
+Activations and Gaussian statistics are channels-first tensors
+``[channels, frames]``. Standard deviations come from an exponential
+parameterization with the log-std clamped so that ``std >= 1e-5`` always
+holds.
 
 A model is built in one of two modes: ``pretrain`` carries a pseudo-token
 encoder over the unit vocabulary, ``finetune`` carries a text encoder over
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import align
 from . import tensor as T
 from .config import AudioConfig, ModelConfig
 from .nn import Conv1d, Embedding, Module, ModuleList
@@ -68,14 +66,12 @@ class Stats:
     mean: Tensor
     std: Tensor
 
-    @property
-    def mean_tc(self) -> np.ndarray:
-        """Frame-major mean ``[frames, C]`` for the alignment routines."""
-        return self.mean.data.T
-
-    @property
-    def std_tc(self) -> np.ndarray:
-        return self.std.data.T
+    def repeat(self, durations: np.ndarray) -> Stats:
+        """Token statistics ``[C, N]`` repeated to frames: column ``j`` is
+        taken ``durations[j]`` times, so a zero duration drops its token."""
+        return Stats(
+            mean=T.repeat_cols(self.mean, durations), std=T.repeat_cols(self.std, durations)
+        )
 
     def sample(self, eps: np.ndarray | float) -> Tensor:
         """``mean + std * eps``, with ``eps`` broadcast against ``[C, frames]``."""
@@ -126,16 +122,6 @@ class CouplingBlock(Module):
         if speaker_dim:
             self.speaker_proj = Conv1d(speaker_dim, hidden, 1, rng=rng, dtype=dtype)
 
-    def _halves(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        if self.parity == 0:
-            return x[: self.half, :], x[self.half :, :]
-        return x[self.half :, :], x[: self.half, :]
-
-    def _join(self, kept: Tensor, changed: Tensor) -> Tensor:
-        if self.parity == 0:
-            return T.concat([kept, changed], axis=0)
-        return T.concat([changed, kept], axis=0)
-
     def _net_args(self, speaker: Tensor | None) -> dict:
         """Keyword arguments of :func:`tensor.coupling_net` for this block."""
         layers = [
@@ -158,11 +144,15 @@ class CouplingBlock(Module):
         return y, log_s.sum()
 
     def inverse(self, y: Tensor, speaker: Tensor | None):
-        net = T.coupling_net(y, **self._net_args(speaker))
-        log_s = T.coupling_log_scale(net, self.half, LOG_SCALE_CAP)
-        kept, moved = self._halves(y)
-        moved = (moved - net[self.half :, :]) * (-log_s).exp()
-        return self._join(kept, moved), -log_s.sum()
+        """The moved half becomes ``(moved - shift) * exp(-log_s)``; computed
+        on arrays and returned as tensors without a graph."""
+        with T.no_grad():
+            net = T.coupling_net(y, **self._net_args(speaker))
+            log_s = T.coupling_log_scale(net, self.half, LOG_SCALE_CAP).data
+        moved = slice(self.half, None) if self.parity == 0 else slice(None, self.half)
+        x = y.data.copy()
+        x[moved, :] = (y.data[moved, :] - net.data[self.half :, :]) * np.exp(-log_s)
+        return Tensor(x), Tensor(-log_s.sum())
 
 
 class Flow(Module):
@@ -479,18 +469,12 @@ class SynthesisModel(Module):
             hidden, prior = self.text_encode(ids)
             log_dur = self.predict_durations(hidden).data
             durations = self._frame_counts(log_dur, length_scale)
-            mean_f, std_f = align.expand_prior(prior.mean_tc, prior.std_tc, durations)
-            rng = seeded_rng(seed)
-            eps = rng.standard_normal(mean_f.shape).astype(self.np_dtype)
-            z_p = Tensor(
-                (mean_f + std_f * (noise_scale * eps)).T.astype(self.np_dtype)
+            shape = (int(durations.sum()), self.config.latent_channels)
+            eps = seeded_rng(seed).standard_normal(shape).astype(self.np_dtype).T
+            z_p = prior.repeat(durations).sample(noise_scale * eps)
+            speaker = self._check_speaker(
+                None if ref_mel is None else self.reference_encode(ref_mel)
             )
-            speaker = None
-            if self.config.multi_speaker:
-                speaker = (
-                    self.reference_encode(ref_mel) if ref_mel is not None
-                    else self.zero_speaker()
-                )
             z, _ = self.flow.inverse(z_p, speaker)
             wave = self.decode(z, speaker)
         return SynthesisResult(

@@ -129,11 +129,7 @@ def prepare_corpus(
     reuse_mel = isinstance(provider, BuiltinMelProvider) and provider.audio == cfg.feature
     prepared = []
     for entry in entries:
-        wave, sr = read_wav(entry.audio_path)
-        if sr != cfg.feature.sample_rate:
-            raise TrainError(
-                f"{entry.id}: sample rate {sr} != configured {cfg.feature.sample_rate}"
-            )
+        wave, _ = read_wav(entry.audio_path, cfg.feature.sample_rate)
         spec = compute_linear_spectrogram(wave, cfg.feature)
         mel = compute_mel(spec, cfg.feature)
         if stage == "pretrain":
@@ -198,7 +194,7 @@ def batch_losses(
     with tz.no_grad():
         grids = []
         for _, _, _, z_p, _, _, prior in encoded:
-            grid = align.likelihood_grid(prior.mean_tc, prior.std_tc, z_p.data.T)
+            grid = align.likelihood_grid(prior.mean.data, prior.std.data, z_p.data)
             grid += align.alignment_log_prior(*grid.shape)
             grids.append(grid)
         assignments = align.monotonic_alignment_search(grids)
@@ -208,12 +204,8 @@ def batch_losses(
         items, assignments, encoded
     ):
         durations = align.alignment_to_durations(assignment, item.tokens.size)
-        frame_prior = Stats(
-            mean=tz.repeat_cols(prior.mean, durations),
-            std=tz.repeat_cols(prior.std, durations),
-        )
         terms = {
-            "kld": losses.kld_prior_loss(post, z, z_p, frame_prior, logdet),
+            "kld": losses.kld_prior_loss(post, z, z_p, prior.repeat(durations), logdet),
             "dur": losses.duration_loss(model.predict_durations(hidden), durations),
         }
         if include_recon:
@@ -587,14 +579,22 @@ class Run:
 
     def next_batch(self, size: int) -> list[PreparedUtterance]:
         """The next ``size`` items (at most the corpus), popped from a
-        per-epoch shuffled order seeded from the run seed."""
+        per-epoch shuffled order seeded from the run seed.
+
+        Each pick is the last index of the order not already in the batch,
+        so a batch that crosses into a new epoch never holds an item twice;
+        indices it skips stay in the order and every epoch ends before the
+        next begins."""
         picks = []
         while len(picks) < min(size, len(self.items)):
             if not self.order:
                 rng = seeded_rng(self.seed, 1_000_003, self.epoch)
                 self.order = list(rng.permutation(len(self.items)))
                 self.epoch += 1
-            picks.append(self.order.pop())
+            k = len(self.order) - 1
+            while self.order[k] in picks:
+                k -= 1
+            picks.append(self.order.pop(k))
         return [self.items[i] for i in picks]
 
 

@@ -9,10 +9,11 @@ is printed so the acceptance status is readable at a glance. The
 never builds, and ``per_utterance_step`` the oracle of a training step with
 frozen encodings and one alignment search per batch. ``coupling_chain`` and
 ``coupling_inverse_chain`` are the oracles of a coupling block's forward and
-inverse maps, ``kld_chain`` and ``duration_chain`` those of the fused KL and
-duration losses, and ``log_density_chain`` the Gaussian log-density the KL
-chain is built on. ``pad_cols`` and
-``frame_cols`` are single ops those chains are made of.
+inverse maps, ``synthesize_frame_major`` that of synthesis with the prior
+expanded frame-major and the flow inverted by that chain, ``kld_chain`` and
+``duration_chain`` those of the fused KL and duration losses, and
+``log_density_chain`` the Gaussian log-density the KL chain is built on.
+``pad_cols`` and ``frame_cols`` are single ops those chains are made of.
 ``alignment_score`` and ``durations_to_assignment`` are the oracles of the
 alignment search tests. ``report_by_waves`` is the oracle of
 ``evaluate_manifest``: it scores every metric from the waves, one log-mel
@@ -227,6 +228,37 @@ def _coupling_inverse_chain(block, y, speaker):
     return _coupling_join(block, kept, moved), -log_s.sum()
 
 
+def _synthesize_frame_major(
+    model, ids, noise_scale=0.667, length_scale=1.0, ref_mel=None, seed=0
+):
+    """``SynthesisModel.synthesize`` as it expanded the prior before
+    ``Stats.repeat``: ``np.repeat`` of the frame-major statistics, the
+    sample ``mean + std * (noise_scale * eps)`` in that layout, transposed
+    to channels-first, and the flow inverted block by block with
+    :func:`_coupling_inverse_chain`. Returns (wave, durations, speaker)."""
+    from pptts import tensor as tz
+    from pptts.seeding import seeded_rng
+
+    with tz.no_grad():
+        hidden, prior = model.text_encode(ids)
+        durations = model._frame_counts(model.predict_durations(hidden).data, length_scale)
+        mean_f = np.repeat(prior.mean.data.T, durations, axis=0)
+        std_f = np.repeat(prior.std.data.T, durations, axis=0)
+        eps = seeded_rng(seed).standard_normal(mean_f.shape).astype(model.np_dtype)
+        z = tz.Tensor((mean_f + std_f * (noise_scale * eps)).T.astype(model.np_dtype))
+        speaker = None
+        if model.config.multi_speaker:
+            speaker = model.zero_speaker() if ref_mel is None else model.reference_encode(ref_mel)
+        for block in reversed(model.flow.blocks):
+            z, _ = _coupling_inverse_chain(block, z, speaker)
+        wave = model.decode(z, speaker)
+    return (
+        np.asarray(wave.data, dtype=np.float32),
+        durations,
+        None if speaker is None else speaker.data,
+    )
+
+
 def _log_density_chain(x, stats):
     """Elementwise log N(x; mean, std) as a chain of single ops."""
     from pptts.losses import LossError
@@ -263,6 +295,13 @@ def coupling_chain():
 def coupling_inverse_chain():
     """Oracle of ``CouplingBlock.inverse``, with its signature."""
     return _coupling_inverse_chain
+
+
+@pytest.fixture
+def synthesize_frame_major():
+    """Oracle of ``SynthesisModel.synthesize``, with its signature after
+    the model."""
+    return _synthesize_frame_major
 
 
 @pytest.fixture
@@ -356,7 +395,7 @@ def _per_utterance_step(model, optimizer, items, cfg, step_index, frozen):
         z_p, logdet = model.flow_forward(z, speaker)
         hidden, prior = model.token_encode(item.tokens)
         with tz.no_grad():
-            grid = align.likelihood_grid(prior.mean_tc, prior.std_tc, z_p.data.T)
+            grid = align.likelihood_grid(prior.mean.data, prior.std.data, z_p.data)
             grid += align.alignment_log_prior(*grid.shape)
             assignment = align.monotonic_alignment_search([grid])[0]
         durations = align.alignment_to_durations(assignment, item.tokens.size)
@@ -445,7 +484,9 @@ def _report_by_waves(
                 raise EvalError("entry has no text to synthesize")
             ref_wave, sr = read_wav(entry.audio_path)
             if sr != audio.sample_rate:
-                raise EvalError(f"sample rate {sr} != configured {audio.sample_rate}")
+                raise ValueError(
+                    f"{entry.audio_path}: sample rate {sr} != configured {audio.sample_rate}"
+                )
             ids = text_to_phonemes(entry.text)
             ref_mel = None
             if model.config.multi_speaker:

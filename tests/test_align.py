@@ -1,4 +1,4 @@
-"""Monotonic alignment: likelihood grids, search, durations, expansion."""
+"""Monotonic alignment: likelihood grids, search, durations."""
 
 import numpy as np
 import pytest
@@ -23,36 +23,38 @@ def direct_grid(mean, std, frames):
 
 
 class TestLikelihoodGrid:
+    """Statistics and frames come channels-first; the grid is [tokens, frames]."""
+
     def test_matches_direct_computation(self):
         rng = np.random.default_rng(0)
         mean = rng.normal(size=(3, 4))
         std = rng.uniform(0.5, 2.0, size=(3, 4))
         frames = rng.normal(size=(6, 4))
-        grid = align.likelihood_grid(mean, std, frames)
+        grid = align.likelihood_grid(mean.T, std.T, frames.T)
         assert grid.shape == (3, 6)
         assert np.allclose(grid, direct_grid(mean, std, frames), atol=1e-9)
 
     def test_perfect_match_closed_form(self):
         # mu equals the frame, sigma = 1: density is -C/2 log(2 pi) exactly.
         rng = np.random.default_rng(1)
-        frames = rng.normal(size=(1, 5))
+        frames = rng.normal(size=(5, 1))
         grid = align.likelihood_grid(frames, np.ones_like(frames), frames)
         assert np.allclose(grid[0, 0], -5 / 2 * np.log(2 * np.pi), atol=1e-12)
 
     def test_doubling_sigma_lowers_zero_residual_entries(self):
-        frames = np.zeros((2, 3))
-        mean = np.zeros((2, 3))
-        g1 = align.likelihood_grid(mean, np.ones((2, 3)), frames)
-        g2 = align.likelihood_grid(mean, 2 * np.ones((2, 3)), frames)
+        frames = np.zeros((3, 2))
+        mean = np.zeros((3, 2))
+        g1 = align.likelihood_grid(mean, np.ones((3, 2)), frames)
+        g2 = align.likelihood_grid(mean, 2 * np.ones((3, 2)), frames)
         assert np.all(g2 < g1)
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
-            align.likelihood_grid(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((4, 3)))
+            align.likelihood_grid(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 4)))
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
-            align.likelihood_grid(np.zeros((2, 3)), np.ones((2, 3)), np.zeros((4, 5)))
+            align.likelihood_grid(np.zeros((3, 2)), np.ones((3, 2)), np.zeros((5, 4)))
 
 
 class TestSearch:
@@ -107,33 +109,6 @@ class TestDurations:
     def test_token_without_frames_rejected(self):
         with pytest.raises(ValueError):
             align.alignment_to_durations(np.array([0, 0, 2, 2]), 3)
-
-
-class TestExpandPrior:
-    def test_repeat_single_token(self):
-        mean = np.array([[1.0, 2.0]])
-        std = np.array([[0.5, 0.7]])
-        m, s = align.expand_prior(mean, std, np.array([3]))
-        assert m.shape == (3, 2)
-        assert np.all(m == mean) and np.all(s == std)
-
-    def test_example_two_tokens(self):
-        mean = np.array([[1.0], [9.0]])
-        std = np.ones((2, 1))
-        m, _ = align.expand_prior(mean, std, np.array([2, 1]))
-        assert m.ravel().tolist() == [1.0, 1.0, 9.0]
-
-    def test_total_frames(self):
-        rng = np.random.default_rng(5)
-        mean = rng.normal(size=(4, 3))
-        std = rng.uniform(0.1, 1.0, size=(4, 3))
-        d = np.array([2, 0, 5, 1])
-        m, s = align.expand_prior(mean, std, d)
-        assert m.shape[0] == d.sum() == s.shape[0]
-
-    def test_all_zero_durations_rejected(self):
-        with pytest.raises(ValueError):
-            align.expand_prior(np.zeros((2, 3)), np.ones((2, 3)), np.array([0, 0]))
 
 
 class TestAlignmentLogPrior:

@@ -704,7 +704,9 @@ class TestSynthesizeCommand:
         self, workspace, tmp_path, capsys, monkeypatch
     ):
         reads = []
-        monkeypatch.setattr(cli, "read_wav", lambda path: reads.append(path) or read_wav(path))
+        monkeypatch.setattr(
+            cli, "read_wav", lambda path, *rate: reads.append(path) or read_wav(path, *rate)
+        )
         ref = load_manifest(workspace["manifest"])[0].audio_path
         out = tmp_path / "s.wav"
         code = run(
@@ -827,7 +829,7 @@ class TestEvalCommand:
     ):
         reads = []
         monkeypatch.setattr(
-            evaluate, "read_wav", lambda path: reads.append(path) or read_wav(path)
+            evaluate, "read_wav", lambda path, *rate: reads.append(path) or read_wav(path, *rate)
         )
         out = tmp_path / "r.json"
         code = run(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -239,9 +240,21 @@ class TestNextBatch:
     def test_batches_pop_from_the_end_of_each_epoch_order(self, seed):
         run = Run(None, None, list("abcde"), frozenset(), seed)
         o0, o1 = (list(seeded_rng(seed, 1_000_003, e).permutation(5)) for e in (0, 1))
-        want = [[o0[4], o0[3]], [o0[2], o0[1]], [o0[0], o1[4]]]
+        # The third batch crosses into epoch 1: its second pick is the last
+        # index of that epoch's order other than the first pick.
+        k = 4 if o1[4] != o0[0] else 3
+        want = [[o0[4], o0[3]], [o0[2], o0[1]], [o0[0], o1[k]]]
         assert [run.next_batch(2) for _ in range(3)] == [["abcde"[i] for i in b] for b in want]
-        assert run.epoch == 2 and run.order == o1[:4]
+        assert run.epoch == 2 and run.order == o1[:k] + o1[k + 1 :]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_no_batch_repeats_an_item_and_epochs_stay_whole(self, seed):
+        run = Run(None, None, list(range(6)), frozenset(), seed)
+        batches = [run.next_batch(4) for _ in range(30)]
+        assert all(len(set(b)) == 4 for b in batches)
+        picks = [i for b in batches for i in b]
+        for e in range(len(picks) // 6):
+            assert sorted(picks[6 * e : 6 * (e + 1)]) == list(range(6))
 
     def test_batch_larger_than_corpus_takes_each_item_once(self):
         run = Run(None, None, list("abcde"), frozenset(), 3)
@@ -275,9 +288,9 @@ class TestPrepareCorpus:
             want.append((spec, compute_mel(spec, AUDIO), tokens))
         reads, mels = [], []
 
-        def counting_read(path):
+        def counting_read(path, sample_rate=None):
             reads.append(path)
-            return read_wav(path)
+            return read_wav(path, sample_rate)
 
         def counting_mel(wave, cfg):
             mels.append(cfg)
@@ -335,7 +348,8 @@ class TestPrepareCorpus:
         wrong = dataclasses.replace(
             cfg, feature=dataclasses.replace(AUDIO, sample_rate=16000)
         )
-        with pytest.raises(TrainError):
+        message = f"{corpus[0].audio_path}: sample rate {AUDIO.sample_rate} != configured 16000"
+        with pytest.raises(ValueError, match=re.escape(message)):
             prepare_corpus(corpus, wrong, "finetune")
 
 
